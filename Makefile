@@ -10,8 +10,10 @@ build:
 vet:
 	go vet ./...
 
+# bench/ is its own module, which ./... skips.
 test:
 	go test ./...
+	cd bench && go vet ./... && go test ./...
 
 race:
 	go test -race ./...

@@ -94,7 +94,7 @@ func evalMeasurements(cfg config) ([]evalRow, error) {
 			return statsOf(prog.EvalInto(dst, srcs))
 		})
 		parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-			return statsOf(prog.EvalParallelInto(dst, vecs, parallel.Default(), degree))
+			return statsOf(prog.EvalParallelInto(dst, vecs, parallel.Default(), degree, nil))
 		})
 
 		// WAH routes: the baseline pays Decompress per used operand, the

@@ -58,7 +58,7 @@ func runParallel(cfg config) error {
 		return st
 	})
 	parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := ix.InParallel(parallelInVals, degree)
+		_, st := ix.InParallel(parallelInVals, degree, nil)
 		return st
 	})
 	if seqSt != parSt {
@@ -138,7 +138,7 @@ func benchParallelSection(cfg config, bf *BenchFile) error {
 		return st
 	})
 	parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := ix.InParallel(parallelInVals, degree)
+		_, st := ix.InParallel(parallelInVals, degree, nil)
 		return st
 	})
 	if seqSt != parSt {

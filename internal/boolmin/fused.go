@@ -140,13 +140,50 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // accounting — as EvalVectors over the dense equivalents of srcs, with
 // zero allocations in the steady state.
 func (p *Program) EvalInto(dst *bitvec.Vector, srcs []bitvec.WordSource) EvalResult {
+	res, pass := p.begin(dst, srcs)
+	if pass {
+		p.evalWords(dst, srcs, 0, dst.Words())
+		dst.TrimTail()
+	}
+	return res
+}
+
+// EvalParallelInto is EvalInto with segmented fork/join execution over
+// dense operands (sequential word sources cannot back concurrent
+// segments): up to degree executors from pool (nil for the default pool),
+// each with a trace span nested under sp when sp is non-nil (see
+// parallel.Pool.ForkJoinSpan). Rows and accounting are identical to
+// EvalInto and therefore to the sequential baseline.
+func (p *Program) EvalParallelInto(dst *bitvec.Vector, vecs []*bitvec.Vector, pool *parallel.Pool, degree int, sp *obs.Span) EvalResult {
+	if pool == nil {
+		pool = parallel.Default()
+	}
+	srcs := make([]bitvec.WordSource, len(vecs))
+	for i, v := range vecs {
+		srcs[i] = v
+	}
+	res, pass := p.begin(dst, srcs)
+	if pass {
+		pool.ForkJoinSpan(sp, "ebi.parallel.worker", dst.Segments(), degree, func(seg int) {
+			lo, hi := dst.SegmentSpan(seg)
+			p.evalWords(dst, srcs, lo, hi)
+		})
+		dst.TrimTail()
+	}
+	return res
+}
+
+// begin is the evaluators' shared prologue: it checks the operands,
+// computes the analytic accounting, and answers the constant programs
+// outright. pass reports whether dst still needs a kernel pass.
+func (p *Program) begin(dst *bitvec.Vector, srcs []bitvec.WordSource) (res EvalResult, pass bool) {
 	if len(srcs) < p.k {
 		panic(fmt.Sprintf("boolmin: expression over %d vars, only %d vectors", p.k, len(srcs)))
 	}
-	res := EvalResult{Rows: dst}
+	res.Rows = dst
 	if p.constFalse {
 		dst.Reset()
-		return res
+		return res, false
 	}
 	res.VectorsRead = p.vectorsRead
 	for i := 0; i < p.k; i++ {
@@ -158,7 +195,7 @@ func (p *Program) EvalInto(dst *bitvec.Vector, srcs []bitvec.WordSource) EvalRes
 	mFusedEvals.Inc()
 	if p.constTrue {
 		dst.Fill()
-		return res
+		return res, false
 	}
 	n := dst.Len()
 	for i := 0; i < p.k; i++ {
@@ -166,99 +203,24 @@ func (p *Program) EvalInto(dst *bitvec.Vector, srcs []bitvec.WordSource) EvalRes
 			panic(fmt.Sprintf("boolmin: operand %d has %d bits, destination %d", i, srcs[i].Len(), n))
 		}
 	}
+	return res, true
+}
+
+// evalWords runs the kernel over dst's words [lo, hi), one block at a
+// time.
+func (p *Program) evalWords(dst *bitvec.Vector, srcs []bitvec.WordSource, lo, hi int) {
 	sc := scratchPool.Get().(*scratch)
 	var blocks [MaxVars][]uint64
-	nw := dst.Words()
-	for lo := 0; lo < nw; lo += fusedBlockWords {
-		hi := min(lo+fusedBlockWords, nw)
+	for blo := lo; blo < hi; blo += fusedBlockWords {
+		bhi := min(blo+fusedBlockWords, hi)
 		for i := 0; i < p.k; i++ {
 			if p.vars&(1<<uint(i)) != 0 {
-				blocks[i] = srcs[i].BlockWords(lo, hi)
+				blocks[i] = srcs[i].BlockWords(blo, bhi)
 			}
 		}
-		p.evalBlock(dst.BlockWords(lo, hi), sc.buf[:hi-lo], &blocks)
+		p.evalBlock(dst.BlockWords(blo, bhi), sc.buf[:bhi-blo], &blocks)
 	}
 	scratchPool.Put(sc)
-	dst.TrimTail()
-	return res
-}
-
-// EvalParallelInto is EvalInto with segmented fork/join execution over
-// dense operands (sequential word sources cannot back concurrent
-// segments). Rows and accounting are identical to EvalInto and therefore
-// to the sequential baseline.
-func (p *Program) EvalParallelInto(dst *bitvec.Vector, vecs []*bitvec.Vector, pool *parallel.Pool, degree int) EvalResult {
-	return p.EvalParallelSpanInto(dst, vecs, pool, degree, nil)
-}
-
-// EvalParallelSpanInto is EvalParallelInto with per-worker trace spans
-// nested under sp (see parallel.Pool.ForkJoinSpan). A nil sp is the
-// exact EvalParallelInto path.
-func (p *Program) EvalParallelSpanInto(dst *bitvec.Vector, vecs []*bitvec.Vector, pool *parallel.Pool, degree int, sp *obs.Span) EvalResult {
-	if len(vecs) < p.k {
-		panic(fmt.Sprintf("boolmin: expression over %d vars, only %d vectors", p.k, len(vecs)))
-	}
-	if pool == nil {
-		pool = parallel.Default()
-	}
-	res := EvalResult{Rows: dst}
-	if p.constFalse {
-		dst.Reset()
-		return res
-	}
-	res.VectorsRead = p.vectorsRead
-	for i := 0; i < p.k; i++ {
-		if p.vars&(1<<uint(i)) != 0 {
-			res.WordsRead += vecs[i].Words()
-		}
-	}
-	res.Ops = p.ops
-	mFusedEvals.Inc()
-	if p.constTrue {
-		dst.Fill()
-		return res
-	}
-	n := dst.Len()
-	for i := 0; i < p.k; i++ {
-		if p.vars&(1<<uint(i)) != 0 && vecs[i].Len() != n {
-			panic(fmt.Sprintf("boolmin: operand %d has %d bits, destination %d", i, vecs[i].Len(), n))
-		}
-	}
-	pool.ForkJoinSpan(sp, "ebi.parallel.worker", dst.Segments(), degree, func(seg int) {
-		sc := scratchPool.Get().(*scratch)
-		var blocks [MaxVars][]uint64
-		slo, shi := dst.SegmentSpan(seg)
-		for lo := slo; lo < shi; lo += fusedBlockWords {
-			hi := min(lo+fusedBlockWords, shi)
-			for i := 0; i < p.k; i++ {
-				if p.vars&(1<<uint(i)) != 0 {
-					blocks[i] = vecs[i].BlockWords(lo, hi)
-				}
-			}
-			p.evalBlock(dst.BlockWords(lo, hi), sc.buf[:hi-lo], &blocks)
-		}
-		scratchPool.Put(sc)
-	})
-	dst.TrimTail()
-	return res
-}
-
-// EvalFused compiles and evaluates in one call — the drop-in fused
-// equivalent of EvalVectors, used by cross-checks and one-shot callers
-// (hot paths cache the Program and use EvalInto).
-func EvalFused(e Expr, vecs []*bitvec.Vector) EvalResult {
-	if len(vecs) < e.K {
-		panic(fmt.Sprintf("boolmin: expression over %d vars, only %d vectors", e.K, len(vecs)))
-	}
-	n := 0
-	if e.K > 0 {
-		n = vecs[0].Len()
-	}
-	srcs := make([]bitvec.WordSource, len(vecs))
-	for i, v := range vecs {
-		srcs[i] = v
-	}
-	return Compile(e).EvalInto(bitvec.New(n), srcs)
 }
 
 // evalBlock computes one destination block: acc = OR over cubes of the

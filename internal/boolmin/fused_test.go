@@ -28,7 +28,7 @@ func checkFusedAgrees(t *testing.T, e Expr, vecs []*bitvec.Vector) {
 				want.VectorsRead, want.WordsRead, want.Ops)
 		}
 	}
-	check("fused dense", EvalFused(e, vecs))
+	check("fused dense", evalFused(e, vecs))
 
 	p := Compile(e)
 	n := 0
@@ -40,7 +40,20 @@ func checkFusedAgrees(t *testing.T, e Expr, vecs []*bitvec.Vector) {
 		streams[i] = compress.Compress(v).Stream()
 	}
 	check("fused wah", p.EvalInto(bitvec.New(n), streams))
-	check("fused parallel", p.EvalParallelInto(bitvec.New(n), vecs, parallel.Default(), 4))
+	check("fused parallel", p.EvalParallelInto(bitvec.New(n), vecs, parallel.Default(), 4, nil))
+}
+
+// evalFused compiles e and evaluates it once over dense operands.
+func evalFused(e Expr, vecs []*bitvec.Vector) EvalResult {
+	n := 0
+	if e.K > 0 {
+		n = vecs[0].Len()
+	}
+	srcs := make([]bitvec.WordSource, len(vecs))
+	for i, v := range vecs {
+		srcs[i] = v
+	}
+	return Compile(e).EvalInto(bitvec.New(n), srcs)
 }
 
 func TestFusedPaperFigure1(t *testing.T) {
@@ -75,7 +88,7 @@ func TestFusedPanicsOnShortVecs(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	EvalFused(Expr{K: 3, Cubes: []Cube{{}}}, buildVectors(2, []uint32{0}))
+	evalFused(Expr{K: 3, Cubes: []Cube{{}}}, buildVectors(2, []uint32{0}))
 }
 
 func TestFusedPanicsOnLengthMismatch(t *testing.T) {
@@ -183,7 +196,7 @@ func BenchmarkFusedEvalParallelK10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.EvalParallelInto(dst, vecs, pool, 4)
+		p.EvalParallelInto(dst, vecs, pool, 4, nil)
 	}
 }
 

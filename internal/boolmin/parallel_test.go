@@ -26,6 +26,16 @@ func assertSameResult(t *testing.T, ctx string, seq, par EvalResult) {
 	}
 }
 
+// evalParallel compiles e and runs it through the segmented evaluator,
+// the way hot paths call it.
+func evalParallel(e Expr, vecs []*bitvec.Vector, pool *parallel.Pool, degree int) EvalResult {
+	n := 0
+	if e.K > 0 {
+		n = vecs[0].Len()
+	}
+	return Compile(e).EvalParallelInto(bitvec.New(n), vecs, pool, degree, nil)
+}
+
 func TestEvalVectorsParallelMatchesSequential(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -51,7 +61,7 @@ func TestEvalVectorsParallelMatchesSequential(t *testing.T) {
 		vecs := buildVectors(k, codes)
 		seq := EvalVectors(e, vecs)
 		for _, degree := range []int{1, 2, 4, 16} {
-			par := EvalVectorsParallel(e, vecs, pool, degree)
+			par := evalParallel(e, vecs, pool, degree)
 			assertSameResult(t, "seed/degree", seq, par)
 		}
 	}
@@ -65,17 +75,17 @@ func TestEvalVectorsParallelConstants(t *testing.T) {
 	// Constant false (no cubes).
 	assertSameResult(t, "const false",
 		EvalVectors(Expr{K: 2}, vecs),
-		EvalVectorsParallel(Expr{K: 2}, vecs, pool, 4))
+		evalParallel(Expr{K: 2}, vecs, pool, 4))
 
 	// Constant true (one empty cube) — early return, no segment work.
 	e := Expr{K: 2, Cubes: []Cube{{Mask: 0b11}}}
-	assertSameResult(t, "const true", EvalVectors(e, vecs), EvalVectorsParallel(e, vecs, pool, 4))
+	assertSameResult(t, "const true", EvalVectors(e, vecs), evalParallel(e, vecs, pool, 4))
 
 	// Constant true behind a real cube: the sequential evaluator pays the
-	// first cube's ops before hitting the early return; the dry run must
+	// first cube's ops before hitting the early return; the compiled program must
 	// count identically.
 	e = Expr{K: 2, Cubes: []Cube{{Mask: 0b10, Value: 0b01}, {Mask: 0b11}}}
-	assertSameResult(t, "cube then const", EvalVectors(e, vecs), EvalVectorsParallel(e, vecs, pool, 4))
+	assertSameResult(t, "cube then const", EvalVectors(e, vecs), evalParallel(e, vecs, pool, 4))
 }
 
 func TestEvalVectorsParallelNegationAccounting(t *testing.T) {
@@ -88,19 +98,19 @@ func TestEvalVectorsParallelNegationAccounting(t *testing.T) {
 	}
 	vecs := buildVectors(3, codes)
 	// Hand-built expression reusing the same negated variable across cubes:
-	// the sequential evaluator computes B0' once; the dry run must too.
+	// the sequential evaluator computes B0' once; the compiled program must too.
 	e := Expr{K: 3, Cubes: []Cube{
 		{Mask: 0b110, Value: 0b000}, // B0'
 		{Mask: 0b010, Value: 0b100}, // B0' AND B2
 		{Mask: 0b001, Value: 0b001}, // B0 AND B1' AND B2'
 	}}
-	assertSameResult(t, "shared negation", EvalVectors(e, vecs), EvalVectorsParallel(e, vecs, pool, 4))
+	assertSameResult(t, "shared negation", EvalVectors(e, vecs), evalParallel(e, vecs, pool, 4))
 }
 
 func TestEvalVectorsParallelNilPoolUsesDefault(t *testing.T) {
 	vecs := buildVectors(2, []uint32{0, 1, 2, 3, 2, 1})
 	e := Minimize(2, []uint32{1, 2}, nil)
-	assertSameResult(t, "nil pool", EvalVectors(e, vecs), EvalVectorsParallel(e, vecs, nil, 2))
+	assertSameResult(t, "nil pool", EvalVectors(e, vecs), evalParallel(e, vecs, nil, 2))
 }
 
 func TestEvalVectorsParallelPanicsOnShortVecs(t *testing.T) {
@@ -109,5 +119,5 @@ func TestEvalVectorsParallelPanicsOnShortVecs(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	EvalVectorsParallel(Expr{K: 3, Cubes: []Cube{{}}}, buildVectors(2, []uint32{0}), nil, 2)
+	evalParallel(Expr{K: 3, Cubes: []Cube{{}}}, buildVectors(2, []uint32{0}), nil, 2)
 }

@@ -483,6 +483,22 @@ func (ix *Index[V]) dontCares() []uint32 {
 	return ix.freeValueCodes()
 }
 
+// dontCareCount is len(dontCares()) counted without listing the code
+// space: every code the mapping leaves free, less the void and NULL codes.
+func (ix *Index[V]) dontCareCount() int {
+	if !ix.useDC {
+		return 0
+	}
+	free := 1<<uint(ix.K()) - ix.mapping.Len()
+	if _, taken := ix.mapping.ValueOf(0); ix.reserveVoid && !taken {
+		free--
+	}
+	if _, taken := ix.mapping.ValueOf(ix.nullCode); ix.hasNullCode && !taken && !(ix.reserveVoid && ix.nullCode == 0) {
+		free--
+	}
+	return free
+}
+
 // ExprFor returns the reduced retrieval Boolean expression for the
 // selection "A IN values". Values outside the domain are ignored (they
 // can match no tuple). The zero-length on-set yields the constant-false
@@ -544,13 +560,8 @@ func (ix *Index[V]) sources() []bitvec.WordSource {
 // don't-care codes let the min-term shed literals. The reduced expression
 // is memoized per code.
 func (ix *Index[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		return bitvec.New(ix.n), iostat.Stats{}
-	}
-	rows, st := ix.evalProgram(ix.cachedProgram(code))
-	ix.observeSelection([]V{v}, st)
-	return rows, st
+	rows := bitvec.New(ix.n)
+	return rows, ix.EqInto(v, rows)
 }
 
 // EqInto is Eq with a caller-provided destination: dst (length Len(),
@@ -602,7 +613,15 @@ func (ix *Index[V]) invalidateCache() {
 // the reduced retrieval expression — the paper's range-search path where
 // c_e <= ceil(log2 m) regardless of the list width δ.
 func (ix *Index[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
-	rows, st := ix.evalExpr(ix.ExprFor(values))
+	return ix.InExpr(values, ix.ExprFor(values))
+}
+
+// InExpr is In for a caller that already holds the selection's reduced
+// expression, e = ExprFor(values) under the current encoding: a paged
+// wrapper reduces once to learn which vectors to fault, then evaluates
+// that same expression.
+func (ix *Index[V]) InExpr(values []V, e boolmin.Expr) (*bitvec.Vector, iostat.Stats) {
+	rows, st := ix.evalExpr(e)
 	ix.observeSelection(values, st)
 	return rows, st
 }
@@ -611,21 +630,7 @@ func (ix *Index[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
 // void is 0 and never part of a value code set, the complement must
 // explicitly exclude void and NULL codes.
 func (ix *Index[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
-	excluded := make(map[uint32]bool, len(values)+2)
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			excluded[c] = true
-		}
-	}
-	var codes []uint32
-	var included []V
-	for _, v := range ix.mapping.Values() {
-		c, _ := ix.mapping.CodeOf(v)
-		if !excluded[c] {
-			codes = append(codes, c)
-			included = append(included, v)
-		}
-	}
+	codes, included := ix.complement(values)
 	rows, st := ix.evalExpr(boolmin.Minimize(ix.K(), codes, ix.dontCares()))
 	// The complement is what the reduced expression actually selects, so
 	// that is what the observer (and any re-encoding workload built from
@@ -634,12 +639,36 @@ func (ix *Index[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
 	return rows, st
 }
 
+// complement lists the mapped values outside the value list, and their
+// codes: NotIn's selection.
+func (ix *Index[V]) complement(values []V) (codes []uint32, included []V) {
+	excluded := make(map[uint32]bool, len(values)+2)
+	for _, v := range values {
+		if c, ok := ix.mapping.CodeOf(v); ok {
+			excluded[c] = true
+		}
+	}
+	for _, v := range ix.mapping.Values() {
+		c, _ := ix.mapping.CodeOf(v)
+		if !excluded[c] {
+			codes = append(codes, c)
+			included = append(included, v)
+		}
+	}
+	return codes, included
+}
+
 // IsNull returns the NULL rows.
 func (ix *Index[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
 	if !ix.hasNullCode {
 		return bitvec.New(ix.n), iostat.Stats{}
 	}
-	return ix.evalExpr(boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares()))
+	return ix.evalExpr(ix.nullExpr())
+}
+
+// nullExpr is the reduced retrieval expression selecting the NULL code.
+func (ix *Index[V]) nullExpr() boolmin.Expr {
+	return boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares())
 }
 
 // Existing returns all non-void, non-NULL rows. With the void-zero
@@ -661,11 +690,8 @@ func (ix *Index[V]) Existing() (*bitvec.Vector, iostat.Stats) {
 		acc.Fill()
 	}
 	if ix.hasNullCode {
-		res := boolmin.EvalVectors(boolmin.RetrievalFunction(ix.K(), ix.nullCode), ix.vectors)
-		nulls := res.Rows
-		if nulls.Len() != ix.n {
-			nulls = bitvec.New(ix.n)
-		}
+		nulls := bitvec.New(ix.n)
+		res := boolmin.Compile(boolmin.RetrievalFunction(ix.K(), ix.nullCode)).EvalInto(nulls, ix.sources())
 		st.BoolOps += res.Ops + 1
 		acc.AndNot(nulls)
 	}

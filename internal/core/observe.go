@@ -48,7 +48,7 @@ func (ix *Index[V]) TheoreticalMinVectors(delta int) int {
 	if delta > space {
 		delta = space
 	}
-	hi := delta + len(ix.dontCares())
+	hi := delta + ix.dontCareCount()
 	if hi > space {
 		hi = space
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/iostat"
 )
@@ -84,6 +87,84 @@ func TestTheoreticalMinVectors(t *testing.T) {
 	}
 }
 
+// TestDontCareCountMatchesList is the property behind TheoreticalMinVectors'
+// arithmetic free-code count: it equals the listed don't-care set with and
+// without void and NULL codes, with don't-cares off, and across widening.
+func TestDontCareCountMatchesList(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		col := make([]int, 1+r.Intn(40))
+		nulls := make([]bool, len(col))
+		card := 1 + r.Intn(20)
+		for i := range col {
+			col[i] = r.Intn(card)
+			nulls[i] = r.Intn(6) == 0
+		}
+		ix, err := Build(col, nulls, &Options[int]{
+			DisableVoidReserve: r.Intn(2) == 0,
+			DisableDontCares:   r.Intn(4) == 0,
+			NullSupport:        r.Intn(2) == 0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := ix.K()
+		for v := card; ; v++ {
+			if ix.dontCareCount() != len(ix.dontCares()) {
+				t.Logf("k=%d: count %d, listed %d", ix.K(), ix.dontCareCount(), len(ix.dontCares()))
+				return false
+			}
+			for delta := 0; delta <= 1<<uint(ix.K())+1; delta++ {
+				if got, want := ix.TheoreticalMinVectors(delta), listedMinVectors(ix, delta); got != want {
+					t.Logf("k=%d delta=%d: %d, listed %d", ix.K(), delta, got, want)
+					return false
+				}
+			}
+			if ix.K() > k {
+				return true // checked after widening too
+			}
+			if err := ix.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// listedMinVectors is the reference for TheoreticalMinVectors: the same
+// bound with the don't-care set listed out.
+func listedMinVectors[V comparable](ix *Index[V], delta int) int {
+	k := ix.K()
+	if delta <= 0 || k == 0 {
+		return 0
+	}
+	space := 1 << uint(k)
+	delta = min(delta, space)
+	best := k
+	for n := delta; n <= min(delta+len(ix.dontCares()), space) && best > 0; n++ {
+		best = min(best, max(k-bits.TrailingZeros(uint(n)), 0))
+	}
+	return best
+}
+
+// TestTheoreticalMinVectorsZeroAllocs guards the planner's per-leaf call:
+// counting the free codes must not list them.
+func TestTheoreticalMinVectorsZeroAllocs(t *testing.T) {
+	col := make([]int, 2000)
+	for i := range col {
+		col[i] = i % 700 // k = 10 with void reserved, 323 free codes
+	}
+	ix, err := Build(col, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { ix.TheoreticalMinVectors(8) }); n != 0 {
+		t.Fatalf("TheoreticalMinVectors allocates %.0f objects per call, want 0", n)
+	}
+}
+
 func TestSelectionObserverHooks(t *testing.T) {
 	column := []int{0, 1, 2, 3, 4, 5, 6, 7, 1, 2}
 	ix := buildPlain(t, column)
@@ -138,7 +219,7 @@ func TestSelectionObserverHooks(t *testing.T) {
 	}
 
 	// Parallel evaluation observes identically to sequential.
-	_, stPar := ix.InParallel([]int{2, 3}, 4)
+	_, stPar := ix.InParallel([]int{2, 3}, 4, nil)
 	got = obs.last(t)
 	if !reflect.DeepEqual(got.values, []int{2, 3}) || got.st != stPar {
 		t.Fatalf("InParallel observation = %+v", got)

@@ -8,28 +8,20 @@ import (
 	"repro/internal/parallel"
 )
 
-// Parallel evaluation: the same retrieval-function machinery as
-// evalExpr/In/Eq, but the bulk Boolean work fans out across fixed
-// 64Ki-bit segments on the shared worker pool. The returned rows are
-// bit-for-bit identical to the sequential path and the iostat.Stats are
-// exactly equal — the paper's Section 3 cost model counts vectors read,
-// which segmentation does not change, so parallelism is invisible to the
-// cost accounting (see docs/parallelism.md).
+// Parallel evaluation: the same retrieval-function machinery as In, but
+// the fused kernel's work fans out across fixed 64Ki-bit segments on the
+// shared worker pool. The returned rows are bit-for-bit identical to the
+// sequential path and the iostat.Stats are exactly equal — the paper's
+// Section 3 cost model counts vectors read, which segmentation does not
+// change, so parallelism is invisible to the cost accounting (see
+// docs/parallelism.md).
 
-// EvalParallel evaluates a reduced retrieval expression across segments
-// with up to degree concurrent executors (further bounded by the pool to
-// min(GOMAXPROCS, segments)). degree <= 1 degenerates to the sequential
-// fused evaluator's exact code path. Both branches run the same fused
+// evalParallel runs a compiled program with up to degree concurrent
+// executors (further bounded by the pool to min(GOMAXPROCS, segments)),
+// nesting per-worker trace spans under sp when it is non-nil. degree <= 1
+// is the sequential evaluator's exact code path; both run the same fused
 // per-segment kernel, so rows and stats are identical either way.
-func (ix *Index[V]) EvalParallel(e boolmin.Expr, degree int) (*bitvec.Vector, iostat.Stats) {
-	return ix.EvalParallelSpan(e, degree, nil)
-}
-
-// EvalParallelSpan is EvalParallel with per-worker trace spans nested
-// under sp (nil sp is the exact EvalParallel path). The span carries
-// attribution only; rows and stats are unchanged.
-func (ix *Index[V]) EvalParallelSpan(e boolmin.Expr, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
-	p := boolmin.Compile(e)
+func (ix *Index[V]) evalParallel(p *boolmin.Program, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
 	if degree <= 1 {
 		return ix.evalProgram(p)
 	}
@@ -39,7 +31,7 @@ func (ix *Index[V]) EvalParallelSpan(e boolmin.Expr, degree int, sp *obs.Span) (
 	}
 	mParallelEvals.Inc()
 	dst := bitvec.New(ix.n)
-	res := p.EvalParallelSpanInto(dst, ix.vectors, parallel.Default(), degree, sp)
+	res := p.EvalParallelInto(dst, ix.vectors, parallel.Default(), degree, sp)
 	return dst, iostat.Stats{
 		VectorsRead: res.VectorsRead,
 		WordsRead:   res.WordsRead,
@@ -47,24 +39,14 @@ func (ix *Index[V]) EvalParallelSpan(e boolmin.Expr, degree int, sp *obs.Span) (
 	}
 }
 
-// InParallel is In with segmented parallel evaluation.
-func (ix *Index[V]) InParallel(values []V, degree int) (*bitvec.Vector, iostat.Stats) {
-	return ix.InParallelSpan(values, degree, nil)
-}
-
-// InParallelSpan is InParallel with per-worker trace spans nested under
-// sp (nil sp is the exact InParallel path).
-func (ix *Index[V]) InParallelSpan(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
-	rows, st := ix.EvalParallelSpan(ix.ExprFor(values), degree, sp)
+// InParallel is In with segmented parallel evaluation on up to degree
+// executors, each recording a trace span under sp (nil for none). degree
+// <= 1 evaluates sequentially. Like Synced reads it bypasses the
+// single-value expression cache, so a point selection minimizes afresh.
+func (ix *Index[V]) InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
+	rows, st := ix.evalParallel(boolmin.Compile(ix.ExprFor(values)), degree, sp)
 	ix.observeSelection(values, st)
 	return rows, st
-}
-
-// EqParallel is Eq with segmented parallel evaluation. Like Synced reads
-// it bypasses the single-value expression cache (minimizing afresh), so
-// it can run under a shared lock.
-func (ix *Index[V]) EqParallel(v V, degree int) (*bitvec.Vector, iostat.Stats) {
-	return ix.InParallel([]V{v}, degree)
 }
 
 // InParallel evaluates a value-list selection with segmented parallelism
@@ -72,16 +54,11 @@ func (ix *Index[V]) EqParallel(v V, degree int) (*bitvec.Vector, iostat.Stats) {
 // entirely over the immutable base vectors, then the result is extended
 // across the snapshot's append tail, so concurrent appends (or a live
 // re-encoding flip) never observe a torn evaluation and never block it.
-func (s *Synced[V]) InParallel(values []V, degree int) (*bitvec.Vector, iostat.Stats) {
-	return s.InParallelSpan(values, degree, nil)
-}
-
-// InParallelSpan is InParallel with per-worker trace spans nested under
-// sp, still entirely against one epoch snapshot.
-func (s *Synced[V]) InParallelSpan(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
+// sp and degree are as for Index.InParallel.
+func (s *Synced[V]) InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
 	st := s.state.Load()
 	ix := st.ix
-	rows, stats := ix.EvalParallelSpan(ix.ExprFor(values), degree, sp)
+	rows, stats := ix.evalParallel(boolmin.Compile(ix.ExprFor(values)), degree, sp)
 	codes := make(map[uint32]bool, len(values))
 	for _, v := range values {
 		if c, ok := ix.mapping.CodeOf(v); ok {
@@ -91,9 +68,4 @@ func (s *Synced[V]) InParallelSpan(values []V, degree int, sp *obs.Span) (*bitve
 	extendTail(st, rows, &stats, func(c uint32) bool { return codes[c] })
 	ix.observeSelection(values, stats)
 	return rows, stats
-}
-
-// EqParallel is the point-selection form of Synced.InParallel.
-func (s *Synced[V]) EqParallel(v V, degree int) (*bitvec.Vector, iostat.Stats) {
-	return s.InParallel([]V{v}, degree)
 }

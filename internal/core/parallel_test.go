@@ -37,7 +37,7 @@ func TestInParallelMatchesSequential(t *testing.T) {
 			}
 			seqRows, seqSt := ix.In(vals)
 			for _, degree := range []int{1, 2, 4, 16} {
-				parRows, parSt := ix.InParallel(vals, degree)
+				parRows, parSt := ix.InParallel(vals, degree, nil)
 				if !parRows.Equal(seqRows) {
 					t.Fatalf("seed=%d degree=%d: parallel rows differ", seed, degree)
 				}
@@ -53,16 +53,16 @@ func TestEqParallelMatchesEq(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ix, col := buildIntIndex(t, r, bitvec.SegmentBits+500, 12)
 	rows, _ := ix.Eq(col[0])
-	parRows, _ := ix.EqParallel(col[0], 4)
+	parRows, _ := ix.InParallel([]int64{col[0]}, 4, nil)
 	if !parRows.Equal(rows) {
-		t.Fatal("EqParallel rows differ from Eq")
+		t.Fatal("parallel point selection rows differ from Eq")
 	}
-	// Stats equality is checked against the cache-free In path: EqParallel
+	// Stats equality is checked against the cache-free In path: InParallel
 	// documents that it bypasses the single-value expression cache.
 	seqRows, seqSt := ix.In([]int64{col[1]})
-	parRows, parSt := ix.EqParallel(col[1], 4)
+	parRows, parSt := ix.InParallel([]int64{col[1]}, 4, nil)
 	if !parRows.Equal(seqRows) || parSt != seqSt {
-		t.Fatalf("EqParallel = (%d rows, %+v), want (%d rows, %+v)",
+		t.Fatalf("parallel point selection = (%d rows, %+v), want (%d rows, %+v)",
 			parRows.Count(), parSt, seqRows.Count(), seqSt)
 	}
 }
@@ -120,7 +120,7 @@ func TestSyncedParallelUnderConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < appends/2; i++ {
-				rows, _ := s.InParallel([]int64{2, 3}, 4)
+				rows, _ := s.InParallel([]int64{2, 3}, 4, nil)
 				if got := rows.Count(); got != baseCount {
 					fail("reader %d: count %d, want stable %d", g, got, baseCount)
 					return
@@ -137,11 +137,11 @@ func TestSyncedParallelUnderConcurrentAppend(t *testing.T) {
 	if got := s.Len(); got != baseLen+appends {
 		t.Fatalf("final length %d, want %d", got, baseLen+appends)
 	}
-	finalRows, _ := s.InParallel([]int64{2, 3}, 4)
+	finalRows, _ := s.InParallel([]int64{2, 3}, 4, nil)
 	if finalRows.Count() != baseCount {
 		t.Fatalf("final {2,3} count %d, want %d", finalRows.Count(), baseCount)
 	}
-	ones, _ := s.EqParallel(1, 4)
+	ones, _ := s.InParallel([]int64{1}, 4, nil)
 	wantOnes := appends
 	for _, v := range col {
 		if v == 1 {

@@ -32,12 +32,14 @@ func (ix *Index[V]) PredictSelectionStats(values []V) iostat.Stats {
 // PredictIsNullStats returns the exact Stats IsNull would report: zero
 // when no NULL code was ever allocated, otherwise the compiled NULL-code
 // selection's analytic cost.
-func (ix *Index[V]) PredictIsNullStats() iostat.Stats {
+func (ix *Index[V]) PredictIsNullStats() iostat.Stats { return ix.predictIsNull(ix.n) }
+
+// predictIsNull is the IsNull prediction for a logical length of n rows.
+func (ix *Index[V]) predictIsNull(n int) iostat.Stats {
 	if !ix.hasNullCode {
 		return iostat.Stats{}
 	}
-	return predictProgram(boolmin.Compile(
-		boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares())), ix.n)
+	return predictProgram(boolmin.Compile(ix.nullExpr()), n)
 }
 
 // PredictGen stamps the basis of Index predictions: the code-space
@@ -63,11 +65,7 @@ func (s *Synced[V]) PredictSelectionStats(values []V) iostat.Stats {
 // snapshot.
 func (s *Synced[V]) PredictIsNullStats() iostat.Stats {
 	st := s.state.Load()
-	if !st.ix.hasNullCode {
-		return iostat.Stats{}
-	}
-	return predictProgram(boolmin.Compile(
-		boolmin.Minimize(st.ix.K(), []uint32{st.ix.nullCode}, st.ix.dontCares())), st.ix.n+st.tailLen)
+	return st.ix.predictIsNull(st.ix.n + st.tailLen)
 }
 
 // PredictGen stamps the basis of Synced predictions: epoch (re-encoding

@@ -71,10 +71,8 @@ func (p *Prepared[V]) AccessCost() int { return p.Expr().AccessCost() }
 // Eval evaluates the compiled selection against the current index
 // contents through the cached fused program.
 func (p *Prepared[V]) Eval() (*bitvec.Vector, iostat.Stats) {
-	p.ensure()
-	rows, st := p.ix.evalProgram(p.prog)
-	p.ix.observeSelection(p.values, st)
-	return rows, st
+	rows := bitvec.New(p.ix.n)
+	return rows, p.EvalInto(rows)
 }
 
 // EvalInto is Eval with a caller-provided destination (length Len(), fully

@@ -271,8 +271,10 @@ func (s *Synced[V]) cachedProgram(st *epochState[V], code uint32) *boolmin.Progr
 // Eq returns rows equal to v, through the per-code compiled-program
 // cache (epoch-keyed, so a live re-encoding can never serve a program
 // minimized under the old code assignment).
-func (s *Synced[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
+func (s *Synced[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) { return s.eq(s.state.Load(), v) }
+
+// eq is Eq against one loaded snapshot.
+func (s *Synced[V]) eq(st *epochState[V], v V) (*bitvec.Vector, iostat.Stats) {
 	code, ok := st.ix.mapping.CodeOf(v)
 	if !ok {
 		return bitvec.New(st.ix.n + st.tailLen), iostat.Stats{}
@@ -284,71 +286,36 @@ func (s *Synced[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
 }
 
 // EqInto is Eq with a caller-provided destination, fully overwritten.
-// When the index is quiescent (no outstanding tail) and dst matches the
-// snapshot length it is the zero-allocation steady-state path; otherwise
-// the result is computed against the loaded snapshot and dst's contents
-// are replaced, so concurrent appends degrade the allocation guarantee
-// but never correctness.
+// When the index is quiescent (no outstanding tail), the value is mapped,
+// and dst matches the snapshot length it is the zero-allocation
+// steady-state path; otherwise the result is computed against the loaded
+// snapshot and dst's contents are replaced, so concurrent appends degrade
+// the allocation guarantee but never correctness.
 func (s *Synced[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats {
 	st := s.state.Load()
-	n := st.ix.n + st.tailLen
-	code, ok := st.ix.mapping.CodeOf(v)
-	if !ok {
-		if dst.Len() == n {
-			dst.Reset()
-		} else {
-			*dst = *bitvec.New(n)
-		}
-		return iostat.Stats{}
-	}
-	if st.tailLen == 0 && dst.Len() == st.ix.n {
+	if code, ok := st.ix.mapping.CodeOf(v); ok && st.tailLen == 0 && dst.Len() == st.ix.n {
 		stats := st.ix.evalProgramInto(s.cachedProgram(st, code), dst)
 		st.ix.observeSelection([]V{v}, stats)
 		return stats
 	}
-	rows, stats := st.ix.evalProgram(s.cachedProgram(st, code))
-	extendTail(st, rows, &stats, func(c uint32) bool { return c == code })
-	st.ix.observeSelection([]V{v}, stats)
+	rows, stats := s.eq(st, v)
 	*dst = *rows
 	return stats
 }
 
 // In returns rows matching the value list.
 func (s *Synced[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
-	ix := st.ix
-	rows, stats := ix.evalExpr(ix.ExprFor(values))
-	codes := make(map[uint32]bool, len(values))
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			codes[c] = true
-		}
-	}
-	extendTail(st, rows, &stats, func(c uint32) bool { return codes[c] })
-	ix.observeSelection(values, stats)
-	return rows, stats
+	return s.InParallel(values, 1, nil)
 }
 
 // NotIn returns existing rows outside the value list.
 func (s *Synced[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
 	st := s.state.Load()
 	ix := st.ix
-	excluded := make(map[uint32]bool, len(values)+2)
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			excluded[c] = true
-		}
-	}
-	var codes []uint32
-	var included []V
-	includedCodes := make(map[uint32]bool, ix.mapping.Len())
-	for _, v := range ix.mapping.Values() {
-		c, _ := ix.mapping.CodeOf(v)
-		if !excluded[c] {
-			codes = append(codes, c)
-			included = append(included, v)
-			includedCodes[c] = true
-		}
+	codes, included := ix.complement(values)
+	includedCodes := make(map[uint32]bool, len(codes))
+	for _, c := range codes {
+		includedCodes[c] = true
 	}
 	rows, stats := ix.evalExpr(boolmin.Minimize(ix.K(), codes, ix.dontCares()))
 	extendTail(st, rows, &stats, func(c uint32) bool { return includedCodes[c] })
@@ -356,43 +323,22 @@ func (s *Synced[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
 	return rows, stats
 }
 
-// IsNull returns NULL rows.
+// IsNull returns NULL rows: the snapshot's IsNull, extended across the
+// append tail.
 func (s *Synced[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
 	st := s.state.Load()
 	ix := st.ix
-	if !ix.hasNullCode {
-		return bitvec.New(ix.n + st.tailLen), iostat.Stats{}
-	}
-	rows, stats := ix.evalExpr(boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares()))
-	extendTail(st, rows, &stats, func(c uint32) bool { return c == ix.nullCode })
+	rows, stats := ix.IsNull()
+	extendTail(st, rows, &stats, func(c uint32) bool { return ix.hasNullCode && c == ix.nullCode })
 	return rows, stats
 }
 
-// Existing returns non-void, non-NULL rows.
+// Existing returns non-void, non-NULL rows: the snapshot's Existing,
+// extended across the append tail.
 func (s *Synced[V]) Existing() (*bitvec.Vector, iostat.Stats) {
 	st := s.state.Load()
 	ix := st.ix
-	var stats iostat.Stats
-	acc := bitvec.New(ix.n)
-	if ix.reserveVoid {
-		for _, vec := range ix.vectors {
-			stats.VectorsRead++
-			stats.WordsRead += vec.Words()
-			stats.BoolOps++
-			acc.Or(vec)
-		}
-	} else {
-		acc.Fill()
-	}
-	if ix.hasNullCode {
-		res := boolmin.EvalVectors(boolmin.RetrievalFunction(ix.K(), ix.nullCode), ix.vectors)
-		nulls := res.Rows
-		if nulls.Len() != ix.n {
-			nulls = bitvec.New(ix.n)
-		}
-		stats.BoolOps += res.Ops + 1
-		acc.AndNot(nulls)
-	}
+	acc, stats := ix.Existing()
 	extendTail(st, acc, &stats, func(c uint32) bool {
 		if ix.hasNullCode && c == ix.nullCode {
 			return false

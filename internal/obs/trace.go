@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,15 +127,18 @@ func (sp *Span) StartChild(name string) *Span {
 }
 
 // StartDetached begins a child span that runs — and Ends — on a
-// different goroutine than sp (a parallel worker). Call it on the
-// worker goroutine so the CPU clock is the worker thread's. At End the
-// child's CPU is added to sp, whose own thread clock cannot see the
+// different goroutine than sp (a parallel worker). Call it, and End, on
+// the worker goroutine: the goroutine stays locked to its OS thread
+// until End, so the thread CPU clock measures exactly the worker's time
+// even if the scheduler preempts it. At End the child's CPU is added to
+// sp, whose own thread clock cannot see the
 // worker's time; the child must End before sp does (fork-join workers
 // End before the join releases the caller). Nil-safe.
 func (sp *Span) StartDetached(name string) *Span {
 	if sp == nil {
 		return nil
 	}
+	runtime.LockOSThread()
 	child := newSpan(name, sp, sp.tracer)
 	child.detached = true
 	return child
@@ -188,7 +192,18 @@ func (sp *Span) End() {
 	}
 	sp.DurationNS = time.Since(sp.Start).Nanoseconds()
 	end := takeResSnap()
-	sp.CPUNanos = end.cpuNS - sp.res.cpuNS + sp.extCPU.Load()
+	if sp.detached {
+		runtime.UnlockOSThread()
+	}
+	// A goroutine that blocked inside the window (a fork-join caller
+	// waiting for its helpers) can resume on another thread, whose
+	// clock is unrelated to the one read at start: clamp that skew to
+	// an under-read rather than a negative CPU time.
+	own := end.cpuNS - sp.res.cpuNS
+	if own < 0 {
+		own = 0
+	}
+	sp.CPUNanos = own + sp.extCPU.Load()
 	if end.allocBytes >= sp.res.allocBytes {
 		sp.AllocBytes = end.allocBytes - sp.res.allocBytes
 	}

@@ -2,7 +2,6 @@ package pagestore
 
 import (
 	"context"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -88,7 +87,8 @@ func (p *PagedIndex[V]) In(values []V) (*bitvec.Vector, iostat.Stats, Stats) {
 // live span, the page-fault charge runs under a child span named
 // "ebi.page.fetch" annotated with this call's hits and misses, so page
 // I/O shows up in the query's span tree. Without a span in the context
-// it is exactly In.
+// it is exactly In. The selection is reduced once: the expression whose
+// vectors are charged is the one evaluated.
 func (p *PagedIndex[V]) InContext(ctx context.Context, values []V) (*bitvec.Vector, iostat.Stats, Stats) {
 	expr := p.ix.ExprFor(values)
 	fsp := obs.SpanFromContext(ctx).StartChild("ebi.page.fetch")
@@ -98,11 +98,7 @@ func (p *PagedIndex[V]) InContext(ctx context.Context, values []V) (*bitvec.Vect
 		fsp.SetAttr("page_misses", misses)
 		fsp.End()
 	}
-	rows, st := p.ix.In(values)
-	if got := bits.OnesCount32(expr.Vars()); st.VectorsRead != got {
-		// Defensive: the charge must match the evaluation.
-		st.VectorsRead = got
-	}
+	rows, st := p.ix.InExpr(values, expr)
 	return rows, st, Stats{Hits: hits, Misses: misses}
 }
 

@@ -1,11 +1,9 @@
 package pagestore
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/core"
 )
 
 func TestLayoutSegments(t *testing.T) {
@@ -18,81 +16,5 @@ func TestLayoutSegments(t *testing.T) {
 		if got := l.Segments(); got != c.want {
 			t.Errorf("rows=%d: Segments() = %d, want %d", c.rows, got, c.want)
 		}
-	}
-}
-
-func TestSegmentPageSpanCoversAllPages(t *testing.T) {
-	for _, pageSize := range []int{512, 4096, 8192, 3000} { // 3000: straddling pages
-		for _, rows := range []int{100, bitvec.SegmentBits, 2*bitvec.SegmentBits + 999} {
-			l := NewLayout(rows, pageSize)
-			covered := make(map[int]bool)
-			for s := 0; s < l.Segments(); s++ {
-				lo, hi := l.SegmentPageSpan(s)
-				if lo < 0 || hi < lo || hi > l.PagesPerVector() {
-					t.Fatalf("pageSize=%d rows=%d seg=%d: span [%d,%d) outside [0,%d]",
-						pageSize, rows, s, lo, hi, l.PagesPerVector())
-				}
-				for p := lo; p < hi; p++ {
-					covered[p] = true
-				}
-			}
-			if len(covered) != l.PagesPerVector() {
-				t.Fatalf("pageSize=%d rows=%d: spans cover %d pages, vector has %d",
-					pageSize, rows, len(covered), l.PagesPerVector())
-			}
-		}
-	}
-}
-
-func TestReadPages(t *testing.T) {
-	c := NewCache(16)
-	if hits := c.ReadPages(0, 0, 4); hits != 0 {
-		t.Fatalf("cold ReadPages hit %d", hits)
-	}
-	if hits := c.ReadPages(0, 2, 6); hits != 2 {
-		t.Fatalf("overlapping ReadPages hit %d, want 2", hits)
-	}
-	if hits := c.ReadPages(1, 0, 2); hits != 0 {
-		t.Fatalf("other vector hit %d, want 0", hits)
-	}
-}
-
-func TestPagedIndexInParallelMatchesIn(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	rows := bitvec.SegmentBits + 4321
-	column := make([]int64, rows)
-	for i := range column {
-		column[i] = int64(r.Intn(16))
-	}
-	ix, err := core.Build(column, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqIx, err := core.Build(column, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4KiB pages divide the 8KiB segment payload evenly, so segment-major
-	// charging touches exactly the pages vector-major charging does.
-	par := NewPagedIndex(ix, 4096, 4096)
-	seq := NewPagedIndex(seqIx, 4096, 4096)
-
-	vals := []int64{1, 2, 3}
-	seqRows, seqSt, seqPg := seq.In(vals)
-	parRows, parSt, parPg := par.InParallel(vals, 4)
-	if !parRows.Equal(seqRows) {
-		t.Fatal("InParallel rows differ from In")
-	}
-	if parSt != seqSt {
-		t.Fatalf("InParallel stats %+v, want %+v", parSt, seqSt)
-	}
-	if parPg.Misses != seqPg.Misses || parPg.Hits != seqPg.Hits {
-		t.Fatalf("cold-cache page stats %+v, want %+v", parPg, seqPg)
-	}
-
-	// Warm cache: the same selection faults nothing.
-	_, _, warm := par.InParallel(vals, 4)
-	if warm.Misses != 0 || warm.Hits != seqPg.Hits+seqPg.Misses {
-		t.Fatalf("warm page stats %+v, want all-hit", warm)
 	}
 }

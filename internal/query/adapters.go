@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+
 	"repro/internal/bitvec"
 	"repro/internal/bsi"
 	"repro/internal/btree"
@@ -11,68 +13,56 @@ import (
 	"repro/internal/table"
 )
 
+// The encoded-bitmap adapters answer every leaf through the shared
+// rewrite in leaf.go; their ColumnIndex methods are Leaf run sequentially.
+
 // EBIInt adapts an encoded bitmap index over int64 values.
 type EBIInt struct{ Ix *core.Index[int64] }
 
 // Eq implements ColumnIndex.
 func (a EBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.I)
-	return rows, st, nil
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
 }
 
 // In implements ColumnIndex.
 func (a EBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
-// Range rewrites the interval into an IN-list over the mapped domain —
-// the paper's "discrete domains" rewriting — and evaluates the reduced
-// expression.
+// Range implements ColumnIndex as an IN list over the mapped domain.
 func (a EBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
+	return a.Leaf(context.Background(), Range{Lo: lo, Hi: hi}, 1)
 }
 
-// EBIStr adapts an encoded bitmap index over string values.
+// Leaf implements LeafIndex.
+func (a EBIInt) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	return intKind.leaf(ctx, a.Ix, p, degree)
+}
+
+// Describe implements LeafIndex: Eq, In and the Range rewrite each run one
+// fused, segmentable program.
+func (a EBIInt) Describe(op Op, delta int) LeafInfo {
+	return ebiInfo(true, a.Ix.TheoreticalMinVectors(delta))
+}
+
+// PredictLeafStats implements PredictLeafIndex.
+func (a EBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) { return intKind.predict(a.Ix, p) }
+
+// PredictGen implements PredictLeafIndex.
+func (a EBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
+
+// EBIStr adapts an encoded bitmap index over string values; ranges are
+// unsupported.
 type EBIStr struct{ Ix *core.Index[string] }
 
 // Eq implements ColumnIndex.
 func (a EBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.S)
-	return rows, st, nil
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
 }
 
 // In implements ColumnIndex.
 func (a EBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]string, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.S)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
 // Range is unsupported on string attributes.
@@ -80,30 +70,36 @@ func (a EBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return nil, iostat.Stats{}, ErrUnsupported
 }
 
+// Leaf implements LeafIndex.
+func (a EBIStr) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	return strKind.leaf(ctx, a.Ix, p, degree)
+}
+
+// Describe implements LeafIndex: Eq and In are fused and segmentable.
+func (a EBIStr) Describe(op Op, delta int) LeafInfo {
+	return ebiInfo(op != OpRange, a.Ix.TheoreticalMinVectors(delta))
+}
+
+// PredictLeafStats implements PredictLeafIndex. Range has no analytic
+// model: the adapter refuses it and the executor's scan fallback depends
+// on the table, not the encoding.
+func (a EBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) { return strKind.predict(a.Ix, p) }
+
+// PredictGen implements PredictLeafIndex.
+func (a EBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
+
 // OrderedEBI adapts an order-preserving encoded bitmap index, answering
 // ranges with the MSB-first comparison pass.
 type OrderedEBI struct{ Ix *core.OrderedIndex[int64] }
 
 // Eq implements ColumnIndex.
 func (a OrderedEBI) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.Index().IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Index().Eq(v.I)
-	return rows, st, nil
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
 }
 
 // In implements ColumnIndex.
 func (a OrderedEBI) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.Index().In(vals)
-	return rows, st, nil
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
 // Range implements ColumnIndex.
@@ -111,6 +107,112 @@ func (a OrderedEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	rows, st := a.Ix.Range(lo, hi)
 	return rows, st, nil
 }
+
+// Leaf implements LeafIndex: Eq and In go through the shared rewrite on
+// the wrapped index; a range is the MSB-first pass, always sequential.
+func (a OrderedEBI) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	if r, ok := p.(Range); ok {
+		return a.Range(r.Lo, r.Hi)
+	}
+	return intKind.leaf(ctx, a.Ix.Index(), p, degree)
+}
+
+// Describe implements LeafIndex: the MSB-first comparison pass is stateful
+// across vectors, so ranges are neither fused nor segmented.
+func (a OrderedEBI) Describe(op Op, delta int) LeafInfo {
+	return ebiInfo(op != OpRange, a.Ix.Index().TheoreticalMinVectors(delta))
+}
+
+// PredictLeafStats implements PredictLeafIndex for Eq and In. The
+// MSB-first range pass is data-independent too but not program-compiled;
+// it is out of scope here.
+func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
+	if _, ok := p.(Range); ok {
+		return iostat.Stats{}, false
+	}
+	return intKind.predict(a.Ix.Index(), p)
+}
+
+// PredictGen implements PredictLeafIndex.
+func (a OrderedEBI) PredictGen() uint64 { return a.Ix.Index().PredictGen() }
+
+// SyncedEBIInt adapts a concurrency-safe encoded bitmap index over int64
+// values; reads evaluate against an atomic epoch snapshot, so it is safe
+// to query while other goroutines append or a live re-encoding flips. Eq
+// goes through the wrapper's epoch-keyed compiled program cache, and
+// every prediction pins one snapshot.
+type SyncedEBIInt struct{ Ix *core.Synced[int64] }
+
+// Eq implements ColumnIndex.
+func (a SyncedEBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
+}
+
+// In implements ColumnIndex.
+func (a SyncedEBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
+}
+
+// Range implements ColumnIndex as an IN list over the mapped domain.
+func (a SyncedEBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+	return a.Leaf(context.Background(), Range{Lo: lo, Hi: hi}, 1)
+}
+
+// Leaf implements LeafIndex.
+func (a SyncedEBIInt) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	return intKind.leaf(ctx, a.Ix, p, degree)
+}
+
+// Describe implements LeafIndex, as for EBIInt.
+func (a SyncedEBIInt) Describe(op Op, delta int) LeafInfo {
+	return ebiInfo(true, a.Ix.TheoreticalMinVectors(delta))
+}
+
+// PredictLeafStats implements PredictLeafIndex.
+func (a SyncedEBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
+	return intKind.predict(a.Ix, p)
+}
+
+// PredictGen implements PredictLeafIndex.
+func (a SyncedEBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
+
+// SyncedEBIStr adapts a concurrency-safe encoded bitmap index over
+// string values — the serving shape ebicli's -apply mode uses, where the
+// drift watcher re-encodes the live index under query traffic.
+type SyncedEBIStr struct{ Ix *core.Synced[string] }
+
+// Eq implements ColumnIndex.
+func (a SyncedEBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
+}
+
+// In implements ColumnIndex.
+func (a SyncedEBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
+}
+
+// Range is unsupported on string attributes.
+func (a SyncedEBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+	return nil, iostat.Stats{}, ErrUnsupported
+}
+
+// Leaf implements LeafIndex.
+func (a SyncedEBIStr) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	return strKind.leaf(ctx, a.Ix, p, degree)
+}
+
+// Describe implements LeafIndex, as for EBIStr.
+func (a SyncedEBIStr) Describe(op Op, delta int) LeafInfo {
+	return ebiInfo(op != OpRange, a.Ix.TheoreticalMinVectors(delta))
+}
+
+// PredictLeafStats implements PredictLeafIndex.
+func (a SyncedEBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
+	return strKind.predict(a.Ix, p)
+}
+
+// PredictGen implements PredictLeafIndex.
+func (a SyncedEBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
 
 // SimpleInt adapts a simple bitmap index over int64 values.
 type SimpleInt struct{ Ix *simplebitmap.Index[int64] }
@@ -127,25 +229,13 @@ func (a SimpleInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 
 // In implements ColumnIndex.
 func (a SimpleInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+	rows, st := a.Ix.In(intKind.values(vs))
 	return rows, st, nil
 }
 
 // Range ORs one vector per qualifying value: the paper's c_s = δ cost.
 func (a SimpleInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+	rows, st := a.Ix.In(intKind.inRange(a.Ix.Values(), lo, hi))
 	return rows, st, nil
 }
 
@@ -164,13 +254,7 @@ func (a SimpleStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 
 // In implements ColumnIndex.
 func (a SimpleStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]string, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.S)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+	rows, st := a.Ix.In(strKind.values(vs))
 	return rows, st, nil
 }
 
@@ -191,20 +275,9 @@ func (a BSIAdapter) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return rows, st, nil
 }
 
-// In ANDs/ORs per-value equality probes.
+// In ORs per-value equality probes.
 func (a BSIAdapter) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	out := bitvec.New(a.Ix.Len())
-	var st iostat.Stats
-	for _, v := range vs {
-		if v.Null || v.I < 0 {
-			continue
-		}
-		rows, s := a.Ix.Eq(uint64(v.I))
-		st.Add(s)
-		out.Or(rows)
-		st.BoolOps++
-	}
-	return out, st, nil
+	return orProbes(a.Ix.Len(), vs, a.Ix.Eq)
 }
 
 // Range implements ColumnIndex via the O'Neil–Quass slice algorithm.
@@ -234,15 +307,21 @@ func (a BTreeAdapter) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return rows, st, nil
 }
 
-// In implements ColumnIndex.
+// In ORs per-value tree probes.
 func (a BTreeAdapter) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	out := bitvec.New(a.NRows)
+	return orProbes(a.NRows, vs, func(v uint64) (*bitvec.Vector, iostat.Stats) { return a.Ix.Eq(v, a.NRows) })
+}
+
+// orProbes answers an IN list over n rows by ORing one point probe per
+// literal; NULL and negative literals match nothing on unsigned keys.
+func orProbes(n int, vs []table.Cell, probe func(uint64) (*bitvec.Vector, iostat.Stats)) (*bitvec.Vector, iostat.Stats, error) {
+	out := bitvec.New(n)
 	var st iostat.Stats
 	for _, v := range vs {
 		if v.Null || v.I < 0 {
 			continue
 		}
-		rows, s := a.Ix.Eq(uint64(v.I), a.NRows)
+		rows, s := probe(uint64(v.I))
 		st.Add(s)
 		out.Or(rows)
 		st.BoolOps++
@@ -276,13 +355,7 @@ func (a ProjAdapter) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 
 // In implements ColumnIndex.
 func (a ProjAdapter) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+	rows, st := a.Ix.In(intKind.values(vs))
 	return rows, st, nil
 }
 
@@ -313,13 +386,7 @@ func (a CompressedSimpleInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, err
 
 // In implements ColumnIndex.
 func (a CompressedSimpleInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+	rows, st := a.Ix.In(intKind.values(vs))
 	return rows, st, nil
 }
 
@@ -332,4 +399,18 @@ func (a CompressedSimpleInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, 
 	}
 	rows, st := a.Ix.In(vals)
 	return rows, st, nil
+}
+
+// Leaf implements LeafIndex through the ColumnIndex methods: the index has
+// no segmented path.
+func (a CompressedSimpleInt) Leaf(_ context.Context, p Predicate, _ int) (*bitvec.Vector, iostat.Stats, error) {
+	return columnLeaf(a, p)
+}
+
+// Describe implements LeafIndex: In and the interval-probing Range OR
+// their operands in one fused pass over compressed word streams; Eq is a
+// single-vector decompress with nothing to fuse. A simple bitmap has no
+// encoding floor.
+func (a CompressedSimpleInt) Describe(op Op, _ int) LeafInfo {
+	return LeafInfo{Fused: op != OpEq, MinVectors: -1}
 }

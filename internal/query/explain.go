@@ -82,9 +82,9 @@ type PlanNode struct {
 	Parallel int `json:"parallel,omitempty"`
 
 	// Fused reports that the leaf's chosen path evaluates this operation
-	// through the fused single-pass kernel (FusedIndex). Unlike Parallel it
-	// is a static property of the routing, so EXPLAIN's prediction and
-	// EXPLAIN ANALYZE's observation always agree.
+	// through the fused single-pass kernel (LeafInfo). Like the parallel
+	// capability it is a static property of the routing, so EXPLAIN's
+	// prediction and EXPLAIN ANALYZE's observation agree.
 	Fused bool `json:"fused,omitempty"`
 
 	// EstReads is the estimated cost in vector-read currency: the chosen
@@ -102,7 +102,7 @@ type PlanNode struct {
 	Misestimate bool         `json:"misestimate,omitempty"`
 	// ExcessVectors is the leaf's vector reads beyond the Theorem
 	// 2.2/2.3 theoretical minimum for its selection width (see
-	// MinVectorsIndex); 0 on combinators and non-EBI paths.
+	// LeafInfo.MinVectors); 0 on combinators and non-EBI paths.
 	ExcessVectors int `json:"excess_vectors,omitempty"`
 
 	// Resource attribution, captured by EXPLAIN ANALYZE over the node's
@@ -120,11 +120,19 @@ type PlanNode struct {
 
 	Children []*PlanNode `json:"children,omitempty"`
 
-	// Bindings for prepared re-execution.
-	op       Op
-	leafPred Predicate
-	path     *AccessPath // nil = executor fallback
-	misSeen  bool        // misestimate already counted (prepared re-runs)
+	// Routing bound at plan time, which execution follows.
+	path    *AccessPath // nil = executor fallback
+	cost    float64     // path's estimate
+	misSeen bool        // misestimate already counted (prepared re-runs)
+}
+
+// setChoice records how a leaf ran.
+func (n *PlanNode) setChoice(ch Choice) {
+	n.Path, n.EstReads = ch.Path, jsonFloat(ch.Cost)
+	n.Parallel, n.Fused = ch.Par, ch.Fused
+	n.Misestimate = ch.Misestimated()
+	n.ExcessVectors = ch.Excess
+	n.PageHits, n.PageMisses = ch.PageHits, ch.PageMisses
 }
 
 // Walk visits the node and its subtree in depth-first order.
@@ -261,13 +269,14 @@ func (pl *Planner) explain(p Predicate) (*PlanNode, error) {
 		n := &PlanNode{
 			Kind: KindLeaf, Pred: p.String(),
 			Column: col, Op: op.String(), Delta: delta,
-			op: op, leafPred: p, path: path,
+			path: path, cost: cost,
 		}
 		if path != nil {
+			info := describe(path.Index, op, delta)
 			n.Path = path.Name
 			n.EstReads = jsonFloat(cost)
-			n.Fused = isFused(path.Index, op)
-			if deg := pl.parallelDegree(path); deg > 1 {
+			n.Fused = info.Fused
+			if deg := pl.parallelDegree(info); deg > 1 {
 				n.Parallel = deg
 			}
 		} else {
@@ -333,103 +342,14 @@ func (pl *Planner) ExplainAnalyzeContext(ctx context.Context, p Predicate) (*bit
 	var sp *obs.Span
 	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(t0).Seconds(), sp) }()
 	ctx, sp = obs.StartSpan(ctx, "ebi.plan.explain")
-	var st iostat.Stats
-	var choices []Choice
-	rows, root, err := pl.analyze(ctx, p, &st, &choices)
-	if sp != nil {
-		sp.SetAttr("choices", choiceStrings(choices))
-		if mis := misestimates(choices); len(mis) > 0 {
-			sp.SetAttr("misestimates", mis)
-		}
-	}
-	finishQuery(sp, p, st, err, sumExcess(choices))
+	r := pl.run()
+	rows, plan, err := r.analyze(ctx, p)
+	r.finish(sp, p, err)
 	if err != nil {
 		return nil, nil, err
-	}
-	plan := &Plan{
-		Query: p.String(), Analyzed: true, Root: root,
-		Stats: st, ElapsedNS: time.Since(t0).Nanoseconds(),
-		CPUNanos: root.CPUNanos, AllocBytes: root.AllocBytes, AllocObjects: root.AllocObjects,
 	}
 	observeSlow(plan)
 	return rows, plan, nil
-}
-
-// analyze is eval with plan-tree construction: identical routing, stats
-// accounting, and results, plus per-node actuals — wall time, CPU time,
-// heap allocation, and (for page-backed paths) buffer-cache traffic. A
-// node's resource window covers its children, so the root's numbers
-// equal the evaluation's totals without a separate summation pass.
-func (pl *Planner) analyze(ctx context.Context, p Predicate, st *iostat.Stats, choices *[]Choice) (*bitvec.Vector, *PlanNode, error) {
-	t0 := time.Now()
-	r0 := obs.TakeResources()
-	if _, _, _, ok := leafShape(p); ok {
-		before := *st
-		rows, ch, err := pl.leafExec(ctx, p, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		*choices = append(*choices, ch)
-		res := obs.TakeResources().Sub(r0)
-		n := &PlanNode{
-			Kind: KindLeaf, Pred: p.String(),
-			Column: ch.Column, Op: ch.Op.String(), Delta: ch.Delta, Path: ch.Path,
-			Parallel: ch.Par, Fused: ch.Fused,
-			EstReads: jsonFloat(ch.Cost),
-			Analyzed: true, ActReads: jsonFloat(ch.Actual),
-			Stats: st.Sub(before), Rows: rows.Count(),
-			ElapsedNS:     time.Since(t0).Nanoseconds(),
-			Misestimate:   ch.Misestimated(),
-			ExcessVectors: ch.Excess,
-			CPUNanos:      res.CPUNanos,
-			AllocBytes:    res.AllocBytes,
-			AllocObjects:  res.AllocObjects,
-			PageHits:      ch.PageHits,
-			PageMisses:    ch.PageMisses,
-			op:            ch.Op, leafPred: p,
-		}
-		return rows, n, nil
-	}
-	kind, children, err := combinatorShape(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := &PlanNode{Kind: kind, Pred: p.String(), Analyzed: true}
-	before := *st
-	acc, cn, err := pl.analyze(ctx, children[0], st, choices)
-	if err != nil {
-		return nil, nil, err
-	}
-	n.Children = append(n.Children, cn)
-	n.EstReads += cn.EstReads
-	for _, child := range children[1:] {
-		rows, cn, err := pl.analyze(ctx, child, st, choices)
-		if err != nil {
-			return nil, nil, err
-		}
-		n.Children = append(n.Children, cn)
-		n.EstReads += cn.EstReads
-		switch kind {
-		case KindAnd:
-			acc.And(rows)
-		case KindOr:
-			acc.Or(rows)
-		}
-		st.BoolOps++
-	}
-	if kind == KindNot {
-		acc = acc.Not()
-		st.BoolOps++
-	}
-	n.Stats = st.Sub(before)
-	n.ActReads = jsonFloat(actualCost(n.Stats))
-	n.Rows = acc.Count()
-	n.ElapsedNS = time.Since(t0).Nanoseconds()
-	res := obs.TakeResources().Sub(r0)
-	n.CPUNanos = res.CPUNanos
-	n.AllocBytes = res.AllocBytes
-	n.AllocObjects = res.AllocObjects
-	return acc, n, nil
 }
 
 // observeSlow routes one analyzed evaluation through the slow-query log

@@ -36,31 +36,43 @@ func fusedFixture(t *testing.T, n int) (*Planner, []int64) {
 
 // TestFusedOpTruthTable pins which (adapter, op) pairs report fused.
 func TestFusedOpTruthTable(t *testing.T) {
+	ix, err := core.Build([]int64{1, 2, 3}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := core.Build([]string{"a", "b"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered, err := core.BuildOrdered([]int64{1, 2, 3}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name       string
-		ix         FusedIndex
+		ix         LeafIndex
 		eq, in, rn bool
 	}{
-		{"EBIInt", EBIInt{}, true, true, true},
-		{"EBIStr", EBIStr{}, true, true, false},
-		{"OrderedEBI", OrderedEBI{}, true, true, false},
-		{"SyncedEBIInt", SyncedEBIInt{}, true, true, true},
-		{"SyncedEBIStr", SyncedEBIStr{}, true, true, false},
+		{"EBIInt", EBIInt{Ix: ix}, true, true, true},
+		{"EBIStr", EBIStr{Ix: sx}, true, true, false},
+		{"OrderedEBI", OrderedEBI{Ix: ordered}, true, true, false},
+		{"SyncedEBIInt", SyncedEBIInt{Ix: core.NewSynced(ix)}, true, true, true},
+		{"SyncedEBIStr", SyncedEBIStr{Ix: core.NewSynced(sx)}, true, true, false},
 		{"CompressedSimpleInt", CompressedSimpleInt{}, false, true, true},
 	}
 	for _, c := range cases {
-		if got := c.ix.FusedOp(OpEq); got != c.eq {
-			t.Errorf("%s.FusedOp(eq) = %v, want %v", c.name, got, c.eq)
+		if got := c.ix.Describe(OpEq, 1).Fused; got != c.eq {
+			t.Errorf("%s.Describe(eq).Fused = %v, want %v", c.name, got, c.eq)
 		}
-		if got := c.ix.FusedOp(OpIn); got != c.in {
-			t.Errorf("%s.FusedOp(in) = %v, want %v", c.name, got, c.in)
+		if got := c.ix.Describe(OpIn, 2).Fused; got != c.in {
+			t.Errorf("%s.Describe(in).Fused = %v, want %v", c.name, got, c.in)
 		}
-		if got := c.ix.FusedOp(OpRange); got != c.rn {
-			t.Errorf("%s.FusedOp(range) = %v, want %v", c.name, got, c.rn)
+		if got := c.ix.Describe(OpRange, 2).Fused; got != c.rn {
+			t.Errorf("%s.Describe(range).Fused = %v, want %v", c.name, got, c.rn)
 		}
 	}
-	// Adapters without the marker are never fused.
-	if isFused(SimpleInt{Ix: &simplebitmap.Index[int64]{}}, OpIn) {
+	// Paths that are no LeafIndex are never fused.
+	if describe(SimpleInt{Ix: &simplebitmap.Index[int64]{}}, OpIn, 2).Fused {
 		t.Error("SimpleInt reported fused")
 	}
 }

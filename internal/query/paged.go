@@ -9,20 +9,37 @@ import (
 	"repro/internal/table"
 )
 
-// CtxColumnIndex is the optional capability interface for access paths
-// that want the evaluation context: a paged index uses it to nest its
-// page-fetch work under the query's span tree. EvalLeafCtx must answer
-// any leaf predicate (Eq/In/Range) with the exact rows and stats the
-// plain ColumnIndex methods would return, or ErrUnsupported.
-type CtxColumnIndex interface {
-	EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error)
-}
-
 // PageStatsIndex is the optional capability interface for access paths
 // backed by a page cache. The planner diffs PageStats around each leaf
 // to fold per-leaf page hits and misses into EXPLAIN ANALYZE.
 type PageStatsIndex interface {
 	PageStats() (hits, misses int)
+}
+
+// pageStats reads an index's cumulative buffer-cache counters, or zeros
+// when the index has no page cache behind it.
+func pageStats(ix ColumnIndex) (hits, misses int) {
+	if psi, ok := ix.(PageStatsIndex); ok {
+		return psi.PageStats()
+	}
+	return 0, 0
+}
+
+// pagedLeaf answers p on a paged index through the shared rewrite: IS NULL
+// reads the wrapped index directly, value selections fault their vectors'
+// pages first, with the fetch attributed to the span in ctx. The buffer
+// cache is single-threaded, so paged leaves always run sequentially.
+func pagedLeaf[V comparable](ctx context.Context, k cellKind[V], px *pagestore.PagedIndex[V], p Predicate) (*bitvec.Vector, iostat.Stats, error) {
+	s, err := k.rewrite(px.Index(), p)
+	if err != nil {
+		return nil, iostat.Stats{}, err
+	}
+	if s.null {
+		rows, st := px.Index().IsNull()
+		return rows, st, nil
+	}
+	rows, st, _ := px.InContext(ctx, s.list())
+	return rows, st, nil
 }
 
 // PagedEBIInt adapts a page-charged encoded bitmap index over int64
@@ -32,44 +49,28 @@ type PagedEBIInt struct{ Ix *pagestore.PagedIndex[int64] }
 
 // Eq implements ColumnIndex.
 func (a PagedEBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), Eq{Val: v})
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
 }
 
 // In implements ColumnIndex.
 func (a PagedEBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), In{Vals: vs})
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
-// Range implements ColumnIndex via the discrete-domain IN rewrite.
+// Range implements ColumnIndex as an IN list over the mapped domain.
 func (a PagedEBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), Range{Lo: lo, Hi: hi})
+	return a.Leaf(context.Background(), Range{Lo: lo, Hi: hi}, 1)
 }
 
-// EvalLeafCtx implements CtxColumnIndex: identical routing to the plain
-// methods, with page fetches attributed to the span in ctx.
-func (a PagedEBIInt) EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			rows, st := a.Ix.Index().IsNull()
-			return rows, st, nil
-		}
-		rows, st, _ := a.Ix.InContext(ctx, []int64{p.Val.I})
-		return rows, st, nil
-	case In:
-		rows, st, _ := a.Ix.InContext(ctx, intVals(p.Vals))
-		return rows, st, nil
-	case Range:
-		var vals []int64
-		for _, v := range a.Ix.Index().Values() {
-			if v >= p.Lo && v <= p.Hi {
-				vals = append(vals, v)
-			}
-		}
-		rows, st, _ := a.Ix.InContext(ctx, vals)
-		return rows, st, nil
-	}
-	return nil, iostat.Stats{}, ErrUnsupported
+// Leaf implements LeafIndex.
+func (a PagedEBIInt) Leaf(ctx context.Context, p Predicate, _ int) (*bitvec.Vector, iostat.Stats, error) {
+	return pagedLeaf(ctx, intKind, a.Ix, p)
+}
+
+// Describe implements LeafIndex: paged leaves run sequentially and are
+// not flagged fused; the floor is the wrapped index's.
+func (a PagedEBIInt) Describe(op Op, delta int) LeafInfo {
+	return LeafInfo{MinVectors: a.Ix.Index().TheoreticalMinVectors(delta)}
 }
 
 // PageStats implements PageStatsIndex with the cache's cumulative
@@ -79,23 +80,18 @@ func (a PagedEBIInt) PageStats() (hits, misses int) {
 	return s.Hits, s.Misses
 }
 
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a PagedEBIInt) TheoreticalMinVectors(delta int) int {
-	return a.Ix.Index().TheoreticalMinVectors(delta)
-}
-
 // PagedEBIStr is PagedEBIInt over string values; ranges are
 // unsupported, like EBIStr.
 type PagedEBIStr struct{ Ix *pagestore.PagedIndex[string] }
 
 // Eq implements ColumnIndex.
 func (a PagedEBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), Eq{Val: v})
+	return a.Leaf(context.Background(), Eq{Val: v}, 1)
 }
 
 // In implements ColumnIndex.
 func (a PagedEBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), In{Vals: vs})
+	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
 // Range is unsupported on string attributes.
@@ -103,30 +99,18 @@ func (a PagedEBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return nil, iostat.Stats{}, ErrUnsupported
 }
 
-// EvalLeafCtx implements CtxColumnIndex.
-func (a PagedEBIStr) EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			rows, st := a.Ix.Index().IsNull()
-			return rows, st, nil
-		}
-		rows, st, _ := a.Ix.InContext(ctx, []string{p.Val.S})
-		return rows, st, nil
-	case In:
-		rows, st, _ := a.Ix.InContext(ctx, strVals(p.Vals))
-		return rows, st, nil
-	}
-	return nil, iostat.Stats{}, ErrUnsupported
+// Leaf implements LeafIndex.
+func (a PagedEBIStr) Leaf(ctx context.Context, p Predicate, _ int) (*bitvec.Vector, iostat.Stats, error) {
+	return pagedLeaf(ctx, strKind, a.Ix, p)
+}
+
+// Describe implements LeafIndex, as for PagedEBIInt.
+func (a PagedEBIStr) Describe(op Op, delta int) LeafInfo {
+	return LeafInfo{MinVectors: a.Ix.Index().TheoreticalMinVectors(delta)}
 }
 
 // PageStats implements PageStatsIndex.
 func (a PagedEBIStr) PageStats() (hits, misses int) {
 	s := a.Ix.Cache().Stats()
 	return s.Hits, s.Misses
-}
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a PagedEBIStr) TheoreticalMinVectors(delta int) int {
-	return a.Ix.Index().TheoreticalMinVectors(delta)
 }

@@ -1,28 +1,10 @@
 package query
 
 import (
-	"context"
-	"fmt"
 	"runtime"
 
 	"repro/internal/bitvec"
-	"repro/internal/core"
-	"repro/internal/iostat"
-	"repro/internal/obs"
-	"repro/internal/table"
 )
-
-// ParallelIndex is the optional interface an access path implements to
-// evaluate leaf predicates with the segmented parallel engine. degree is
-// the planner-chosen executor cap (always > 1 when these are called); an
-// operation a path cannot parallelize returns ErrUnsupported and the
-// planner re-runs that leaf through the sequential ColumnIndex methods on
-// the same path.
-type ParallelIndex interface {
-	EqPar(v table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error)
-	InPar(vs []table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error)
-	RangePar(lo, hi int64, degree int) (*bitvec.Vector, iostat.Stats, error)
-}
 
 // ParallelPolicy is the planner's cost gate for parallel leaf execution.
 // Segmentation only pays once the vectors are long enough that the
@@ -76,9 +58,9 @@ func (pol ParallelPolicy) degreeFor(words int) int {
 	return deg
 }
 
-// EnableParallel turns on cost-gated parallel leaf execution for access
-// paths whose index implements ParallelIndex. Zero policy fields take
-// defaults (DefaultParallelPolicy).
+// EnableParallel turns on cost-gated parallel leaf execution for
+// operations whose access path describes them as parallel (LeafInfo).
+// Zero policy fields take defaults (DefaultParallelPolicy).
 func (pl *Planner) EnableParallel(pol ParallelPolicy) {
 	p := pol.normalize()
 	pl.par = &p
@@ -93,387 +75,11 @@ func (pl *Planner) tableWords() int {
 	return (pl.ex.tab.Len() + 63) / 64
 }
 
-// parallelDegree returns the degree the gate picks for a leaf routed to
-// path (1 = stay sequential).
-func (pl *Planner) parallelDegree(path *AccessPath) int {
-	if pl.par == nil || path == nil {
-		return 1
-	}
-	if _, ok := path.Index.(ParallelIndex); !ok {
+// parallelDegree returns the degree the gate picks for a leaf operation
+// its path describes as info (1 = stay sequential).
+func (pl *Planner) parallelDegree(info LeafInfo) int {
+	if pl.par == nil || !info.Parallel {
 		return 1
 	}
 	return pl.par.degreeFor(pl.tableWords())
-}
-
-// TracedParallelIndex is the optional extension of ParallelIndex for
-// paths whose parallel evaluation can nest per-worker trace spans under
-// the query's leaf span, so fork/join CPU time attributes to the query
-// that forked it. Semantics are identical to the plain *Par methods;
-// only the attribution differs.
-type TracedParallelIndex interface {
-	ParallelIndex
-	EqParSpan(v table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error)
-	InParSpan(vs []table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error)
-	RangeParSpan(lo, hi int64, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error)
-}
-
-// execLeafParallel evaluates a leaf predicate through a path's parallel
-// interface.
-func execLeafParallel(ix ParallelIndex, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	switch p := p.(type) {
-	case Eq:
-		return ix.EqPar(p.Val, degree)
-	case In:
-		return ix.InPar(p.Vals, degree)
-	case Range:
-		return ix.RangePar(p.Lo, p.Hi, degree)
-	}
-	return nil, iostat.Stats{}, fmt.Errorf("query: %T is not a leaf predicate", p)
-}
-
-// execLeafParallelCtx is execLeafParallel with trace propagation: when a
-// live span rides the context and the path implements
-// TracedParallelIndex, the parallel workers record spans under it.
-func execLeafParallelCtx(ctx context.Context, ix ParallelIndex, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	sp := obs.SpanFromContext(ctx)
-	tix, ok := ix.(TracedParallelIndex)
-	if sp == nil || !ok {
-		return execLeafParallel(ix, p, degree)
-	}
-	switch p := p.(type) {
-	case Eq:
-		return tix.EqParSpan(p.Val, degree, sp)
-	case In:
-		return tix.InParSpan(p.Vals, degree, sp)
-	case Range:
-		return tix.RangeParSpan(p.Lo, p.Hi, degree, sp)
-	}
-	return nil, iostat.Stats{}, fmt.Errorf("query: %T is not a leaf predicate", p)
-}
-
-// Parallel adapter implementations. Only encoded bitmap indexes get them:
-// their evaluation is a single reduced expression over k shared vectors,
-// which segments cleanly. NULL point lookups and the ordered index's
-// MSB-first comparison range are not segmented and stay sequential.
-
-// EqPar implements ParallelIndex.
-func (a EBIInt) EqPar(v table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.EqParallel(v.I, degree)
-	return rows, st, nil
-}
-
-// InPar implements ParallelIndex.
-func (a EBIInt) InPar(vs []table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallel(intVals(vs), degree)
-	return rows, st, nil
-}
-
-// RangePar implements ParallelIndex via the same discrete-domain IN
-// rewrite as Range.
-func (a EBIInt) RangePar(lo, hi int64, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-	}
-	rows, st := a.Ix.InParallel(vals, degree)
-	return rows, st, nil
-}
-
-// EqParSpan implements TracedParallelIndex.
-func (a EBIInt) EqParSpan(v table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.InParallelSpan([]int64{v.I}, degree, sp)
-	return rows, st, nil
-}
-
-// InParSpan implements TracedParallelIndex.
-func (a EBIInt) InParSpan(vs []table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallelSpan(intVals(vs), degree, sp)
-	return rows, st, nil
-}
-
-// RangeParSpan implements TracedParallelIndex via the discrete-domain IN
-// rewrite.
-func (a EBIInt) RangeParSpan(lo, hi int64, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-	}
-	rows, st := a.Ix.InParallelSpan(vals, degree, sp)
-	return rows, st, nil
-}
-
-// EqPar implements ParallelIndex.
-func (a EBIStr) EqPar(v table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.EqParallel(v.S, degree)
-	return rows, st, nil
-}
-
-// InPar implements ParallelIndex.
-func (a EBIStr) InPar(vs []table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallel(strVals(vs), degree)
-	return rows, st, nil
-}
-
-// RangePar is unsupported on string attributes, like Range.
-func (a EBIStr) RangePar(lo, hi int64, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// EqParSpan implements TracedParallelIndex.
-func (a EBIStr) EqParSpan(v table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.InParallelSpan([]string{v.S}, degree, sp)
-	return rows, st, nil
-}
-
-// InParSpan implements TracedParallelIndex.
-func (a EBIStr) InParSpan(vs []table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallelSpan(strVals(vs), degree, sp)
-	return rows, st, nil
-}
-
-// RangeParSpan is unsupported on string attributes, like RangePar.
-func (a EBIStr) RangeParSpan(lo, hi int64, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// EqPar implements ParallelIndex.
-func (a OrderedEBI) EqPar(v table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.Index().IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Index().EqParallel(v.I, degree)
-	return rows, st, nil
-}
-
-// InPar implements ParallelIndex.
-func (a OrderedEBI) InPar(vs []table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.Index().InParallel(intVals(vs), degree)
-	return rows, st, nil
-}
-
-// RangePar reports ErrUnsupported: the ordered index's MSB-first
-// comparison pass is stateful across vectors and is not segmented; the
-// planner falls back to the sequential Range on the same path.
-func (a OrderedEBI) RangePar(lo, hi int64, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// EqParSpan implements TracedParallelIndex.
-func (a OrderedEBI) EqParSpan(v table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.Index().IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Index().InParallelSpan([]int64{v.I}, degree, sp)
-	return rows, st, nil
-}
-
-// InParSpan implements TracedParallelIndex.
-func (a OrderedEBI) InParSpan(vs []table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.Index().InParallelSpan(intVals(vs), degree, sp)
-	return rows, st, nil
-}
-
-// RangeParSpan is unsupported, like RangePar: the MSB-first comparison
-// pass is not segmented.
-func (a OrderedEBI) RangeParSpan(lo, hi int64, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// SyncedEBIInt adapts a concurrency-safe encoded bitmap index over int64
-// values; reads evaluate against an atomic epoch snapshot, so it is safe
-// to query while other goroutines append or a live re-encoding flips.
-type SyncedEBIInt struct{ Ix *core.Synced[int64] }
-
-// Eq implements ColumnIndex through the wrapper's epoch-keyed compiled
-// program cache.
-func (a SyncedEBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.I)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a SyncedEBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(intVals(vs))
-	return rows, st, nil
-}
-
-// Range rewrites the interval into an IN-list over the snapshot's mapped
-// domain — the paper's discrete-domains rewriting, same as EBIInt.
-func (a SyncedEBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(a.rangeVals(lo, hi))
-	return rows, st, nil
-}
-
-// rangeVals lists the mapped domain values inside [lo, hi].
-func (a SyncedEBIInt) rangeVals(lo, hi int64) []int64 {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-	}
-	return vals
-}
-
-// EqPar implements ParallelIndex.
-func (a SyncedEBIInt) EqPar(v table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.EqParallel(v.I, degree)
-	return rows, st, nil
-}
-
-// InPar implements ParallelIndex.
-func (a SyncedEBIInt) InPar(vs []table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallel(intVals(vs), degree)
-	return rows, st, nil
-}
-
-// RangePar implements ParallelIndex via the discrete-domain IN rewrite.
-func (a SyncedEBIInt) RangePar(lo, hi int64, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallel(a.rangeVals(lo, hi), degree)
-	return rows, st, nil
-}
-
-// EqParSpan implements TracedParallelIndex; the fork/join (and its
-// worker spans) completes against one epoch snapshot.
-func (a SyncedEBIInt) EqParSpan(v table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.InParallelSpan([]int64{v.I}, degree, sp)
-	return rows, st, nil
-}
-
-// InParSpan implements TracedParallelIndex.
-func (a SyncedEBIInt) InParSpan(vs []table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallelSpan(intVals(vs), degree, sp)
-	return rows, st, nil
-}
-
-// RangeParSpan implements TracedParallelIndex via the discrete-domain IN
-// rewrite.
-func (a SyncedEBIInt) RangeParSpan(lo, hi int64, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallelSpan(a.rangeVals(lo, hi), degree, sp)
-	return rows, st, nil
-}
-
-// SyncedEBIStr adapts a concurrency-safe encoded bitmap index over
-// string values — the serving shape ebicli's -apply mode uses, where the
-// drift watcher re-encodes the live index under query traffic.
-type SyncedEBIStr struct{ Ix *core.Synced[string] }
-
-// Eq implements ColumnIndex through the wrapper's epoch-keyed compiled
-// program cache.
-func (a SyncedEBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.S)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a SyncedEBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(strVals(vs))
-	return rows, st, nil
-}
-
-// Range is unsupported on string attributes.
-func (a SyncedEBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// EqPar implements ParallelIndex.
-func (a SyncedEBIStr) EqPar(v table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.EqParallel(v.S, degree)
-	return rows, st, nil
-}
-
-// InPar implements ParallelIndex.
-func (a SyncedEBIStr) InPar(vs []table.Cell, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallel(strVals(vs), degree)
-	return rows, st, nil
-}
-
-// RangePar is unsupported on string attributes, like Range.
-func (a SyncedEBIStr) RangePar(lo, hi int64, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// EqParSpan implements TracedParallelIndex.
-func (a SyncedEBIStr) EqParSpan(v table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.InParallelSpan([]string{v.S}, degree, sp)
-	return rows, st, nil
-}
-
-// InParSpan implements TracedParallelIndex.
-func (a SyncedEBIStr) InParSpan(vs []table.Cell, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.InParallelSpan(strVals(vs), degree, sp)
-	return rows, st, nil
-}
-
-// RangeParSpan is unsupported on string attributes, like RangePar.
-func (a SyncedEBIStr) RangeParSpan(lo, hi int64, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// intVals extracts the non-NULL int64 values of a cell list.
-func intVals(vs []table.Cell) []int64 {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	return vals
-}
-
-// strVals extracts the non-NULL string values of a cell list.
-func strVals(vs []table.Cell) []string {
-	vals := make([]string, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.S)
-		}
-	}
-	return vals
 }

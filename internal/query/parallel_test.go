@@ -142,9 +142,10 @@ func TestPreparedQueryRechecksParallelGate(t *testing.T) {
 	}
 }
 
-// TestParallelUnsupportedFallsBackSequential pins the two-step fallback:
-// a path whose parallel interface refuses an operation re-runs it through
-// the same path's sequential method (not the executor fallback).
+// TestParallelUnsupportedFallsBackSequential pins the sequential fallback:
+// a path that cannot run an operation in parallel runs it sequentially on
+// the same path (not through the executor fallback), and EXPLAIN predicts
+// no degree for it.
 func TestParallelUnsupportedFallsBackSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	n := bitvec.SegmentBits + 100
@@ -166,8 +167,16 @@ func TestParallelUnsupportedFallsBackSequential(t *testing.T) {
 	}
 	pl.EnableParallel(ParallelPolicy{MinWords: 1, MaxDegree: 4})
 
-	// OrderedEBI.RangePar is ErrUnsupported: must still route to the ebi
-	// path (sequential Range), not the executor fallback.
+	// The ordered index's MSB-first range is not segmented: it must still
+	// route to the ebi path (sequential Range), not the executor fallback,
+	// and plain EXPLAIN must not advertise a degree it will not run with.
+	plan, err := pl.Explain(Range{Col: "v", Lo: 2, Hi: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Root.Parallel != 0 {
+		t.Fatalf("EXPLAIN predicts par=%d for a sequential-only range", plan.Root.Parallel)
+	}
 	rows, _, choices, err := pl.Eval(Range{Col: "v", Lo: 2, Hi: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -157,12 +157,12 @@ type Choice struct {
 	// execution disabled).
 	Par int
 	// Fused reports that the chosen path evaluates this operation through
-	// the fused single-pass kernel (see FusedIndex). Fallback routings are
+	// the fused single-pass kernel (see LeafInfo). Fallback routings are
 	// never fused.
 	Fused bool
 	// Excess is the leaf's vector reads beyond the Theorem 2.2/2.3
-	// theoretical minimum for its selection width — 0 when the path's
-	// index implements no MinVectorsIndex or read no avoidable vectors.
+	// theoretical minimum for its selection width — 0 when the path
+	// states no floor (LeafInfo.MinVectors) or read no avoidable vectors.
 	// Deliberately absent from String(), whose rendering is pinned.
 	Excess int
 	// PageHits/PageMisses are the buffer-cache page touches this leaf's
@@ -241,34 +241,22 @@ func (pl *Planner) EvalContext(ctx context.Context, p Predicate) (*bitvec.Vector
 	var sp *obs.Span
 	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(tEval).Seconds(), sp) }()
 	ctx, sp = obs.StartSpan(ctx, "ebi.plan.eval")
-	var st iostat.Stats
-	var choices []Choice
+	r := pl.run()
 	var rows *bitvec.Vector
 	var err error
 	withFamilyPred(ctx, p, func(ctx context.Context) {
-		if obs.On() {
-			t0 := time.Now()
-			var root *PlanNode
-			rows, root, err = pl.analyze(ctx, p, &st, &choices)
-			if err == nil {
-				observeSlow(&Plan{
-					Query: p.String(), Analyzed: true, Root: root,
-					Stats: st, ElapsedNS: time.Since(t0).Nanoseconds(),
-				})
-			}
-		} else {
-			rows, err = pl.eval(ctx, p, &st, &choices)
+		if !obs.On() {
+			rows, err = r.eval(ctx, p, nil)
+			return
+		}
+		var plan *Plan
+		if rows, plan, err = r.analyze(ctx, p); err == nil {
+			observeSlow(plan)
 		}
 	})
-	if sp != nil {
-		sp.SetAttr("choices", choiceStrings(choices))
-		if mis := misestimates(choices); len(mis) > 0 {
-			sp.SetAttr("misestimates", mis)
-		}
-	}
-	finishQuery(sp, p, st, err, sumExcess(choices))
-	pl.auditObserve("planner", p, rows, st, choices, sp, err)
-	return rows, st, choices, err
+	r.finish(sp, p, err)
+	pl.auditObserve("planner", p, rows, r.st, r.choices, sp, err)
+	return rows, r.st, r.choices, err
 }
 
 func choiceStrings(choices []Choice) []string {
@@ -305,186 +293,4 @@ func leafShape(p Predicate) (col string, op Op, delta int, ok bool) {
 		return p.Col, OpRange, d, true
 	}
 	return "", 0, 0, false
-}
-
-// execLeaf evaluates a leaf predicate against one access path's index.
-func execLeaf(ix ColumnIndex, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	switch p := p.(type) {
-	case Eq:
-		return ix.Eq(p.Val)
-	case In:
-		return ix.In(p.Vals)
-	case Range:
-		return ix.Range(p.Lo, p.Hi)
-	}
-	return nil, iostat.Stats{}, fmt.Errorf("query: %T is not a leaf predicate", p)
-}
-
-func (pl *Planner) eval(ctx context.Context, p Predicate, st *iostat.Stats, choices *[]Choice) (*bitvec.Vector, error) {
-	switch p := p.(type) {
-	case Eq, In, Range:
-		rows, ch, err := pl.leafExec(ctx, p, st)
-		if err != nil {
-			return nil, err
-		}
-		*choices = append(*choices, ch)
-		return rows, nil
-	case And:
-		if len(p.Preds) == 0 {
-			return nil, fmt.Errorf("query: empty AND")
-		}
-		acc, err := pl.eval(ctx, p.Preds[0], st, choices)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range p.Preds[1:] {
-			rows, err := pl.eval(ctx, child, st, choices)
-			if err != nil {
-				return nil, err
-			}
-			acc.And(rows)
-			st.BoolOps++
-		}
-		return acc, nil
-	case Or:
-		if len(p.Preds) == 0 {
-			return nil, fmt.Errorf("query: empty OR")
-		}
-		acc, err := pl.eval(ctx, p.Preds[0], st, choices)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range p.Preds[1:] {
-			rows, err := pl.eval(ctx, child, st, choices)
-			if err != nil {
-				return nil, err
-			}
-			acc.Or(rows)
-			st.BoolOps++
-		}
-		return acc, nil
-	case Not:
-		rows, err := pl.eval(ctx, p.Pred, st, choices)
-		if err != nil {
-			return nil, err
-		}
-		st.BoolOps++
-		return rows.Not(), nil
-	case nil:
-		return nil, fmt.Errorf("query: nil predicate")
-	default:
-		return nil, fmt.Errorf("query: unknown predicate %T", p)
-	}
-}
-
-// execPath evaluates a leaf against one access path, routing through the
-// segmented parallel engine when the cost gate picked a degree above one
-// (deg, computed by the caller via parallelDegree so it can label the
-// evaluation) and the path implements ParallelIndex. A parallel refusal
-// (ErrUnsupported from the *Par method) re-runs the same leaf through the
-// path's sequential interface; only a sequential refusal propagates as
-// ErrUnsupported to the caller's fallback logic. Returns the degree the
-// leaf actually executed with (1 = sequential). The context carries the
-// leaf's span, so traced parallel workers and page fetches nest under it.
-func (pl *Planner) execPath(ctx context.Context, path *AccessPath, p Predicate, deg int) (*bitvec.Vector, iostat.Stats, int, error) {
-	if deg > 1 {
-		rows, s, err := execLeafParallelCtx(ctx, path.Index.(ParallelIndex), p, deg)
-		if err == nil {
-			return rows, s, deg, nil
-		}
-		if err != ErrUnsupported {
-			return nil, iostat.Stats{}, 0, err
-		}
-	}
-	rows, s, err := execLeafCtx(ctx, path.Index, p)
-	return rows, s, 1, err
-}
-
-// execLeafCtx is execLeaf with context: an index implementing
-// CtxColumnIndex receives ctx so it can attribute its own work (page
-// fetches) to the span there.
-func execLeafCtx(ctx context.Context, ix ColumnIndex, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	if ci, ok := ix.(CtxColumnIndex); ok {
-		return ci.EvalLeafCtx(ctx, p)
-	}
-	return execLeaf(ix, p)
-}
-
-// leafExec routes one leaf predicate through the cheapest path, falling
-// back to the base executor (its Use-registered index or a scan), and
-// returns the routing decision taken. When telemetry is enabled each
-// leaf runs under its own "ebi.plan.leaf" span, so per-leaf wall time,
-// CPU time, and heap allocation appear in the query's trace tree.
-func (pl *Planner) leafExec(ctx context.Context, p Predicate, st *iostat.Stats) (*bitvec.Vector, Choice, error) {
-	col, op, delta, _ := leafShape(p)
-	ctx, lsp := obs.StartSpan(ctx, "ebi.plan.leaf")
-	path, cost := pl.choose(col, op, delta)
-	if path != nil {
-		pageHits, pageMisses := leafPageStats(path.Index)
-		deg := pl.parallelDegree(path)
-		var rows *bitvec.Vector
-		var s iostat.Stats
-		var par int
-		var err error
-		withLeafLabels(ctx, col, op, deg, func(ctx context.Context) {
-			rows, s, par, err = pl.execPath(ctx, path, p, deg)
-		})
-		if err == nil {
-			st.Add(s)
-			ch := Choice{Column: col, Op: op, Delta: delta, Path: path.Name, Cost: cost, Actual: actualCost(s),
-				Fused:  isFused(path.Index, op),
-				Excess: leafExcess(path.Index, delta, s.VectorsRead)}
-			if par > 1 {
-				ch.Par = par
-			}
-			h1, m1 := leafPageStats(path.Index)
-			ch.PageHits, ch.PageMisses = h1-pageHits, m1-pageMisses
-			mPlannerChoices.Inc()
-			if ch.Misestimated() {
-				mPlannerMisestimates.Inc()
-			}
-			finishLeafSpan(lsp, ch, s, nil)
-			return rows, ch, nil
-		}
-		if err != ErrUnsupported {
-			err = fmt.Errorf("query: path %s on %s: %w", path.Name, col, err)
-			finishLeafSpan(lsp, Choice{Column: col, Op: op, Delta: delta, Path: path.Name}, iostat.Stats{}, err)
-			return nil, Choice{}, err
-		}
-		// Unsupported despite registration: fall through to the executor.
-	}
-	// Use the executor's internal entry point so the shared cost counters
-	// advance once, at the planner's top level, not per fallback leaf.
-	var s iostat.Stats
-	rows, err := pl.ex.eval(ctx, p, &s)
-	if err != nil {
-		finishLeafSpan(lsp, Choice{Column: col, Op: op, Delta: delta, Path: "fallback"}, s, err)
-		return nil, Choice{}, err
-	}
-	st.Add(s)
-	mPlannerFallbacks.Inc()
-	ch := Choice{Column: col, Op: op, Delta: delta, Path: "fallback", Cost: math.Inf(1), Actual: actualCost(s)}
-	finishLeafSpan(lsp, ch, s, nil)
-	return rows, ch, nil
-}
-
-// leafPageStats reads an index's cumulative buffer-cache counters, or
-// zeros when the index has no page cache behind it.
-func leafPageStats(ix ColumnIndex) (hits, misses int) {
-	if psi, ok := ix.(PageStatsIndex); ok {
-		return psi.PageStats()
-	}
-	return 0, 0
-}
-
-// finishLeafSpan closes a leaf's trace span with its routing decision
-// and cost delta attached. Nil-safe: lsp is nil while telemetry is off.
-func finishLeafSpan(lsp *obs.Span, ch Choice, s iostat.Stats, err error) {
-	if lsp == nil {
-		return
-	}
-	lsp.SetAttr("choice", ch.String())
-	lsp.SetStats(s)
-	lsp.SetError(err)
-	lsp.End()
 }

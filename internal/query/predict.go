@@ -8,11 +8,11 @@ import (
 	"repro/internal/table"
 )
 
-// Analytic whole-query stats prediction for the audit plane. A leaf's
-// prediction mirrors the adapter rewrite that evaluated it (Eq over NULL
-// becomes IsNull, int Range becomes an IN-list over the mapped domain,
-// NULL cells drop out of IN-lists), so a predicted iostat.Stats is the
-// Theorem 2.2/2.3 accounting of exactly the retrieval functions the
+// Analytic whole-query stats prediction for the audit plane. An EBI
+// leaf's prediction runs the same rewrite that evaluated it (leaf.go: Eq
+// over NULL becomes IsNull, int Range becomes an IN-list over the mapped
+// domain, NULL cells drop out of IN-lists), so a predicted iostat.Stats is
+// the Theorem 2.2/2.3 accounting of exactly the retrieval functions the
 // engine compiled — any divergence from the measured stats means the
 // execution changed, not the workload. Access paths without an analytic
 // model (paged/compressed/B-tree/scan-fallback shapes) return ok=false
@@ -32,111 +32,6 @@ type PredictLeafIndex interface {
 	PredictGen() uint64
 }
 
-// PredictLeafStats implements PredictLeafIndex, mirroring EBIInt's
-// adapter rewrites.
-func (a EBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]int64{p.Val.I}), true
-	case In:
-		return a.Ix.PredictSelectionStats(intVals(p.Vals)), true
-	case Range:
-		var vals []int64
-		for _, v := range a.Ix.Values() {
-			if v >= p.Lo && v <= p.Hi {
-				vals = append(vals, v)
-			}
-		}
-		return a.Ix.PredictSelectionStats(vals), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a EBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex, mirroring EBIStr's
-// adapter rewrites. Range has no analytic model: the adapter refuses it
-// and the executor's scan fallback depends on the table, not the
-// encoding.
-func (a EBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]string{p.Val.S}), true
-	case In:
-		return a.Ix.PredictSelectionStats(strVals(p.Vals)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a EBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex for the ordered wrapper's
-// Eq/In delegations. Range runs the MSB-first comparison pass, whose
-// per-vector accounting is data-independent too but not program-compiled;
-// it is out of scope here.
-func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.Index().PredictIsNullStats(), true
-		}
-		return a.Ix.Index().PredictSelectionStats([]int64{p.Val.I}), true
-	case In:
-		return a.Ix.Index().PredictSelectionStats(intVals(p.Vals)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a OrderedEBI) PredictGen() uint64 { return a.Ix.Index().PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex; every prediction pins one
-// epoch snapshot, so it is exact even while appends or a live
-// re-encoding race the audited query (basis movement shows up as a
-// PredictGen change).
-func (a SyncedEBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]int64{p.Val.I}), true
-	case In:
-		return a.Ix.PredictSelectionStats(intVals(p.Vals)), true
-	case Range:
-		return a.Ix.PredictSelectionStats(a.rangeVals(p.Lo, p.Hi)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a SyncedEBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex, mirroring SyncedEBIStr.
-func (a SyncedEBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]string{p.Val.S}), true
-	case In:
-		return a.Ix.PredictSelectionStats(strVals(p.Vals)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a SyncedEBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
-
 // predictFold mixes a leaf stamp into a whole-query basis stamp
 // (order-dependent FNV-style fold, so leaf order matters like the plan
 // does).
@@ -144,13 +39,13 @@ func predictFold(gen, leaf uint64) uint64 {
 	return (gen ^ leaf) * 1099511628211
 }
 
-// predictWalk mirrors eval's DFS: leaves resolve through leafFn in
-// preorder (the order choices are recorded in), combinators charge the
-// executor's exact BoolOps (And/Or one per child past the first, Not
-// one).
+// predictWalk mirrors the evaluation walker: leaves resolve through
+// leafFn in preorder (the order choices are recorded in), combinators
+// charge the walker's exact BoolOps (And/Or one per child past the first,
+// Not one).
 func predictWalk(p Predicate, st *iostat.Stats, gen *uint64,
 	leafFn func(leaf Predicate, col string) (iostat.Stats, uint64, bool)) bool {
-	leaf := func(col string) bool {
+	if col, _, _, ok := leafShape(p); ok {
 		s, g, ok := leafFn(p, col)
 		if !ok {
 			return false
@@ -159,47 +54,22 @@ func predictWalk(p Predicate, st *iostat.Stats, gen *uint64,
 		*gen = predictFold(*gen, g)
 		return true
 	}
-	switch p := p.(type) {
-	case Eq:
-		return leaf(p.Col)
-	case In:
-		return leaf(p.Col)
-	case Range:
-		return leaf(p.Col)
-	case And:
-		if len(p.Preds) == 0 {
-			return false
-		}
-		for i, child := range p.Preds {
-			if !predictWalk(child, st, gen, leafFn) {
-				return false
-			}
-			if i > 0 {
-				st.BoolOps++
-			}
-		}
-		return true
-	case Or:
-		if len(p.Preds) == 0 {
-			return false
-		}
-		for i, child := range p.Preds {
-			if !predictWalk(child, st, gen, leafFn) {
-				return false
-			}
-			if i > 0 {
-				st.BoolOps++
-			}
-		}
-		return true
-	case Not:
-		if !predictWalk(p.Pred, st, gen, leafFn) {
-			return false
-		}
-		st.BoolOps++
-		return true
+	kind, children, err := combinatorShape(p)
+	if err != nil {
+		return false
 	}
-	return false
+	for i, child := range children {
+		if !predictWalk(child, st, gen, leafFn) {
+			return false
+		}
+		if i > 0 {
+			st.BoolOps++
+		}
+	}
+	if kind == KindNot {
+		st.BoolOps++
+	}
+	return true
 }
 
 // predictResolve turns a registered ColumnIndex (or its absence — a
@@ -275,17 +145,16 @@ func (pl *Planner) PredictStatsForRun(p Predicate, choices []Choice) (iostat.Sta
 // sampling, so the audit plane's own shadow and confirmation re-runs can
 // never recurse into the sampler.
 func (e *Executor) EvalForAudit(p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	var st iostat.Stats
-	rows, err := e.eval(context.Background(), p, &st)
-	return rows, st, err
+	r := evalRun{ex: e}
+	rows, err := r.eval(context.Background(), p, nil)
+	return rows, r.st, err
 }
 
 // EvalForAudit is the planner variant of Executor.EvalForAudit; routing
 // runs fresh (the confirmation re-run cares about the engine's current
 // behavior, not the recorded plan).
 func (pl *Planner) EvalForAudit(p Predicate) (*bitvec.Vector, iostat.Stats, []Choice, error) {
-	var st iostat.Stats
-	var choices []Choice
-	rows, err := pl.eval(context.Background(), p, &st, &choices)
-	return rows, st, choices, err
+	r := pl.run()
+	rows, err := r.eval(context.Background(), p, nil)
+	return rows, r.st, r.choices, err
 }
