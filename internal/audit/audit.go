@@ -45,6 +45,17 @@ import (
 // rediscovers them by prefix in every time-series sample.
 const calibPrefix = "ebi_audit_calibration_ratio_milli_"
 
+// verdictRing is the rolling verdict ring size served at /debug/audit.
+// Calibration smooths per-path est-vs-actual ratios with an EWMA of
+// factor calibAlpha and flags a path as drifting when its smoothed ratio
+// leaves [1/calibBand, calibBand] — the planner's own 2x misestimate
+// threshold.
+const (
+	verdictRing = 64
+	calibAlpha  = 0.2
+	calibBand   = 2.0
+)
+
 var (
 	mSampled = obs.Default().Counter("ebi_audit_sampled_total",
 		"Query executions chosen by the audit sampler.")
@@ -113,16 +124,6 @@ type Config struct {
 	// References are the independent engines sampled row sets are
 	// compared against, in order. Empty disables shadow checks.
 	References []Reference
-	// Verdicts is the rolling verdict ring size served at /debug/audit.
-	// Default 64.
-	Verdicts int
-	// CalibrationAlpha is the EWMA smoothing factor for per-path
-	// est-vs-actual ratios. Default 0.2.
-	CalibrationAlpha float64
-	// CalibrationBand flags a path as drifting when its smoothed ratio
-	// leaves [1/band, band]. Default 2, the planner's own misestimate
-	// threshold.
-	CalibrationBand float64
 	// CalibrationMin is the number of leaf observations a path needs
 	// before drift detection arms. Default 20.
 	CalibrationMin int
@@ -139,15 +140,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Queue <= 0 {
 		out.Queue = 256
-	}
-	if out.Verdicts <= 0 {
-		out.Verdicts = 64
-	}
-	if out.CalibrationAlpha <= 0 || out.CalibrationAlpha > 1 {
-		out.CalibrationAlpha = 0.2
-	}
-	if out.CalibrationBand <= 1 {
-		out.CalibrationBand = 2
 	}
 	if out.CalibrationMin <= 0 {
 		out.CalibrationMin = 20
@@ -265,7 +257,7 @@ func New(cfg Config) *Auditor {
 		cfg:      cfg,
 		stride:   stride,
 		ch:       make(chan *query.AuditRecord, cfg.Queue),
-		verdicts: make([]Verdict, cfg.Verdicts),
+		verdicts: make([]Verdict, verdictRing),
 		calib:    make(map[string]*pathCalib),
 	}
 }
@@ -522,9 +514,9 @@ func (a *Auditor) recordMismatch(rec *query.AuditRecord, refName string, refRows
 		Query:     rec.Query, Source: rec.Source, Reference: refName,
 		Plan: plan, TraceID: rec.TraceID, Rows: rec.N, FirstDiff: diffAt,
 		ExpectedCount: refRows.Count(), ActualCount: rec.Rows.Count(),
-		ExpectedRows:  rowSample(refRows, diffAt, 16),
-		ActualRows:    rowSample(rec.Rows, diffAt, 16),
-		Stats:         rec.Stats,
+		ExpectedRows: rowSample(refRows, diffAt, 16),
+		ActualRows:   rowSample(rec.Rows, diffAt, 16),
+		Stats:        rec.Stats,
 	}
 	a.mu.Lock()
 	a.lastMismatch = d
@@ -582,7 +574,7 @@ func (a *Auditor) observeChoice(ch query.Choice) {
 			"Rolling actual/estimated leaf cost ratio for this access path, in milli (1000 = perfectly calibrated).")}
 		a.calib[ch.Path] = c
 	} else {
-		c.ewma = a.cfg.CalibrationAlpha*ratio + (1-a.cfg.CalibrationAlpha)*c.ewma
+		c.ewma = calibAlpha*ratio + (1-calibAlpha)*c.ewma
 	}
 	c.samples++
 	c.gauge.Set(int64(math.Round(c.ewma * 1000)))
@@ -594,8 +586,8 @@ func (a *Auditor) observeChoice(ch query.Choice) {
 // counter once per excursion (edge-triggered), with the offending
 // series' ring history attached to the detail.
 func (a *Auditor) checkCalibrationDrift(smp obs.Sample) {
-	lo := 1000 / a.cfg.CalibrationBand
-	hi := 1000 * a.cfg.CalibrationBand
+	lo := 1000 / calibBand
+	hi := 1000 * calibBand
 	for name, val := range smp.Values {
 		if !strings.HasPrefix(name, calibPrefix) {
 			continue

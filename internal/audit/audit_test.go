@@ -431,7 +431,7 @@ func TestAuditBasisMovedSkip(t *testing.T) {
 
 type captureSink struct{ recs []*query.AuditRecord }
 
-func (c *captureSink) SampleQuery() bool               { return true }
+func (c *captureSink) SampleQuery() bool                 { return true }
 func (c *captureSink) ObserveQuery(r *query.AuditRecord) { c.recs = append(c.recs, r) }
 
 // A full queue must drop (and count) rather than block the query path.

@@ -26,10 +26,6 @@ type IndexView[V comparable] interface {
 type Config struct {
 	// Interval between background runs (default 10s).
 	Interval time.Duration
-	// MinCount is the sketch-count floor for a predicate to enter the
-	// planned workload, filtering one-off ad-hoc queries (default 1:
-	// everything retained by the sketch).
-	MinCount uint64
 	// ScoreThreshold is the rolling drift score above which the watcher
 	// emits a structured-log warning, edge-triggered on the crossing
 	// (default 0.25).
@@ -37,15 +33,6 @@ type Config struct {
 	// Ordered marks the watched column as totally ordered for the
 	// advisor's column profile.
 	Ordered bool
-	// Search tunes the re-encoding search (nil for defaults; the
-	// default seed makes planning deterministic, so a watcher report
-	// and an offline PlanReencode over the same captured workload agree
-	// exactly).
-	Search *encoding.SearchOptions
-	// PageSize and Degree parameterize the advisor's B-tree candidate
-	// (0 for the paper's 4096/512).
-	PageSize int
-	Degree   int
 	// Logger receives the threshold events (nil for obs.DefaultLogger).
 	Logger *obs.Logger
 	// Apply turns the watcher from report-only into self-tuning: when a
@@ -276,11 +263,15 @@ func (w *Watcher[V]) RunOnce() Report {
 	}
 	rep.SketchErrBound = rep.Observed / uint64(rep.SketchCapacity)
 
-	preds, weights := w.rec.Workload(w.cfg.MinCount)
+	// The planned workload is everything the sketch retains, searched
+	// with the default options: their fixed seed makes planning
+	// deterministic, so a watcher report and an offline PlanReencode over
+	// the same captured workload agree exactly.
+	preds, weights := w.rec.Workload(0)
 	var plan *core.ReencodePlan[V]
 	if len(preds) > 0 {
 		var err error
-		plan, err = w.ix.PlanReencode(preds, weights, w.cfg.Search)
+		plan, err = w.ix.PlanReencode(preds, weights, nil)
 		if err != nil {
 			rep.Error = err.Error()
 			plan = nil
@@ -397,7 +388,7 @@ func (w *Watcher[V]) advise(preds [][]V, weights []int) (*AdviceReport, error) {
 		Rows:        w.ix.Len(),
 		Cardinality: w.ix.Cardinality(),
 		Ordered:     w.cfg.Ordered,
-	}, prof, w.cfg.PageSize, w.cfg.Degree)
+	}, prof, 0, 0) // the paper's 4096-byte pages and degree-512 B-tree
 	if err != nil {
 		return nil, err
 	}

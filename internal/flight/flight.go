@@ -42,51 +42,31 @@ type Config struct {
 	// MaxBundles bounds the directory: after each capture the oldest
 	// bundles beyond this count are pruned (default 16).
 	MaxBundles int
-	// Window is the trailing time-series span captured per bundle
-	// (default 2m).
-	Window time.Duration
-	// Traces is how many recent span trees to capture (default 20).
-	Traces int
-	// Slowlog is how many recent slow queries to capture (default 50).
-	Slowlog int
-
-	// LatencyBurn fires a bundle when the rolling latency SLO burn rate
-	// reaches this value; 1.0 means the error budget is being consumed
-	// exactly as fast as it accrues (default 1.0).
-	LatencyBurn float64
-	// DriftScore fires when any ebi_drift_score_milli_* gauge reaches
-	// this score (same 0..1 scale as the drift watcher; default 0.25,
-	// the watcher's warn line).
-	DriftScore float64
-	// SlowlogBurst fires when one scrape interval captures at least
-	// this many slow queries (default 10).
-	SlowlogBurst float64
 	// Cooldown suppresses automatic captures for this long after any
 	// capture; manual triggers ignore it (default 5m).
 	Cooldown time.Duration
 }
 
+// Bundle contents and trigger thresholds. A bundle holds the trailing
+// bundleWindow of time series and the most recent bundleTraces traces and
+// bundleSlowlog slow queries. One fires when the rolling latency SLO burn
+// rate reaches latencyBurn (1.0: the error budget is being consumed
+// exactly as fast as it accrues), when any ebi_drift_score_milli_* gauge
+// reaches driftScore (the drift watcher's 0..1 scale; 0.25 is its warn
+// line), or when one scrape interval captures at least slowlogBurst slow
+// queries.
+const (
+	bundleWindow  = 2 * time.Minute
+	bundleTraces  = 20
+	bundleSlowlog = 50
+	latencyBurn   = 1.0
+	driftScore    = 0.25
+	slowlogBurst  = 10
+)
+
 func (cfg Config) withDefaults() Config {
 	if cfg.MaxBundles <= 0 {
 		cfg.MaxBundles = 16
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 2 * time.Minute
-	}
-	if cfg.Traces <= 0 {
-		cfg.Traces = 20
-	}
-	if cfg.Slowlog <= 0 {
-		cfg.Slowlog = 50
-	}
-	if cfg.LatencyBurn <= 0 {
-		cfg.LatencyBurn = 1.0
-	}
-	if cfg.DriftScore <= 0 {
-		cfg.DriftScore = 0.25
-	}
-	if cfg.SlowlogBurst <= 0 {
-		cfg.SlowlogBurst = 10
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Minute
@@ -97,9 +77,9 @@ func (cfg Config) withDefaults() Config {
 // Manifest describes one captured bundle. It is written last, so a
 // directory containing a parseable manifest.json is a complete bundle.
 type Manifest struct {
-	ID        string             `json:"id"`
-	UnixMilli int64              `json:"unix_ms"`
-	Reason    string             `json:"reason"`
+	ID        string `json:"id"`
+	UnixMilli int64  `json:"unix_ms"`
+	Reason    string `json:"reason"`
 	// Trigger records the sample values that fired (or, for manual
 	// captures, the values at capture time).
 	Trigger map[string]float64 `json:"trigger,omitempty"`
@@ -184,21 +164,21 @@ func (r *Recorder) onSample(smp obs.Sample) {
 			trigger[k] = v
 		}
 	}
-	if v := smp.Values["ebi_slo_latency_burn_milli"]; v >= r.cfg.LatencyBurn*1000 {
+	if v := smp.Values["ebi_slo_latency_burn_milli"]; v >= latencyBurn*1000 {
 		if reason == "" {
 			reason = "latency-burn"
 		}
 		trigger["ebi_slo_latency_burn_milli"] = v
 	}
 	for k, v := range smp.Values {
-		if strings.HasPrefix(k, driftScorePrefix) && v >= r.cfg.DriftScore*1000 {
+		if strings.HasPrefix(k, driftScorePrefix) && v >= driftScore*1000 {
 			if reason == "" {
 				reason = "drift-score"
 			}
 			trigger[k] = v
 		}
 	}
-	if v := smp.Values["ebi_slow_queries_total"]; v >= r.cfg.SlowlogBurst {
+	if v := smp.Values["ebi_slow_queries_total"]; v >= slowlogBurst {
 		if reason == "" {
 			reason = "slowlog-burst"
 		}
@@ -255,15 +235,15 @@ func (r *Recorder) capture(reason string, trigger map[string]float64) (Manifest,
 
 	man := Manifest{ID: id, UnixMilli: now.UnixMilli(), Reason: reason, Trigger: trigger}
 
-	win := r.cfg.Scraper.Window(r.cfg.Window, 0)
+	win := r.cfg.Scraper.Window(bundleWindow, 0)
 	if n := len(win.UnixMilli); n > 0 {
 		man.WindowFromMilli, man.WindowToMilli = win.UnixMilli[0], win.UnixMilli[n-1]
 	}
-	traces := obs.DefaultTracer().Recent(r.cfg.Traces)
+	traces := obs.DefaultTracer().Recent(bundleTraces)
 	for _, sp := range traces {
 		man.TraceIDs = append(man.TraceIDs, sp.TraceID)
 	}
-	slow := obs.DefaultSlowLog().Recent(r.cfg.Slowlog)
+	slow := obs.DefaultSlowLog().Recent(bundleSlowlog)
 	for _, q := range slow {
 		man.SlowlogQueries = append(man.SlowlogQueries, q.Query)
 	}

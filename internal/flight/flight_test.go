@@ -139,9 +139,7 @@ func TestManualTriggerBundleConsistency(t *testing.T) {
 func TestAutoTriggersAndCooldown(t *testing.T) {
 	withTelemetry(t)
 	s, reg := newTestScraper(obs.TimeSeriesConfig{
-		LatencySeries:    "fl_lat_seconds",
-		LatencyObjective: 100 * time.Millisecond,
-		LatencyBudget:    0.01,
+		LatencySeries: "fl_lat_seconds",
 	})
 	h := reg.Histogram("fl_lat_seconds", "", nil)
 	drift := reg.Gauge("ebi_drift_score_milli_t", "")

@@ -73,7 +73,7 @@ type Histogram struct {
 	bounds     []float64
 	counts     []atomic.Uint64 // len(bounds)+1, last is +Inf
 	count      atomic.Uint64
-	sum        atomic.Uint64 // float64 bits
+	sum        atomic.Uint64              // float64 bits
 	exemplars  []atomic.Pointer[Exemplar] // len(bounds)+1, last is +Inf
 }
 

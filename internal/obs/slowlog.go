@@ -84,18 +84,56 @@ func (s *SlowLog) LatencyThreshold() time.Duration {
 // ShouldCapture reports whether a query with the given wall time and
 // misestimate flag qualifies for the log.
 func (s *SlowLog) ShouldCapture(d time.Duration, misestimated bool) bool {
-	if misestimated {
-		return true
+	return s.reason(d, misestimated) != ""
+}
+
+// reason is the one capture rule: a query qualifies when its wall time
+// reaches the latency threshold or when misestimated (some plan leaf's
+// estimate was off by more than 2x). "" means it does not qualify.
+func (s *SlowLog) reason(d time.Duration, misestimated bool) string {
+	th := s.LatencyThreshold()
+	slow := th > 0 && d >= th
+	switch {
+	case slow && misestimated:
+		return "latency+misestimate"
+	case slow:
+		return "latency"
+	case misestimated:
+		return "misestimate"
 	}
-	th := s.latencyNS.Load()
-	return th > 0 && d >= time.Duration(th)
+	return ""
+}
+
+// Capture applies the rule to a finished query of wall time d. A
+// qualifying query's entry, stamped with its time, duration and reason, is
+// filled in by fill — called only then, so a query that does not qualify
+// renders nothing — recorded, and reported by one "slow query" warning on
+// the default logger.
+func (s *SlowLog) Capture(d time.Duration, misestimated bool, fill func(*SlowQuery)) {
+	reason := s.reason(d, misestimated)
+	if reason == "" {
+		return
+	}
+	q := SlowQuery{Time: time.Now(), DurationNS: d.Nanoseconds(), Reason: reason}
+	fill(&q)
+	s.Record(q)
+	if lg := DefaultLogger(); lg.Enabled(LevelWarn) {
+		lg.Warn("slow query",
+			Str("query", q.Query),
+			Dur("elapsed", d),
+			Str("reason", reason),
+			Int("vectors_read", int64(q.Stats.VectorsRead)),
+			Int("bool_ops", int64(q.Stats.BoolOps)),
+			Int("rows_scanned", int64(q.Stats.RowsScanned)),
+		)
+	}
 }
 
 var mSlowQueries = Default().Counter("ebi_slow_queries_total",
 	"Queries captured by the slow-query log (latency threshold or planner misestimate).")
 
-// Record pushes one captured query into the ring unconditionally (the
-// caller has already applied ShouldCapture).
+// Record pushes one captured query into the ring unconditionally
+// (Capture applies the rule first).
 func (s *SlowLog) Record(q SlowQuery) {
 	mSlowQueries.Inc()
 	s.mu.Lock()

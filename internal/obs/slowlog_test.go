@@ -28,6 +28,40 @@ func TestSlowLogShouldCapture(t *testing.T) {
 	}
 }
 
+// Capture owns the reason string and renders an entry only for a query
+// that qualifies.
+func TestSlowLogCaptureReasons(t *testing.T) {
+	sl := NewSlowLog(8)
+	sl.SetLatencyThreshold(10 * time.Millisecond)
+	for _, c := range []struct {
+		d      time.Duration
+		mis    bool
+		reason string
+	}{
+		{time.Millisecond, false, ""},
+		{10 * time.Millisecond, false, "latency"},
+		{time.Millisecond, true, "misestimate"},
+		{time.Second, true, "latency+misestimate"},
+	} {
+		before := sl.Total()
+		rendered := false
+		sl.Capture(c.d, c.mis, func(q *SlowQuery) {
+			rendered = true
+			q.Query = "q"
+		})
+		if c.reason == "" {
+			if rendered || sl.Total() != before {
+				t.Fatalf("%v mis=%v: captured a query that does not qualify", c.d, c.mis)
+			}
+			continue
+		}
+		got := sl.Recent(1)[0]
+		if got.Reason != c.reason || got.DurationNS != c.d.Nanoseconds() || got.Query != "q" || got.Time.IsZero() {
+			t.Fatalf("%v mis=%v: entry %+v, want reason %q", c.d, c.mis, got, c.reason)
+		}
+	}
+}
+
 func TestSlowLogRingOrder(t *testing.T) {
 	sl := NewSlowLog(4)
 	for i := 0; i < 6; i++ {

@@ -45,24 +45,23 @@ type TimeSeriesConfig struct {
 	Registry *Registry
 
 	// LatencySeries names the latency histogram the ebi_slo_latency
-	// burn gauge is computed from (default "ebi_query_eval_seconds").
+	// burn gauge is computed from (default "ebi_query_seconds").
 	LatencySeries string
-	// LatencyObjective is the per-query latency objective; the fraction
-	// of observations above it, relative to LatencyBudget, is the burn
-	// rate (default 100ms). It is rounded up to the histogram's nearest
-	// bucket bound.
-	LatencyObjective time.Duration
-	// LatencyBudget is the tolerated fraction of observations above the
-	// objective (default 0.01). Burn rate 1.0 means the window is
-	// consuming its error budget exactly as fast as it accrues.
-	LatencyBudget float64
-	// DriftWarn is the drift score at which the drift burn rate reads
-	// 1.0, matching the watcher's default warn line (default 0.25).
-	DriftWarn float64
-	// BurnWindow is the number of trailing samples the burn gauges roll
-	// over (default 60 — one minute at the default interval).
-	BurnWindow int
 }
+
+// The SLO burn gauges' fixed parameters. The latency burn rate is the
+// fraction of LatencySeries observations above latencyObjective (rounded
+// up to the histogram's nearest bucket bound), relative to latencyBudget:
+// 1.0 means the window is consuming its error budget exactly as fast as
+// it accrues. The drift burn rate reads 1.0 at driftWarn, the drift
+// watcher's default warn line. Both roll over the trailing burnWindow
+// samples (one minute at the default interval).
+const (
+	latencyObjective = 100 * time.Millisecond
+	latencyBudget    = 0.01
+	driftWarn        = 0.25
+	burnWindow       = 60
+)
 
 func (cfg TimeSeriesConfig) withDefaults() TimeSeriesConfig {
 	if cfg.Interval <= 0 {
@@ -75,19 +74,7 @@ func (cfg TimeSeriesConfig) withDefaults() TimeSeriesConfig {
 		cfg.Registry = Default()
 	}
 	if cfg.LatencySeries == "" {
-		cfg.LatencySeries = "ebi_query_eval_seconds"
-	}
-	if cfg.LatencyObjective <= 0 {
-		cfg.LatencyObjective = 100 * time.Millisecond
-	}
-	if cfg.LatencyBudget <= 0 {
-		cfg.LatencyBudget = 0.01
-	}
-	if cfg.DriftWarn <= 0 {
-		cfg.DriftWarn = 0.25
-	}
-	if cfg.BurnWindow <= 0 {
-		cfg.BurnWindow = 60
+		cfg.LatencySeries = "ebi_query_seconds"
 	}
 	return cfg
 }
@@ -281,7 +268,7 @@ func (s *Scraper) scrapeHistogram(h *Histogram, vals map[string]float64) {
 
 	if h.name == s.cfg.LatencySeries {
 		over := total
-		obj := s.cfg.LatencyObjective.Seconds()
+		obj := latencyObjective.Seconds()
 		for i, b := range h.bounds {
 			over -= deltas[i]
 			if b >= obj {
@@ -309,7 +296,7 @@ func (s *Scraper) storeHistTotals(name string, sum float64, count uint64) {
 // burnRatesLocked computes the rolling-window SLO burn rates from the
 // ring (including the just-pushed sample). Caller holds s.mu.
 func (s *Scraper) burnRatesLocked() (latencyMilli, driftMilli int64) {
-	n := s.cfg.BurnWindow
+	n := burnWindow
 	if n > s.filled {
 		n = s.filled
 	}
@@ -326,10 +313,10 @@ func (s *Scraper) burnRatesLocked() (latencyMilli, driftMilli int64) {
 		}
 	}
 	if count > 0 {
-		burn := (over / count) / s.cfg.LatencyBudget
+		burn := (over / count) / latencyBudget
 		latencyMilli = int64(burn * 1000)
 	}
-	driftMilli = int64(worstDrift / s.cfg.DriftWarn) // scores are already milli
+	driftMilli = int64(worstDrift / driftWarn) // scores are already milli
 	return latencyMilli, driftMilli
 }
 

@@ -98,10 +98,7 @@ func TestRingWrapAround(t *testing.T) {
 func TestSLOBurnGauges(t *testing.T) {
 	withTelemetry(t)
 	s, reg := newTestScraper(t, TimeSeriesConfig{
-		LatencySeries:    "ts_slo_seconds",
-		LatencyObjective: 100 * time.Millisecond,
-		LatencyBudget:    0.01,
-		DriftWarn:        0.25,
+		LatencySeries: "ts_slo_seconds",
 	})
 	h := reg.Histogram("ts_slo_seconds", "", nil)
 	d := reg.Gauge("ebi_drift_score_milli_t", "")

@@ -120,7 +120,7 @@ func TestExemplarResolvesToSpanTree(t *testing.T) {
 	want := obs.DefaultTracer().Recent(1)[0].TraceID
 	// The default registry is shared across tests, so pick the exemplar
 	// stamped with this evaluation's trace, not just any bucket's.
-	h := obs.Default().Histogram("ebi_query_eval_seconds", "", nil)
+	h := obs.Default().Histogram("ebi_query_seconds", "", nil)
 	var ex *obs.Exemplar
 	for i := 0; i <= len(obs.LatencyBuckets); i++ {
 		if e := h.Exemplar(i); e != nil && e.TraceID == want {
@@ -128,7 +128,7 @@ func TestExemplarResolvesToSpanTree(t *testing.T) {
 		}
 	}
 	if ex == nil {
-		t.Fatal("evaluation left no exemplar on ebi_query_eval_seconds")
+		t.Fatal("evaluation left no exemplar on ebi_query_seconds")
 	}
 	tree := obs.DefaultTracer().ByID(ex.TraceID)
 	if tree == nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/iostat"
-	"repro/internal/obs"
 )
 
 // The audit hook: a process-wide sink (internal/audit's Auditor) samples
@@ -26,7 +25,7 @@ import (
 type AuditRecord struct {
 	Query   string
 	Family  string
-	Source  string // "executor", "planner", or "prepared"
+	Source  string // "executor", "planner", "prepared", or "explain"
 	Pred    Predicate
 	Rows    *bitvec.Vector // private clone of the returned row set
 	Stats   iostat.Stats
@@ -75,51 +74,35 @@ func SetAuditSink(s AuditSink) {
 	auditSink.Store(&sinkHolder{sink: s})
 }
 
-// auditObserve is the executor-path hook.
-func (e *Executor) auditObserve(p Predicate, rows *bitvec.Vector, st iostat.Stats, sp *obs.Span, err error) {
+// audit is the one audit hook, fed from a finished query record.
+// Planner-routed runs record their routing decisions, which pair with the
+// predicate's leaves in DFS preorder, and predict and re-run through the
+// planner; executor runs through the executor.
+func (rec *queryRecord) audit() {
 	h := auditSink.Load()
-	if h == nil || err != nil || rows == nil {
+	if h == nil || rec.err != nil || rec.rows == nil || !h.sink.SampleQuery() {
 		return
 	}
-	if !h.sink.SampleQuery() {
-		return
+	p, ex, pl := rec.pred, rec.run.ex, rec.run.pl
+	a := &AuditRecord{
+		Query: p.String(), Family: rec.familyKey(), Source: rec.source,
+		Pred: p, Rows: rec.rows.Clone(), Stats: rec.run.st, N: rec.rows.Len(),
 	}
-	rec := &AuditRecord{
-		Query: p.String(), Family: FamilyKey(p), Source: "executor",
-		Pred: p, Rows: rows.Clone(), Stats: st, N: rows.Len(),
+	if rec.span != nil {
+		a.TraceID = rec.span.TraceID
 	}
-	if sp != nil {
-		rec.TraceID = sp.TraceID
+	if pl == nil {
+		a.Rerun = func() (*bitvec.Vector, iostat.Stats, error) { return ex.EvalForAudit(p) }
+		a.Repredict = func() (iostat.Stats, uint64, bool) { return ex.PredictStats(p) }
+	} else {
+		cc := append([]Choice(nil), rec.run.choices...)
+		a.Choices = cc
+		a.Rerun = func() (*bitvec.Vector, iostat.Stats, error) {
+			rows, st, _, err := pl.EvalForAudit(p)
+			return rows, st, err
+		}
+		a.Repredict = func() (iostat.Stats, uint64, bool) { return pl.PredictStatsForRun(p, cc) }
 	}
-	rec.Predicted, rec.PredictedGen, rec.PredictOK = e.PredictStats(p)
-	rec.Rerun = func() (*bitvec.Vector, iostat.Stats, error) { return e.EvalForAudit(p) }
-	rec.Repredict = func() (iostat.Stats, uint64, bool) { return e.PredictStats(p) }
-	h.sink.ObserveQuery(rec)
-}
-
-// auditObserve is the planner/prepared-path hook; the recorded routing
-// decisions pair with the predicate's leaves in DFS preorder.
-func (pl *Planner) auditObserve(source string, p Predicate, rows *bitvec.Vector, st iostat.Stats, choices []Choice, sp *obs.Span, err error) {
-	h := auditSink.Load()
-	if h == nil || err != nil || rows == nil {
-		return
-	}
-	if !h.sink.SampleQuery() {
-		return
-	}
-	cc := append([]Choice(nil), choices...)
-	rec := &AuditRecord{
-		Query: p.String(), Family: FamilyKey(p), Source: source,
-		Pred: p, Rows: rows.Clone(), Stats: st, Choices: cc, N: rows.Len(),
-	}
-	if sp != nil {
-		rec.TraceID = sp.TraceID
-	}
-	rec.Predicted, rec.PredictedGen, rec.PredictOK = pl.PredictStatsForRun(p, cc)
-	rec.Rerun = func() (*bitvec.Vector, iostat.Stats, error) {
-		rows, st, _, err := pl.EvalForAudit(p)
-		return rows, st, err
-	}
-	rec.Repredict = func() (iostat.Stats, uint64, bool) { return pl.PredictStatsForRun(p, cc) }
-	h.sink.ObserveQuery(rec)
+	a.Predicted, a.PredictedGen, a.PredictOK = a.Repredict()
+	h.sink.ObserveQuery(a)
 }

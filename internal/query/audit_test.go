@@ -15,7 +15,7 @@ type testSink struct {
 	recs   []*AuditRecord
 }
 
-func (s *testSink) SampleQuery() bool          { return s.stride == 1 }
+func (s *testSink) SampleQuery() bool           { return s.stride == 1 }
 func (s *testSink) ObserveQuery(r *AuditRecord) { s.recs = append(s.recs, r) }
 
 func auditFixture(t *testing.T) (*table.Table, *Executor, *Planner) {
@@ -205,21 +205,23 @@ func TestAuditHookZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exRec := queryRecord{source: "executor", pred: q, run: evalRun{ex: ex, st: st}, rows: rows}
+	plRec := queryRecord{source: "planner", pred: q, run: evalRun{ex: ex, pl: pl, st: st}, rows: rows}
 	SetAuditSink(nil)
 	if n := testing.AllocsPerRun(200, func() {
-		ex.auditObserve(q, rows, st, nil, nil)
+		exRec.audit()
 	}); n != 0 {
 		t.Fatalf("disabled executor hook allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		pl.auditObserve("planner", q, rows, st, nil, nil, nil)
+		plRec.audit()
 	}); n != 0 {
 		t.Fatalf("disabled planner hook allocates %.1f/op", n)
 	}
 	SetAuditSink(&testSink{stride: 0})
 	defer SetAuditSink(nil)
 	if n := testing.AllocsPerRun(200, func() {
-		ex.auditObserve(q, rows, st, nil, nil)
+		exRec.audit()
 	}); n != 0 {
 		t.Fatalf("installed unsampled hook allocates %.1f/op", n)
 	}

@@ -24,9 +24,6 @@ type evalRun struct {
 	prepared bool // routing was counted once, at Prepare
 }
 
-// run returns a fresh planner-routed evaluation.
-func (pl *Planner) run() *evalRun { return &evalRun{ex: pl.ex, pl: pl} }
-
 // eval is the one predicate-tree walker. Leaves resolve in preorder — the
 // order Choices are recorded in and the audit pairs them back with the
 // predicate's leaves; And and Or fold their children left to right and
@@ -199,8 +196,7 @@ func finishLeafSpan(lsp *obs.Span, ch Choice, s iostat.Stats, err error) {
 }
 
 // analyze is an evaluation that fills a plan tree: the routing Explain
-// would show, then the walker with every node timed. Slow-log capture is
-// the caller's.
+// would show, then the walker with every node timed.
 func (r *evalRun) analyze(ctx context.Context, p Predicate) (*bitvec.Vector, *Plan, error) {
 	t0 := time.Now()
 	root, err := r.pl.explain(p)
@@ -212,22 +208,14 @@ func (r *evalRun) analyze(ctx context.Context, p Predicate) (*bitvec.Vector, *Pl
 	if err != nil {
 		return nil, nil, err
 	}
-	return rows, &Plan{
-		Query: root.Pred, Analyzed: true, Root: root,
-		Stats: r.st, ElapsedNS: time.Since(t0).Nanoseconds(),
-		CPUNanos: root.CPUNanos, AllocBytes: root.AllocBytes, AllocObjects: root.AllocObjects,
-	}, nil
+	return rows, analyzedPlan(root, r.st, time.Since(t0).Nanoseconds()), nil
 }
 
-// finish closes a planner-routed evaluation's span with its routing
-// decisions, flagging leaves whose estimate drifted >2x, and folds the run
-// into the query counters.
-func (r *evalRun) finish(sp *obs.Span, p Predicate, err error) {
-	if sp != nil {
-		sp.SetAttr("choices", choiceStrings(r.choices))
-		if mis := misestimates(r.choices); len(mis) > 0 {
-			sp.SetAttr("misestimates", mis)
-		}
+// analyzedPlan heads an analyzed plan tree: the evaluation's total Stats
+// and wall time, and the root's resource totals.
+func analyzedPlan(root *PlanNode, st iostat.Stats, elapsedNS int64) *Plan {
+	return &Plan{
+		Query: root.Pred, Analyzed: true, Root: root, Stats: st, ElapsedNS: elapsedNS,
+		CPUNanos: root.CPUNanos, AllocBytes: root.AllocBytes, AllocObjects: root.AllocObjects,
 	}
-	finishQuery(sp, p, r.st, err, sumExcess(r.choices))
 }

@@ -135,6 +135,16 @@ func (n *PlanNode) setChoice(ch Choice) {
 	n.PageHits, n.PageMisses = ch.PageHits, ch.PageMisses
 }
 
+// clone deep-copies the node's subtree.
+func (n *PlanNode) clone() *PlanNode {
+	c := *n
+	c.Children = nil
+	for _, child := range n.Children {
+		c.Children = append(c.Children, child.clone())
+	}
+	return &c
+}
+
 // Walk visits the node and its subtree in depth-first order.
 func (n *PlanNode) Walk(fn func(*PlanNode)) {
 	if n == nil {
@@ -334,117 +344,11 @@ func (pl *Planner) ExplainAnalyze(p Predicate) (*bitvec.Vector, *Plan, error) {
 
 // ExplainAnalyzeContext is ExplainAnalyze with trace propagation; when
 // telemetry is enabled it records an "ebi.plan.explain" span (with one
-// child span per leaf), leaves an exemplar on the latency histogram's
-// sample bucket, and routes the analyzed plan through the slow-query
-// log like any other query.
+// child span per leaf) and feeds every per-query view like any other
+// query: the latency histogram's exemplar, /debug/requests, the slow log
+// and the audit sink (as source "explain").
 func (pl *Planner) ExplainAnalyzeContext(ctx context.Context, p Predicate) (*bitvec.Vector, *Plan, error) {
-	t0 := time.Now()
-	var sp *obs.Span
-	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(t0).Seconds(), sp) }()
-	ctx, sp = obs.StartSpan(ctx, "ebi.plan.explain")
-	r := pl.run()
-	rows, plan, err := r.analyze(ctx, p)
-	r.finish(sp, p, err)
-	if err != nil {
-		return nil, nil, err
-	}
-	observeSlow(plan)
-	return rows, plan, nil
-}
-
-// observeSlow routes one analyzed evaluation through the slow-query log
-// and the structured logger. Captures happen when the wall time crosses
-// the log's latency threshold or any leaf was misestimated >2x; the full
-// analyzed plan rides along.
-func observeSlow(plan *Plan) {
-	if plan == nil || !obs.On() {
-		return
-	}
-	mis := plan.Misestimated()
-	d := time.Duration(plan.ElapsedNS)
-	sl := obs.DefaultSlowLog()
-	if !sl.ShouldCapture(d, mis) {
-		return
-	}
-	overLatency := sl.LatencyThreshold() > 0 && d >= sl.LatencyThreshold()
-	reason := "latency"
-	switch {
-	case mis && overLatency:
-		reason = "latency+misestimate"
-	case mis:
-		reason = "misestimate"
-	}
-	par, fused := planEngineFlags(plan)
-	sl.Record(obs.SlowQuery{
-		Time:          time.Now(),
-		Query:         plan.Query,
-		DurationNS:    plan.ElapsedNS,
-		Stats:         plan.Stats,
-		Reason:        reason,
-		Par:           par,
-		Fused:         fused,
-		ExcessVectors: planExcess(plan),
-		Plan:          plan,
-	})
-	lg := obs.DefaultLogger()
-	if lg.Enabled(obs.LevelWarn) {
-		lg.Warn("slow query",
-			obs.Str("query", plan.Query),
-			obs.Dur("elapsed", d),
-			obs.Str("reason", reason),
-			obs.Int("vectors_read", int64(plan.Stats.VectorsRead)),
-			obs.Int("bool_ops", int64(plan.Stats.BoolOps)),
-			obs.Int("rows_scanned", int64(plan.Stats.RowsScanned)),
-		)
-	}
-}
-
-// planExcess sums the leaves' excess vector reads — the query's total
-// encoding-inefficiency for the slow-log annotation.
-func planExcess(plan *Plan) int {
-	total := 0
-	plan.Root.Walk(func(n *PlanNode) { total += n.ExcessVectors })
-	return total
-}
-
-// planEngineFlags summarizes which engine paths a plan's leaves used: the
-// highest segmented-execution degree (0 when every leaf ran sequential)
-// and whether any leaf evaluated through the fused kernel.
-func planEngineFlags(plan *Plan) (par int, fused bool) {
-	plan.Root.Walk(func(n *PlanNode) {
-		if n.Kind != KindLeaf {
-			return
-		}
-		if n.Parallel > par {
-			par = n.Parallel
-		}
-		fused = fused || n.Fused
-	})
-	return par, fused
-}
-
-// observeSlowNoPlan is observeSlow for plain Executor evaluations, which
-// have no plan tree: latency-threshold capture only.
-func observeSlowNoPlan(p Predicate, st iostat.Stats, d time.Duration) {
-	if !obs.On() || p == nil {
-		return
-	}
-	sl := obs.DefaultSlowLog()
-	if !sl.ShouldCapture(d, false) {
-		return
-	}
-	q := p.String()
-	sl.Record(obs.SlowQuery{
-		Time: time.Now(), Query: q, DurationNS: d.Nanoseconds(),
-		Stats: st, Reason: "latency",
-	})
-	lg := obs.DefaultLogger()
-	if lg.Enabled(obs.LevelWarn) {
-		lg.Warn("slow query",
-			obs.Str("query", q),
-			obs.Dur("elapsed", d),
-			obs.Str("reason", "latency"),
-			obs.Int("vectors_read", int64(st.VectorsRead)),
-		)
-	}
+	rec := queryRecord{source: "explain", pred: p, run: evalRun{ex: pl.ex, pl: pl}}
+	rec.exec(ctx, "ebi.plan.explain")
+	return rec.rows, rec.plan, rec.err
 }

@@ -22,27 +22,6 @@ import (
 // (Span.SetLabelCtx) and internal/parallel applies it to each engaged
 // helper for the duration of the fork/join.
 
-// withFamilyPred runs fn under a "family" pprof label for p. While
-// telemetry is disabled it is a direct call: no label set is built and
-// the family key is never computed.
-func withFamilyPred(ctx context.Context, p Predicate, fn func(context.Context)) {
-	if !obs.On() {
-		fn(ctx)
-		return
-	}
-	withFamily(ctx, FamilyKey(p), fn)
-}
-
-// withFamily is withFamilyPred for callers that already hold the family
-// key (prepared queries compute it once, at Prepare).
-func withFamily(ctx context.Context, family string, fn func(context.Context)) {
-	if !obs.On() {
-		fn(ctx)
-		return
-	}
-	pprof.Do(ctx, pprof.Labels("family", family), fn)
-}
-
 // withLeafLabels runs fn under "leaf" (column/op) — and, when the
 // parallel gate picked a degree above one, "par" — pprof labels merged
 // onto the evaluation's family label. The labeled context is stashed on

@@ -1,25 +1,18 @@
 package query
 
-import (
-	"time"
+import "repro/internal/obs"
 
-	"repro/internal/iostat"
-	"repro/internal/obs"
-)
-
-// Query-layer telemetry. Executor.Eval and Planner.Eval are the only
-// places that feed the process-wide ebi_*_total cost counters (via
+// Query-layer telemetry. A query record's finish (record.go) is the only
+// place that feeds the process-wide ebi_*_total cost counters (via
 // obs.AddStats), so the telemetry totals are exactly the sum of the
 // iostat.Stats values returned to callers.
 var (
 	mQueries = obs.Default().Counter("ebi_queries_total",
-		"Top-level predicate evaluations (Executor and Planner).")
+		"Top-level predicate evaluations: Executor, Planner, prepared re-runs and EXPLAIN ANALYZE.")
 	mQueryErrors = obs.Default().Counter("ebi_query_errors_total",
 		"Top-level predicate evaluations that returned an error.")
 	hQuerySeconds = obs.Default().Histogram("ebi_query_seconds",
 		"Wall-clock latency of top-level predicate evaluations.", obs.LatencyBuckets)
-	hQueryEvalSeconds = obs.Default().Histogram("ebi_query_eval_seconds",
-		"End-to-end wall-clock latency of planner evaluations: Execute, ExplainAnalyze, and prepared re-runs.", nil)
 	mPlannerChoices = obs.Default().Counter("ebi_planner_choices_total",
 		"Leaf predicates routed through a registered access path.")
 	mPlannerFallbacks = obs.Default().Counter("ebi_planner_fallbacks_total",
@@ -27,54 +20,3 @@ var (
 	mPlannerMisestimates = obs.Default().Counter("ebi_planner_misestimates_total",
 		"Leaf routings whose cost estimate was off by more than 2x the actual cost.")
 )
-
-// finishQuery closes out one top-level evaluation: it advances the shared
-// cost counters from the returned Stats, observes latency, finishes the
-// span (nil-safe while telemetry is disabled), and folds the run into
-// the /debug/requests per-family aggregates with the finished span's
-// resource totals. excess is the query's total excess vector reads over
-// the Theorem 2.2/2.3 minimum (0 when unknown).
-func finishQuery(sp *obs.Span, p Predicate, st iostat.Stats, err error, excess int) {
-	if !obs.On() {
-		return
-	}
-	mQueries.Inc()
-	if err != nil {
-		mQueryErrors.Inc()
-	}
-	obs.AddStats(st)
-	if sp == nil {
-		return
-	}
-	if p != nil {
-		sp.SetAttr("predicate", p.String())
-	}
-	sp.SetStats(st)
-	sp.SetError(err)
-	sp.End()
-	hQuerySeconds.ObserveSpan(sp.Seconds(), sp)
-	var errStr string
-	if err != nil {
-		errStr = err.Error()
-	}
-	obs.DefaultRequests().Observe(obs.RequestSample{
-		Family:        FamilyKey(p),
-		Duration:      time.Duration(sp.DurationNS),
-		CPUNanos:      sp.CPUNanos,
-		AllocBytes:    sp.AllocBytes,
-		AllocObjects:  sp.AllocObjects,
-		ExcessVectors: excess,
-		TraceID:       sp.TraceID,
-		Err:           errStr,
-	})
-}
-
-// sumExcess totals the leaves' excess vector reads across a run's
-// routing decisions.
-func sumExcess(choices []Choice) int {
-	total := 0
-	for _, c := range choices {
-		total += c.Excess
-	}
-	return total
-}

@@ -89,7 +89,8 @@ func TestSlowQueryCarriesExcessVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExcess := planExcess(plan)
+	wantExcess := 0
+	plan.Root.Walk(func(n *PlanNode) { wantExcess += n.ExcessVectors })
 
 	// Every analyzed leaf on the ebi path must agree with a direct
 	// recomputation from the path's LeafInfo floor.
@@ -127,7 +128,10 @@ func TestQueryEvalSecondsHistogram(t *testing.T) {
 	withTelemetry(t)
 	pl, _, _ := plannerFixture(t, 100, 8)
 
-	before := hQueryEvalSeconds.Count()
+	before := hQuerySeconds.Count()
+	if _, _, err := pl.ex.Eval(Eq{Col: "v", Val: table.IntCell(0)}); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, _, err := pl.Eval(Eq{Col: "v", Val: table.IntCell(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +148,19 @@ func TestQueryEvalSecondsHistogram(t *testing.T) {
 	if _, _, _, err := pq.Eval(); err != nil {
 		t.Fatal(err)
 	}
-	if got := hQueryEvalSeconds.Count() - before; got != 4 {
-		t.Fatalf("ebi_query_eval_seconds observed %d times, want 4", got)
+	if got := hQuerySeconds.Count() - before; got != 5 {
+		t.Fatalf("ebi_query_seconds observed %d times, want 5", got)
 	}
 
 	// Rendered in both expositions.
 	srv := httptest.NewServer(obs.Handler())
 	defer srv.Close()
 	if code, body := fetch(t, srv, "/metrics"); code != 200 ||
-		!strings.Contains(body, "ebi_query_eval_seconds_bucket") {
+		!strings.Contains(body, "ebi_query_seconds_bucket") {
 		t.Fatalf("/metrics missing eval histogram (status %d)", code)
 	}
 	if code, body := fetch(t, srv, "/debug/vars"); code != 200 ||
-		!strings.Contains(body, "ebi_query_eval_seconds") {
+		!strings.Contains(body, "ebi_query_seconds") {
 		t.Fatalf("/debug/vars missing eval histogram (status %d)", code)
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/iostat"
-	"repro/internal/obs"
 )
 
 // Planner is a cost-based access-path selector. Section 3 of the paper
@@ -234,47 +232,12 @@ func (pl *Planner) Eval(p Predicate) (*bitvec.Vector, iostat.Stats, []Choice, er
 // the plan tree. Enabled evaluations run through the plan-tree builder
 // so the slow-query log can capture the full analyzed plan of any query
 // over the latency threshold or carrying a misestimated leaf, and the
-// evaluation's tail-latency histogram bucket keeps an exemplar pointing
-// back at this trace.
+// evaluation's latency histogram bucket keeps an exemplar pointing back
+// at this trace.
 func (pl *Planner) EvalContext(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, []Choice, error) {
-	tEval := time.Now()
-	var sp *obs.Span
-	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(tEval).Seconds(), sp) }()
-	ctx, sp = obs.StartSpan(ctx, "ebi.plan.eval")
-	r := pl.run()
-	var rows *bitvec.Vector
-	var err error
-	withFamilyPred(ctx, p, func(ctx context.Context) {
-		if !obs.On() {
-			rows, err = r.eval(ctx, p, nil)
-			return
-		}
-		var plan *Plan
-		if rows, plan, err = r.analyze(ctx, p); err == nil {
-			observeSlow(plan)
-		}
-	})
-	r.finish(sp, p, err)
-	pl.auditObserve("planner", p, rows, r.st, r.choices, sp, err)
-	return rows, r.st, r.choices, err
-}
-
-func choiceStrings(choices []Choice) []string {
-	out := make([]string, len(choices))
-	for i, c := range choices {
-		out[i] = c.String()
-	}
-	return out
-}
-
-func misestimates(choices []Choice) []string {
-	var out []string
-	for _, c := range choices {
-		if c.Misestimated() {
-			out = append(out, c.String())
-		}
-	}
-	return out
+	rec := queryRecord{source: "planner", pred: p, run: evalRun{ex: pl.ex, pl: pl}}
+	rec.exec(ctx, "ebi.plan.eval")
+	return rec.rows, rec.run.st, rec.run.choices, rec.err
 }
 
 // leafShape extracts the (column, operation, selection width) triple of a

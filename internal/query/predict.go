@@ -154,7 +154,7 @@ func (e *Executor) EvalForAudit(p Predicate) (*bitvec.Vector, iostat.Stats, erro
 // runs fresh (the confirmation re-run cares about the engine's current
 // behavior, not the recorded plan).
 func (pl *Planner) EvalForAudit(p Predicate) (*bitvec.Vector, iostat.Stats, []Choice, error) {
-	r := pl.run()
+	r := evalRun{ex: pl.ex, pl: pl}
 	rows, err := r.eval(context.Background(), p, nil)
 	return rows, r.st, r.choices, err
 }

@@ -2,11 +2,9 @@ package query
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/iostat"
-	"repro/internal/obs"
 )
 
 // PreparedQuery is a predicate planned once and executable many times —
@@ -64,27 +62,15 @@ func (pq *PreparedQuery) Eval() (*bitvec.Vector, iostat.Stats, []Choice, error) 
 
 // EvalContext is Eval with trace propagation: when telemetry is enabled
 // it records an "ebi.plan.prepared" span with one child span per leaf,
-// refreshes the plan nodes' resource attribution, and leaves an
-// exemplar on the latency histogram's sample bucket.
+// refreshes the plan nodes' resource attribution, and feeds every
+// per-query view; a slow-log capture keeps a copy of the plan, since the
+// next run rewrites its nodes. The parallel gate is re-checked on every
+// run: the table may have grown past the threshold (or parallelism been
+// toggled) since Prepare, and only the routing is frozen, not the
+// degree.
 func (pq *PreparedQuery) EvalContext(ctx context.Context) (*bitvec.Vector, iostat.Stats, []Choice, error) {
-	t0 := time.Now()
-	var sp *obs.Span
-	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(t0).Seconds(), sp) }()
-	ctx, sp = obs.StartSpan(ctx, "ebi.plan.prepared")
-	// Resource capture costs two runtime/metrics reads plus a clock
-	// syscall per node, so prepared re-runs — the hot path — only pay it
-	// while telemetry is on (EXPLAIN ANALYZE, by contrast, always pays: it
-	// is explicitly a diagnostic). The parallel gate is re-checked on every
-	// run: the table may have grown past the threshold (or parallelism been
-	// toggled) since Prepare, and only the routing is frozen, not the
-	// degree.
-	r := &evalRun{ex: pq.pl.ex, pl: pq.pl, timed: obs.On(), prepared: true}
-	var rows *bitvec.Vector
-	var err error
-	withFamily(ctx, pq.family, func(ctx context.Context) {
-		rows, err = r.eval(ctx, pq.pred, pq.plan.Root)
-	})
-	r.finish(sp, pq.pred, err)
-	pq.pl.auditObserve("prepared", pq.pred, rows, r.st, r.choices, sp, err)
-	return rows, r.st, r.choices, err
+	rec := queryRecord{source: "prepared", pred: pq.pred, family: pq.family, root: pq.plan.Root,
+		run: evalRun{ex: pq.pl.ex, pl: pq.pl, prepared: true}}
+	rec.exec(ctx, "ebi.plan.prepared")
+	return rec.rows, rec.run.st, rec.run.choices, rec.err
 }

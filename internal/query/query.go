@@ -13,11 +13,9 @@ package query
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/iostat"
-	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -139,28 +137,14 @@ func (e *Executor) Eval(p Predicate) (*bitvec.Vector, iostat.Stats, error) {
 
 // EvalContext is Eval with trace propagation: when telemetry is enabled
 // it records an "ebi.eval" span (predicate shape, access cost, latency)
-// under any parent span already attached to ctx, and evaluations over
-// the slow-query log's latency threshold are captured there (without a
-// plan tree — only the planner produces one).
+// under any parent span already attached to ctx and feeds every
+// per-query view; evaluations over the slow-query log's latency
+// threshold are captured there (without a plan tree — only the planner
+// produces one).
 func (e *Executor) EvalContext(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	ctx, sp := obs.StartSpan(ctx, "ebi.eval")
-	var t0 time.Time
-	if obs.On() {
-		t0 = time.Now()
-	}
-	r := evalRun{ex: e}
-	var rows *bitvec.Vector
-	var err error
-	withFamilyPred(ctx, p, func(ctx context.Context) {
-		rows, err = r.eval(ctx, p, nil)
-	})
-	st := r.st
-	finishQuery(sp, p, st, err, 0)
-	e.auditObserve(p, rows, st, sp, err)
-	if err == nil && !t0.IsZero() {
-		observeSlowNoPlan(p, st, time.Since(t0))
-	}
-	return rows, st, err
+	rec := queryRecord{source: "executor", pred: p, run: evalRun{ex: e}}
+	rec.exec(ctx, "ebi.eval")
+	return rec.rows, rec.run.st, rec.err
 }
 
 // leaf evaluates a leaf predicate through the column's registered index,
