@@ -1,6 +1,6 @@
 # Convenience targets; the module is stdlib-only, so plain go commands work.
 
-.PHONY: all build vet test race bench bench-json bench-eval bench-obs bench-reorder fuzz experiments examples serve-demo drift-demo flight-demo audit-demo
+.PHONY: all build vet test race bench bench-json bench-eval bench-obs bench-reorder fnalign fuzz experiments examples serve-demo drift-demo flight-demo audit-demo
 
 all: build vet test race
 
@@ -41,6 +41,13 @@ bench-obs:
 # latency against the unsorted baseline (see docs/sorting.md).
 bench-reorder:
 	go run ./cmd/ebibench -n 200000 reorder
+
+# Which hot-package functions moved their address mod 64 between the
+# ebiload binary of BASE and of the working tree: a code-layout shift can
+# move benchmark numbers with no code change (see ROADMAP item 1). A
+# report, not a gate.
+fnalign:
+	bash scripts/fnalign.sh $(BASE)
 
 # Short fuzz pass over every fuzz target (requires Go >= 1.18).
 fuzz:

@@ -333,3 +333,26 @@ func and2Words(dst, a, b []uint64, na, nb bool) {
 		}
 	}
 }
+
+// Selects reports whether the program selects a row holding code — the
+// same answer EvalInto computes for that row, without any operand. It
+// lets a caller extend an evaluation to rows kept as codes rather than
+// vector bits.
+func (p *Program) Selects(code uint32) bool {
+	if p.constTrue {
+		return true
+	}
+	for _, lits := range p.cubes {
+		match := true
+		for _, l := range lits {
+			if (code>>l.v&1 == 0) != l.neg {
+				match = false
+				break
+			}
+		}
+		if match {
+			return true
+		}
+	}
+	return false
+}

@@ -90,6 +90,11 @@ func FuzzFusedEval(f *testing.F) {
 		want := EvalVectors(e, vecs)
 
 		p := Compile(e)
+		for i, c := range codes {
+			if p.Selects(c) != want.Rows.Get(i) {
+				t.Fatalf("Selects(%0*b) = %v for %s, kernel row %d says %v", k, c, !want.Rows.Get(i), e, i, want.Rows.Get(i))
+			}
+		}
 		srcs := make([]bitvec.WordSource, k)
 		wah := make([]bitvec.WordSource, k)
 		for i, v := range vecs {

@@ -18,12 +18,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/boolmin"
 	"repro/internal/encoding"
 	"repro/internal/iostat"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/reorder"
 )
 
@@ -70,31 +72,32 @@ type Index[V comparable] struct {
 
 	deleted int // number of voided rows (diagnostics)
 
-	// exprCache memoizes reduced single-value retrieval functions together
-	// with their compiled fused programs; it is invalidated whenever the
-	// code space or don't-care set changes (domain expansion, widening,
-	// NULL-code allocation). generation counts those invalidations so
-	// Prepared selections can detect staleness.
-	exprCache  map[uint32]cachedSel
-	generation uint64
+	// progs is the program cache of the index's code space, and carries
+	// the code space's generation. Every snapshot of one code space shares
+	// it; any change to the code space or the don't-care set (domain
+	// expansion, widening, NULL-code allocation, re-encoding) installs a
+	// fresh one with the next generation (invalidateCache).
+	progs *progCache
 
-	// srcs mirrors vectors as fused-kernel operands. It is rebuilt eagerly
-	// at every point the vectors slice itself changes (construction,
-	// widening, deserialization, re-encoding) so read paths — which run
-	// under Synced's shared lock — never mutate it.
+	// srcs mirrors vectors as fused-kernel operands. It is rebuilt, into a
+	// fresh slice, at every point the vectors slice itself changes
+	// (construction, widening, deserialization, re-encoding), so read paths
+	// never mutate it and clones may share it.
 	srcs []bitvec.WordSource
 
 	// observer, when non-nil, receives every value-selection evaluation
 	// (see SelectionObserver). Read paths only load it, so observation is
-	// safe under Synced's shared lock.
+	// safe on a published Synced snapshot.
 	observer SelectionObserver[V]
 }
 
-// cachedSel is one memoized single-value selection: the reduced expression
-// and its fused evaluation program.
-type cachedSel struct {
-	expr boolmin.Expr
-	prog *boolmin.Program
+// progCache memoizes compiled single-code fused programs for one code
+// space. A program is a pure function of (k, code, don't-cares), all of
+// which the code space pins, so entries need no further validation, and
+// the sync.Map lets concurrent readers of a Synced snapshot fill it.
+type progCache struct {
+	gen uint64
+	m   sync.Map // uint32 code -> *boolmin.Program
 }
 
 // rebuildSources refreshes the fused-operand view of the vectors slice.
@@ -102,10 +105,20 @@ type cachedSel struct {
 // (appending bits to an existing vector needs nothing: the *bitvec.Vector
 // pointers are stable).
 func (ix *Index[V]) rebuildSources() {
-	ix.srcs = ix.srcs[:0]
-	for _, v := range ix.vectors {
-		ix.srcs = append(ix.srcs, v)
+	ix.srcs = make([]bitvec.WordSource, len(ix.vectors))
+	for i, v := range ix.vectors {
+		ix.srcs[i] = v
 	}
+}
+
+// clone returns a copy of the index that shares its vectors and its code
+// space's program cache but owns its mapping, so expanding the copy's
+// domain (codeFor, enableNull) leaves the receiver — a published Synced
+// snapshot — untouched.
+func (ix *Index[V]) clone() *Index[V] {
+	c := *ix
+	c.mapping = ix.mapping.Clone()
+	return &c
 }
 
 // Build constructs an index over the column. isNull may be nil; when given
@@ -157,10 +170,8 @@ func Build[V comparable](column []V, isNull []bool, opt *Options[V]) (*Index[V],
 	if err != nil {
 		return nil, err
 	}
-	if needNull && !ix.hasNullCode {
-		if err := ix.enableNull(); err != nil {
-			return nil, err
-		}
+	if needNull {
+		ix.enableNull()
 	}
 	for i, v := range column {
 		if isNull != nil && isNull[i] {
@@ -186,6 +197,7 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 	ix := &Index[V]{
 		reserveVoid: !o.DisableVoidReserve,
 		useDC:       !o.DisableDontCares,
+		progs:       new(progCache),
 	}
 
 	switch {
@@ -221,9 +233,7 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 		}
 	}
 	if o.NullSupport {
-		if err := ix.enableNull(); err != nil {
-			return nil, err
-		}
+		ix.enableNull()
 	}
 
 	ix.vectors = make([]*bitvec.Vector, ix.mapping.K())
@@ -242,28 +252,49 @@ func (ix *Index[V]) reserveZero() error {
 	if !taken {
 		return nil
 	}
-	free := ix.freeValueCodes()
-	if len(free) == 0 {
-		ix.widen()
-		free = ix.freeValueCodes()
-	}
-	return ix.mapping.Rebind(holder, free[0])
+	return ix.mapping.Rebind(holder, ix.freeCode())
 }
 
-// enableNull allocates an artificial code for NULL tuples.
-func (ix *Index[V]) enableNull() error {
-	if ix.hasNullCode {
-		return nil
+// enableNull allocates an artificial code for NULL tuples, if none is
+// allocated yet, and returns it.
+func (ix *Index[V]) enableNull() uint32 {
+	if !ix.hasNullCode {
+		ix.nullCode = ix.freeCode()
+		ix.hasNullCode = true
+		ix.invalidateCache()
 	}
+	return ix.nullCode
+}
+
+// codeFor returns v's code, expanding the domain when v is new — the
+// paper's two maintenance cases of Section 2.2: a free code is reused
+// when ceil(log2 m) is unchanged (Figure 2a), and the index widens by a
+// new bitmap vector otherwise (Figure 2b).
+func (ix *Index[V]) codeFor(v V) (uint32, error) {
+	if code, ok := ix.mapping.CodeOf(v); ok {
+		return code, nil
+	}
+	code := ix.freeCode()
+	if err := ix.mapping.Add(v, code); err != nil {
+		return 0, err
+	}
+	// The new value consumed a free code, shrinking the don't-care set;
+	// memoized programs may now cover it.
+	ix.invalidateCache()
+	return code, nil
+}
+
+// freeCode returns the lowest code usable for a new value or the NULL
+// code, widening the index by one bit when the code space is full. New
+// values and NULLs always take the lowest free code, so replaying rows in
+// order reproduces a cold build's code assignment.
+func (ix *Index[V]) freeCode() uint32 {
 	free := ix.freeValueCodes()
 	if len(free) == 0 {
 		ix.widen()
 		free = ix.freeValueCodes()
 	}
-	ix.nullCode = free[0]
-	ix.hasNullCode = true
-	ix.invalidateCache()
-	return nil
+	return free[0]
 }
 
 // freeValueCodes lists codes usable for new values: unassigned, not the
@@ -285,16 +316,19 @@ func (ix *Index[V]) freeValueCodes() []uint32 {
 // widen grows the code space by one bit: the paper's domain-expansion case
 // (b). Existing codes zero-extend, so all existing retrieval functions
 // implicitly gain an ANDed B'_new literal; a new all-zero vector is added.
+// The vectors slice is always replaced, never extended in place, so a
+// clone sharing it with a published snapshot can widen.
 func (ix *Index[V]) widen() {
 	mWidens.Inc()
 	newK := ix.mapping.K() + 1
 	ix.mapping = ix.mapping.Widen(newK)
 	ix.invalidateCache()
-	for len(ix.vectors) < newK {
-		v := bitvec.New(0)
-		v.Grow(ix.n)
-		ix.vectors = append(ix.vectors, v)
+	vecs := make([]*bitvec.Vector, newK)
+	copy(vecs, ix.vectors)
+	for i := len(ix.vectors); i < newK; i++ {
+		vecs[i] = bitvec.New(ix.n)
 	}
+	ix.vectors = vecs
 	ix.rebuildSources()
 }
 
@@ -339,16 +373,10 @@ func (ix *Index[V]) AverageSparsity() float64 {
 	return total / float64(len(ix.vectors))
 }
 
-// appendCode appends one tuple whose encoded value is code.
+// appendCode appends one tuple whose encoded value is code. It charges no
+// append counter: replays of tuples that were counted once when they first
+// landed (Synced's tail folds and shadow-rebuild catch-up) use it directly.
 func (ix *Index[V]) appendCode(code uint32) {
-	mAppends.Inc()
-	ix.appendCodeQuiet(code)
-}
-
-// appendCodeQuiet is appendCode without the append counter: the path for
-// replaying tuples that were already counted once when they first landed
-// (Synced's tail folds and shadow-rebuild catch-up).
-func (ix *Index[V]) appendCodeQuiet(code uint32) {
 	ix.n++
 	for i, vec := range ix.vectors {
 		vec.Append(code&(1<<uint(i)) != 0)
@@ -361,66 +389,19 @@ func (ix *Index[V]) appendCodeQuiet(code uint32) {
 // ceil(log2 m) is unchanged (Figure 2a) and widening the index by a new
 // bitmap vector otherwise (Figure 2b).
 func (ix *Index[V]) Append(v V) error {
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		free := ix.freeValueCodes()
-		if len(free) == 0 {
-			ix.widen()
-			free = ix.freeValueCodes()
-		}
-		code = free[0]
-		if err := ix.mapping.Add(v, code); err != nil {
-			return err
-		}
-		// The new value consumed a free code, shrinking the don't-care
-		// set; memoized expressions may now cover it.
-		ix.invalidateCache()
+	code, err := ix.codeFor(v)
+	if err != nil {
+		return err
 	}
+	mAppends.Inc()
 	ix.appendCode(code)
-	return nil
-}
-
-// appendValueQuiet is Append without the append counter, for replaying
-// already-counted tuples into a private index (tail folds, shadow
-// catch-up). Domain expansion behaves exactly like Append's.
-func (ix *Index[V]) appendValueQuiet(v V) error {
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		free := ix.freeValueCodes()
-		if len(free) == 0 {
-			ix.widen()
-			free = ix.freeValueCodes()
-		}
-		code = free[0]
-		if err := ix.mapping.Add(v, code); err != nil {
-			return err
-		}
-		ix.invalidateCache()
-	}
-	ix.appendCodeQuiet(code)
 	return nil
 }
 
 // AppendNull adds a tuple whose attribute is NULL.
 func (ix *Index[V]) AppendNull() error {
-	if !ix.hasNullCode {
-		if err := ix.enableNull(); err != nil {
-			return err
-		}
-	}
-	ix.appendCode(ix.nullCode)
-	return nil
-}
-
-// appendNullQuiet is AppendNull without the append counter (see
-// appendValueQuiet).
-func (ix *Index[V]) appendNullQuiet() error {
-	if !ix.hasNullCode {
-		if err := ix.enableNull(); err != nil {
-			return err
-		}
-	}
-	ix.appendCodeQuiet(ix.nullCode)
+	mAppends.Inc()
+	ix.appendCode(ix.enableNull())
 	return nil
 }
 
@@ -450,18 +431,9 @@ func (ix *Index[V]) Update(row int, v V) error {
 	if row < 0 || row >= ix.n {
 		return fmt.Errorf("core: row %d out of range [0,%d)", row, ix.n)
 	}
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		free := ix.freeValueCodes()
-		if len(free) == 0 {
-			ix.widen()
-			free = ix.freeValueCodes()
-		}
-		code = free[0]
-		if err := ix.mapping.Add(v, code); err != nil {
-			return err
-		}
-		ix.invalidateCache()
+	code, err := ix.codeFor(v)
+	if err != nil {
+		return err
 	}
 	wasVoid := ix.CodeAt(row) == 0
 	for i, vec := range ix.vectors {
@@ -513,29 +485,27 @@ func (ix *Index[V]) ExprFor(values []V) boolmin.Expr {
 	return boolmin.Minimize(ix.K(), codes, ix.dontCares())
 }
 
-// evalExpr evaluates a reduced expression against the index's vectors
-// through the fused single-pass kernel, compiling the expression on the
-// fly. Hot paths (Eq, Prepared) cache the compiled program instead.
-func (ix *Index[V]) evalExpr(e boolmin.Expr) (*bitvec.Vector, iostat.Stats) {
-	return ix.evalProgram(boolmin.Compile(e))
-}
-
-// evalProgram runs a compiled fused program into a fresh row set.
-func (ix *Index[V]) evalProgram(p *boolmin.Program) (*bitvec.Vector, iostat.Stats) {
-	dst := bitvec.New(ix.n)
-	return dst, ix.evalProgramInto(p, dst)
-}
-
-// evalProgramInto runs a compiled fused program into a caller-provided row
-// set of length Len(), allocating nothing. The destination always has the
-// index's length, so the k=0 degenerate shapes (constant expressions over
-// an empty code space) come out sized correctly with no special casing.
-func (ix *Index[V]) evalProgramInto(p *boolmin.Program, dst *bitvec.Vector) iostat.Stats {
+// run evaluates a compiled program over the base vectors into dst, which
+// has Len() bits and is fully overwritten, segmented on up to degree
+// executors of the shared pool when degree > 1 (further bounded by the
+// pool to min(GOMAXPROCS, segments); sp, when non-nil, parents the worker
+// spans). Both routes run the same fused per-segment kernel, so rows and
+// Stats are identical either way, and the sequential route allocates
+// nothing. The destination always has the index's length, so the k=0
+// degenerate shapes (constant expressions over an empty code space) come
+// out sized correctly with no special casing.
+func (ix *Index[V]) run(p *boolmin.Program, dst *bitvec.Vector, degree int, sp *obs.Span) iostat.Stats {
 	mEvals.Inc()
 	if ix.reserveVoid {
 		mVoidSkips.Inc()
 	}
-	res := p.EvalInto(dst, ix.sources())
+	var res boolmin.EvalResult
+	if degree > 1 {
+		mParallelEvals.Inc()
+		res = p.EvalParallelInto(dst, ix.vectors, parallel.Default(), degree, sp)
+	} else {
+		res = p.EvalInto(dst, ix.srcs)
+	}
 	return iostat.Stats{
 		VectorsRead: res.VectorsRead,
 		WordsRead:   res.WordsRead,
@@ -543,100 +513,27 @@ func (ix *Index[V]) evalProgramInto(p *boolmin.Program, dst *bitvec.Vector) iost
 	}
 }
 
-// sources returns the vectors as fused-kernel operands. The slice is
-// maintained eagerly by rebuildSources; the lazy refresh below only fires
-// for hand-assembled indexes outside the exported constructors and must
-// never be reached under Synced's shared lock (all vector-slice mutations
-// hold the write lock and rebuild eagerly).
-func (ix *Index[V]) sources() []bitvec.WordSource {
-	if len(ix.srcs) != len(ix.vectors) {
-		ix.rebuildSources()
-	}
-	return ix.srcs
-}
-
-// Eq returns the rows where the attribute equals v. The cost is the full
-// min-term: k vectors (c_e's single-value case), possibly fewer when
-// don't-care codes let the min-term shed literals. The reduced expression
-// is memoized per code.
-func (ix *Index[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
-	rows := bitvec.New(ix.n)
-	return rows, ix.EqInto(v, rows)
-}
-
-// EqInto is Eq with a caller-provided destination: dst (length Len(),
-// fully overwritten) receives the rows where the attribute equals v. On a
-// warmed index — the value's reduced expression already memoized — it
-// performs zero allocations, which is the steady-state point-query path.
-func (ix *Index[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats {
-	if dst.Len() != ix.n {
-		panic(fmt.Sprintf("core: EqInto destination has %d bits, index %d", dst.Len(), ix.n))
-	}
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		dst.Reset()
-		return iostat.Stats{}
-	}
-	st := ix.evalProgramInto(ix.cachedProgram(code), dst)
-	ix.observeSelection([]V{v}, st)
-	return st
-}
-
-// cachedProgram returns the memoized reduced expression + fused program
-// for a single code, minimizing and compiling on miss. Not for use under
-// Synced's shared lock (it populates the cache); Synced reads go through
-// In, which compiles afresh.
+// cachedProgram returns the compiled program selecting code under the
+// index's code space, minimizing and compiling it on the code space's
+// first request. Concurrent readers of one Synced snapshot may fill the
+// cache together.
 func (ix *Index[V]) cachedProgram(code uint32) *boolmin.Program {
-	if sel, ok := ix.exprCache[code]; ok {
+	if p, ok := ix.progs.m.Load(code); ok {
 		mExprCacheHits.Inc()
 		mProgCacheHits.Inc()
-		return sel.prog
+		return p.(*boolmin.Program)
 	}
 	mExprCacheMisses.Inc()
-	e := boolmin.Minimize(ix.K(), []uint32{code}, ix.dontCares())
-	if ix.exprCache == nil {
-		ix.exprCache = make(map[uint32]cachedSel)
-	}
-	sel := cachedSel{expr: e, prog: boolmin.Compile(e)}
-	ix.exprCache[code] = sel
-	return sel.prog
+	p := boolmin.Compile(boolmin.Minimize(ix.K(), []uint32{code}, ix.dontCares()))
+	ix.progs.m.Store(code, p)
+	return p
 }
 
-// invalidateCache drops memoized expressions; called when the code space
-// or the don't-care set changes.
+// invalidateCache starts a new code-space generation with an empty
+// program cache; called when the code space or the don't-care set
+// changes.
 func (ix *Index[V]) invalidateCache() {
-	ix.exprCache = nil
-	ix.generation++
-}
-
-// In returns the rows where the attribute is in the value list, evaluating
-// the reduced retrieval expression — the paper's range-search path where
-// c_e <= ceil(log2 m) regardless of the list width δ.
-func (ix *Index[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
-	return ix.InExpr(values, ix.ExprFor(values))
-}
-
-// InExpr is In for a caller that already holds the selection's reduced
-// expression, e = ExprFor(values) under the current encoding: a paged
-// wrapper reduces once to learn which vectors to fault, then evaluates
-// that same expression.
-func (ix *Index[V]) InExpr(values []V, e boolmin.Expr) (*bitvec.Vector, iostat.Stats) {
-	rows, st := ix.evalExpr(e)
-	ix.observeSelection(values, st)
-	return rows, st
-}
-
-// NotIn returns existing, non-NULL rows outside the value list. Because
-// void is 0 and never part of a value code set, the complement must
-// explicitly exclude void and NULL codes.
-func (ix *Index[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
-	codes, included := ix.complement(values)
-	rows, st := ix.evalExpr(boolmin.Minimize(ix.K(), codes, ix.dontCares()))
-	// The complement is what the reduced expression actually selects, so
-	// that is what the observer (and any re-encoding workload built from
-	// it) records.
-	ix.observeSelection(included, st)
-	return rows, st
+	ix.progs = &progCache{gen: ix.progs.gen + 1}
 }
 
 // complement lists the mapped values outside the value list, and their
@@ -658,44 +555,14 @@ func (ix *Index[V]) complement(values []V) (codes []uint32, included []V) {
 	return codes, included
 }
 
-// IsNull returns the NULL rows.
-func (ix *Index[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
-	if !ix.hasNullCode {
-		return bitvec.New(ix.n), iostat.Stats{}
-	}
-	return ix.evalExpr(ix.nullExpr())
-}
-
 // nullExpr is the reduced retrieval expression selecting the NULL code.
 func (ix *Index[V]) nullExpr() boolmin.Expr {
 	return boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares())
 }
 
-// Existing returns all non-void, non-NULL rows. With the void-zero
-// reservation it needs no Boolean minimization at all: a row exists iff
-// its code is nonzero (the OR of all vectors) and is not the NULL code.
-func (ix *Index[V]) Existing() (*bitvec.Vector, iostat.Stats) {
-	var st iostat.Stats
-	acc := bitvec.New(ix.n)
-	if ix.reserveVoid {
-		for _, vec := range ix.vectors {
-			st.VectorsRead++
-			st.WordsRead += vec.Words()
-			st.BoolOps++
-			acc.Or(vec)
-		}
-	} else {
-		// No deletions are possible without the reservation; every row
-		// exists unless NULL.
-		acc.Fill()
-	}
-	if ix.hasNullCode {
-		nulls := bitvec.New(ix.n)
-		res := boolmin.Compile(boolmin.RetrievalFunction(ix.K(), ix.nullCode)).EvalInto(nulls, ix.sources())
-		st.BoolOps += res.Ops + 1
-		acc.AndNot(nulls)
-	}
-	return acc, st
+// exists reports whether a row holding code is a live, non-NULL tuple.
+func (ix *Index[V]) exists(code uint32) bool {
+	return !(ix.hasNullCode && code == ix.nullCode) && !(ix.reserveVoid && code == 0)
 }
 
 // DecodeRow returns the value at a row. ok is false for void or NULL rows

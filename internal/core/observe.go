@@ -15,9 +15,8 @@ import (
 // code space could read for a selection of that width, so
 // st.VectorsRead - minVectors is the evaluation's encoding-inefficiency
 // ("excess access"). The bound is precomputed by the index so the
-// observer never needs to call back in — implementations stay safe
-// under Synced's shared lock. Implementations must be safe for
-// concurrent use.
+// observer never needs to call back in, even from a reader of a Synced
+// snapshot. Implementations must be safe for concurrent use.
 type SelectionObserver[V comparable] interface {
 	ObserveSelection(values []V, st iostat.Stats, minVectors int)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/boolmin"
@@ -18,50 +19,67 @@ import (
 // computers", Section 3.2) and reused.
 //
 // A Prepared transparently recompiles itself when the index's code space
-// or don't-care set has changed since compilation (domain expansion,
-// widening, NULL-code allocation).
+// has changed since compilation (domain expansion, widening, NULL-code
+// allocation, re-encoding — including a Synced index's live flip, where
+// the same values name different codes). It is safe for concurrent use
+// when its index is.
 type Prepared[V comparable] struct {
-	ix     *Index[V]
+	view   func() *View[V]
 	values []V
-	expr   boolmin.Expr
-	prog   *boolmin.Program
-	gen    uint64
+
+	mu   sync.Mutex
+	gen  uint64 // code-space generation expr and prog were compiled for
+	expr boolmin.Expr
+	prog *boolmin.Program
 }
 
 // Prepare compiles the selection "A IN values".
 func (ix *Index[V]) Prepare(values []V) *Prepared[V] {
-	p := &Prepared[V]{ix: ix, values: append([]V(nil), values...)}
-	p.compile()
+	vw := ix.View() // a plain index's view follows it
+	return prepare(func() *View[V] { return vw }, values)
+}
+
+// Prepare compiles the selection "A IN values" against the live state.
+func (s *Synced[V]) Prepare(values []V) *Prepared[V] { return prepare(s.View, values) }
+
+func prepare[V comparable](view func() *View[V], values []V) *Prepared[V] {
+	p := &Prepared[V]{view: view, values: append([]V(nil), values...)}
+	p.compiled(view())
 	return p
 }
 
-func (p *Prepared[V]) compile() {
-	p.expr = p.ix.ExprFor(p.values)
-	p.prog = boolmin.Compile(p.expr)
-	p.gen = p.ix.generation
-}
-
-// ensure recompiles when the index's code space changed underneath the
-// prepared selection; otherwise the cached fused program is served as-is.
-func (p *Prepared[V]) ensure() {
-	if p.gen != p.ix.generation {
+// compiled returns the selection's expression and program for vw's code
+// space, recompiling when the code space changed since the last
+// compilation. The returns are immutable, so a concurrent recompile for
+// another view never disturbs an evaluation in flight.
+func (p *Prepared[V]) compiled(vw *View[V]) (boolmin.Expr, *boolmin.Program) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	gen := vw.ix.progs.gen
+	switch {
+	case p.prog == nil: // first compilation
+	case p.gen == gen:
+		mProgCacheHits.Inc()
+		return p.expr, p.prog
+	default:
 		mPreparedRecompiles.Inc()
 		if lg := obs.DefaultLogger(); lg.Enabled(obs.LevelDebug) {
 			lg.Debug("prepared selection recompiled",
 				obs.Int("values", int64(len(p.values))),
 				obs.Int("stale_generation", int64(p.gen)),
-				obs.Int("generation", int64(p.ix.generation)))
+				obs.Int("generation", int64(gen)))
 		}
-		p.compile()
-		return
 	}
-	mProgCacheHits.Inc()
+	p.expr = vw.ix.ExprFor(p.values)
+	p.prog = boolmin.Compile(p.expr)
+	p.gen = gen
+	return p.expr, p.prog
 }
 
 // Expr returns the compiled reduced expression (recompiling if stale).
 func (p *Prepared[V]) Expr() boolmin.Expr {
-	p.ensure()
-	return p.expr
+	e, _ := p.compiled(p.view())
+	return e
 }
 
 // AccessCost returns the number of bitmap vectors an evaluation reads —
@@ -71,20 +89,22 @@ func (p *Prepared[V]) AccessCost() int { return p.Expr().AccessCost() }
 // Eval evaluates the compiled selection against the current index
 // contents through the cached fused program.
 func (p *Prepared[V]) Eval() (*bitvec.Vector, iostat.Stats) {
-	rows := bitvec.New(p.ix.n)
-	return rows, p.EvalInto(rows)
+	vw := p.view()
+	_, prog := p.compiled(vw)
+	return vw.sel(p.values, prog, 1, nil)
 }
 
 // EvalInto is Eval with a caller-provided destination (length Len(), fully
 // overwritten): the zero-allocation steady-state path for repeated
 // evaluation of a prepared IN-selection.
 func (p *Prepared[V]) EvalInto(dst *bitvec.Vector) iostat.Stats {
-	if dst.Len() != p.ix.n {
-		panic(fmt.Sprintf("core: EvalInto destination has %d bits, index %d", dst.Len(), p.ix.n))
+	vw := p.view()
+	if dst.Len() != vw.Len() {
+		panic(fmt.Sprintf("core: EvalInto destination has %d bits, index %d", dst.Len(), vw.Len()))
 	}
-	p.ensure()
-	st := p.ix.evalProgramInto(p.prog, dst)
-	p.ix.observeSelection(p.values, st)
+	_, prog := p.compiled(vw)
+	st := vw.evalInto(prog, dst)
+	vw.ix.observeSelection(p.values, st)
 	return st
 }
 

@@ -49,6 +49,14 @@ func (p *ReencodePlan[V]) BreakEvenEvaluations() int {
 // be nil (every predicate counts once); otherwise weights[i] is the
 // relative evaluation frequency of predicates[i].
 func (ix *Index[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encoding.SearchOptions) (*ReencodePlan[V], error) {
+	return ix.View().PlanReencode(predicates, weights, searchOpt)
+}
+
+// PlanReencode prices a re-encoding of the view's rows (see
+// Index.PlanReencode); planning reads only the mapping, and the rebuild
+// term covers every row, tail included.
+func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encoding.SearchOptions) (*ReencodePlan[V], error) {
+	ix := v.ix
 	if len(predicates) == 0 {
 		return nil, fmt.Errorf("core: empty workload")
 	}
@@ -85,7 +93,7 @@ func (ix *Index[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *enc
 		Mapping:        proposed,
 		CurrentCost:    curCost,
 		NewCost:        newCost,
-		RebuildVectors: proposed.K() * ix.n,
+		RebuildVectors: proposed.K() * v.Len(),
 	}, nil
 }
 
@@ -157,6 +165,7 @@ func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], e
 		useDC:       ix.useDC,
 		hasNullCode: ix.hasNullCode,
 		deleted:     ix.deleted,
+		progs:       new(progCache),
 	}
 	if ix.hasNullCode {
 		// Re-pick a NULL code among the new mapping's free codes.

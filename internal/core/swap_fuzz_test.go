@@ -63,7 +63,7 @@ func FuzzSwapCatchUp(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetFoldThreshold(4) // force folds to interleave with the rebuild
+		s.foldThreshold = 4 // force folds to interleave with the rebuild
 
 		var done [3]bool
 		s.testHook = func(stage int) {

@@ -62,7 +62,7 @@ func TestSyncedSwapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetFoldThreshold(256)
+	s.foldThreshold = 256
 
 	// The code space can only grow: card base values + novel appends +
 	// void + NULL, re-encoded into BitsFor(domain+2) bits at most.

@@ -106,11 +106,11 @@ func TestSyncedConcurrentAccess(t *testing.T) {
 			}
 		}()
 	}
-	// One maintenance pass under the write lock.
+	// One consistency pass concurrent with the writers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		err := s.WithWriteLock(func(ix *Index[int]) error {
+		err := s.WithReadLock(func(ix *Index[int]) error {
 			return ix.CheckInvariants()
 		})
 		if err != nil {
@@ -133,7 +133,7 @@ func TestSyncedConcurrentAccess(t *testing.T) {
 	close(stop)
 	<-done
 
-	if err := s.WithWriteLock(func(ix *Index[int]) error { return ix.CheckInvariants() }); err != nil {
+	if err := s.WithReadLock(func(ix *Index[int]) error { return ix.CheckInvariants() }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -38,7 +38,7 @@ type sample struct {
 // core.SelectionObserver: install it with SetSelectionObserver and
 // every Eq/In/NotIn (and parallel/prepared) evaluation feeds it. It is
 // safe for concurrent use and never calls back into the index, so it
-// runs fine under Synced's shared lock.
+// runs fine under Synced's lock-free readers.
 //
 // Two things are maintained per observation: the predicate's
 // normalized key is counted in a bounded Space-Saving sketch (with a

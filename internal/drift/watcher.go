@@ -13,7 +13,7 @@ import (
 // IndexView is what the watcher needs from the watched index: the
 // planning entry point plus the shape numbers for the advisor's column
 // profile. Both core.Index and core.Synced satisfy it; with Synced the
-// watcher plans under the shared lock while queries keep running.
+// watcher plans on the live snapshot while queries keep running.
 type IndexView[V comparable] interface {
 	PlanReencode(predicates [][]V, weights []int, searchOpt *encoding.SearchOptions) (*core.ReencodePlan[V], error)
 	K() int

@@ -137,10 +137,9 @@ func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
 func (a OrderedEBI) PredictGen() uint64 { return a.Ix.Index().PredictGen() }
 
 // SyncedEBIInt adapts a concurrency-safe encoded bitmap index over int64
-// values; reads evaluate against an atomic epoch snapshot, so it is safe
-// to query while other goroutines append or a live re-encoding flips. Eq
-// goes through the wrapper's epoch-keyed compiled program cache, and
-// every prediction pins one snapshot.
+// values; each leaf is rewritten, evaluated and predicted on one snapshot
+// view, so it is safe to query while other goroutines append or a live
+// re-encoding flips.
 type SyncedEBIInt struct{ Ix *core.Synced[int64] }
 
 // Eq implements ColumnIndex.
@@ -160,7 +159,7 @@ func (a SyncedEBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) 
 
 // Leaf implements LeafIndex.
 func (a SyncedEBIInt) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return intKind.leaf(ctx, a.Ix, p, degree)
+	return intKind.leaf(ctx, a.Ix.View(), p, degree)
 }
 
 // Describe implements LeafIndex, as for EBIInt.
@@ -170,7 +169,7 @@ func (a SyncedEBIInt) Describe(op Op, delta int) LeafInfo {
 
 // PredictLeafStats implements PredictLeafIndex.
 func (a SyncedEBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	return intKind.predict(a.Ix, p)
+	return intKind.predict(a.Ix.View(), p)
 }
 
 // PredictGen implements PredictLeafIndex.
@@ -198,7 +197,7 @@ func (a SyncedEBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) 
 
 // Leaf implements LeafIndex.
 func (a SyncedEBIStr) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return strKind.leaf(ctx, a.Ix, p, degree)
+	return strKind.leaf(ctx, a.Ix.View(), p, degree)
 }
 
 // Describe implements LeafIndex, as for EBIStr.
@@ -208,7 +207,7 @@ func (a SyncedEBIStr) Describe(op Op, delta int) LeafInfo {
 
 // PredictLeafStats implements PredictLeafIndex.
 func (a SyncedEBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	return strKind.predict(a.Ix, p)
+	return strKind.predict(a.Ix.View(), p)
 }
 
 // PredictGen implements PredictLeafIndex.

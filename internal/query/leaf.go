@@ -83,7 +83,8 @@ func columnLeaf(ix ColumnIndex, p Predicate) (*bitvec.Vector, iostat.Stats, erro
 }
 
 // ebiIndex is what the shared encoded-bitmap rewrite evaluates and
-// predicts through; core.Index and core.Synced both provide it.
+// predicts through: a core.Index, or one core.View of a Synced index so
+// that a leaf's rewrite and evaluation read the same snapshot.
 type ebiIndex[V comparable] interface {
 	IsNull() (*bitvec.Vector, iostat.Stats)
 	Eq(v V) (*bitvec.Vector, iostat.Stats)
