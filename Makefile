@@ -1,6 +1,6 @@
 # Convenience targets; the module is stdlib-only, so plain go commands work.
 
-.PHONY: all build vet test race bench bench-json bench-eval bench-obs bench-reorder fnalign fuzz experiments examples serve-demo drift-demo flight-demo audit-demo
+.PHONY: all build vet test race bench bench-json bench-eval bench-obs bench-reorder fnalign ab fuzz experiments examples serve-demo drift-demo flight-demo audit-demo
 
 all: build vet test race
 
@@ -48,6 +48,14 @@ bench-reorder:
 # report, not a gate.
 fnalign:
 	bash scripts/fnalign.sh $(BASE)
+
+# Same-host A/B of ebiload, BASE against the working tree: 10 alternating
+# pairs on every workload, per-metric medians, quartiles, pairs won and
+# bound check, then the fnalign report (see ROADMAP item 1). A report,
+# not a gate; pass --pairs/--workloads/--seconds/--seed by running
+# scripts/ab.sh directly.
+ab:
+	bash scripts/ab.sh $(BASE)
 
 # Short fuzz pass over every fuzz target (requires Go >= 1.18).
 fuzz:

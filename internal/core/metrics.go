@@ -12,9 +12,9 @@ var (
 	mVoidSkips = obs.Default().Counter("ebi_core_void_skips_total",
 		"Evaluations that skipped the existence-mask AND thanks to the Theorem 2.1 void-code reservation.")
 	mExprCacheHits = obs.Default().Counter("ebi_core_expr_cache_hits_total",
-		"Single-value retrieval expressions served from the memoized cache.")
+		"Code-set lookups served a reduced expression and its program from the code space's cache.")
 	mExprCacheMisses = obs.Default().Counter("ebi_core_expr_cache_misses_total",
-		"Single-value retrieval expressions minimized on demand.")
+		"Code-set lookups that ran Quine-McCluskey and compiled, then cached the result.")
 	mAppends = obs.Default().Counter("ebi_core_appends_total",
 		"Tuples appended (including NULL appends).")
 	mWidens = obs.Default().Counter("ebi_core_widens_total",
@@ -26,7 +26,7 @@ var (
 	mParallelEvals = obs.Default().Counter("ebi_core_parallel_evals_total",
 		"Retrieval-function evaluations routed through the segmented parallel engine.")
 	mProgCacheHits = obs.Default().Counter("ebi_core_prog_cache_hits_total",
-		"Evaluations served from a cached compiled fused program (memoized Eq codes and warm Prepared selections).")
+		"Selections served a compiled fused program without reducing it again (code-set cache hits and warm Prepared selections).")
 	mSwaps = obs.Default().Counter("ebi_core_swaps_total",
 		"Live epoch flips: re-encodings applied by shadow rebuild + atomic pointer swap with reads in flight.")
 	mFolds = obs.Default().Counter("ebi_core_tail_folds_total",

@@ -57,8 +57,8 @@ func TestEqParallelMatchesEq(t *testing.T) {
 	if !parRows.Equal(rows) {
 		t.Fatal("parallel point selection rows differ from Eq")
 	}
-	// Stats equality is checked against the cache-free In path: InParallel
-	// documents that it bypasses the single-value expression cache.
+	// Stats equality is checked against the sequential In path, which
+	// evaluates the same cached reduction of the one-code set.
 	seqRows, seqSt := ix.In([]int64{col[1]})
 	parRows, parSt := ix.InParallel([]int64{col[1]}, 4, nil)
 	if !parRows.Equal(seqRows) || parSt != seqSt {

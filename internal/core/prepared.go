@@ -27,10 +27,9 @@ type Prepared[V comparable] struct {
 	view   func() *View[V]
 	values []V
 
-	mu   sync.Mutex
-	gen  uint64 // code-space generation expr and prog were compiled for
-	expr boolmin.Expr
-	prog *boolmin.Program
+	mu  sync.Mutex
+	gen uint64     // code-space generation red was reduced for
+	red *reduction // the selection's entry in that code space's cache
 }
 
 // Prepare compiles the selection "A IN values".
@@ -48,19 +47,19 @@ func prepare[V comparable](view func() *View[V], values []V) *Prepared[V] {
 	return p
 }
 
-// compiled returns the selection's expression and program for vw's code
-// space, recompiling when the code space changed since the last
-// compilation. The returns are immutable, so a concurrent recompile for
-// another view never disturbs an evaluation in flight.
-func (p *Prepared[V]) compiled(vw *View[V]) (boolmin.Expr, *boolmin.Program) {
+// compiled returns the selection's reduction for vw's code space,
+// looking it up again when the code space changed since the last lookup.
+// A reduction is immutable, so a concurrent recompile for another view
+// never disturbs an evaluation in flight.
+func (p *Prepared[V]) compiled(vw *View[V]) *reduction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	gen := vw.ix.progs.gen
 	switch {
-	case p.prog == nil: // first compilation
+	case p.red == nil: // first compilation
 	case p.gen == gen:
 		mProgCacheHits.Inc()
-		return p.expr, p.prog
+		return p.red
 	default:
 		mPreparedRecompiles.Inc()
 		if lg := obs.DefaultLogger(); lg.Enabled(obs.LevelDebug) {
@@ -70,17 +69,14 @@ func (p *Prepared[V]) compiled(vw *View[V]) (boolmin.Expr, *boolmin.Program) {
 				obs.Int("generation", int64(gen)))
 		}
 	}
-	p.expr = vw.ix.ExprFor(p.values)
-	p.prog = boolmin.Compile(p.expr)
+	p.red = vw.ix.selection(p.values)
 	p.gen = gen
-	return p.expr, p.prog
+	return p.red
 }
 
-// Expr returns the compiled reduced expression (recompiling if stale).
-func (p *Prepared[V]) Expr() boolmin.Expr {
-	e, _ := p.compiled(p.view())
-	return e
-}
+// Expr returns a copy of the compiled reduced expression (recompiling if
+// stale).
+func (p *Prepared[V]) Expr() boolmin.Expr { return p.compiled(p.view()).exprCopy() }
 
 // AccessCost returns the number of bitmap vectors an evaluation reads —
 // the paper's c_e for this selection.
@@ -90,8 +86,7 @@ func (p *Prepared[V]) AccessCost() int { return p.Expr().AccessCost() }
 // contents through the cached fused program.
 func (p *Prepared[V]) Eval() (*bitvec.Vector, iostat.Stats) {
 	vw := p.view()
-	_, prog := p.compiled(vw)
-	return vw.sel(p.values, prog, 1, nil)
+	return vw.sel(p.values, p.compiled(vw).prog, 1, nil)
 }
 
 // EvalInto is Eval with a caller-provided destination (length Len(), fully
@@ -102,8 +97,7 @@ func (p *Prepared[V]) EvalInto(dst *bitvec.Vector) iostat.Stats {
 	if dst.Len() != vw.Len() {
 		panic(fmt.Sprintf("core: EvalInto destination has %d bits, index %d", dst.Len(), vw.Len()))
 	}
-	_, prog := p.compiled(vw)
-	st := vw.evalInto(prog, dst)
+	st := vw.evalInto(p.compiled(vw).prog, dst)
 	vw.ix.observeSelection(p.values, st)
 	return st
 }

@@ -96,13 +96,13 @@ func (v *View[V]) sel(values []V, p *boolmin.Program, degree int, sp *obs.Span) 
 // Eq returns the rows where the attribute equals val. The cost is the
 // full min-term: k vectors (c_e's single-value case), possibly fewer when
 // don't-care codes let the min-term shed literals. The compiled program
-// is memoized per code for the code space.
+// is the code space's cached reduction of the one-code set.
 func (v *View[V]) Eq(val V) (*bitvec.Vector, iostat.Stats) {
 	code, ok := v.ix.mapping.CodeOf(val)
 	if !ok {
 		return bitvec.New(v.Len()), iostat.Stats{}
 	}
-	return v.sel([]V{val}, v.ix.cachedProgram(code), 1, nil)
+	return v.sel([]V{val}, v.ix.reduce([]uint32{code}).prog, 1, nil)
 }
 
 // EqInto is Eq with a caller-provided destination: dst (length Len(),
@@ -118,14 +118,16 @@ func (v *View[V]) EqInto(val V, dst *bitvec.Vector) iostat.Stats {
 		dst.Reset()
 		return iostat.Stats{}
 	}
-	st := v.evalInto(v.ix.cachedProgram(code), dst)
+	st := v.evalInto(v.ix.reduce([]uint32{code}).prog, dst)
 	v.ix.observeSelection([]V{val}, st)
 	return st
 }
 
 // In returns the rows where the attribute is in the value list, evaluating
 // the reduced retrieval expression — the paper's range-search path where
-// c_e <= ceil(log2 m) regardless of the list width δ.
+// c_e <= ceil(log2 m) regardless of the list width δ. The list is reduced
+// once per code set and code space: permutations, repeats and values
+// outside the domain share one cached reduction.
 func (v *View[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
 	return v.InParallel(values, 1, nil)
 }
@@ -138,7 +140,7 @@ func (v *View[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
 // cost model counts vectors read, which segmentation does not change (see
 // docs/parallelism.md).
 func (v *View[V]) InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
-	return v.sel(values, boolmin.Compile(v.ix.ExprFor(values)), degree, sp)
+	return v.sel(values, v.ix.selection(values).prog, degree, sp)
 }
 
 // NotIn returns existing, non-NULL rows outside the value list. Because
@@ -148,7 +150,7 @@ func (v *View[V]) InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vect
 // any re-encoding workload built from it) records.
 func (v *View[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
 	codes, included := v.ix.complement(values)
-	return v.sel(included, boolmin.Compile(boolmin.Minimize(v.ix.K(), codes, v.ix.dontCares())), 1, nil)
+	return v.sel(included, v.ix.reduce(codes).prog, 1, nil)
 }
 
 // IsNull returns the NULL rows.
@@ -156,7 +158,7 @@ func (v *View[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
 	if !v.ix.hasNullCode {
 		return bitvec.New(v.Len()), iostat.Stats{}
 	}
-	return v.eval(boolmin.Compile(v.ix.nullExpr()), 1, nil)
+	return v.eval(v.ix.reduce([]uint32{v.ix.nullCode}).prog, 1, nil)
 }
 
 // Existing returns all non-void, non-NULL rows. With the void-zero
@@ -208,7 +210,7 @@ func predictProgram(p *boolmin.Program, n int) iostat.Stats {
 // are dropped, mirroring ExprFor; an empty effective list predicts zero
 // stats, matching the unknown-value fast path.
 func (v *View[V]) PredictSelectionStats(values []V) iostat.Stats {
-	return predictProgram(boolmin.Compile(v.ix.ExprFor(values)), v.Len())
+	return predictProgram(v.ix.selection(values).prog, v.Len())
 }
 
 // PredictIsNullStats returns the exact Stats IsNull would report: zero
@@ -218,7 +220,7 @@ func (v *View[V]) PredictIsNullStats() iostat.Stats {
 	if !v.ix.hasNullCode {
 		return iostat.Stats{}
 	}
-	return predictProgram(boolmin.Compile(v.ix.nullExpr()), v.Len())
+	return predictProgram(v.ix.reduce([]uint32{v.ix.nullCode}).prog, v.Len())
 }
 
 // PredictGen stamps the basis of the view's predictions: the re-encoding
@@ -240,14 +242,6 @@ func (ix *Index[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats { return ix.Vie
 
 // In returns the rows where the attribute is in the value list.
 func (ix *Index[V]) In(values []V) (*bitvec.Vector, iostat.Stats) { return ix.View().In(values) }
-
-// InExpr is In for a caller that already holds the selection's reduced
-// expression, e = ExprFor(values) under the current encoding: a paged
-// wrapper reduces once to learn which vectors to fault, then evaluates
-// that same expression.
-func (ix *Index[V]) InExpr(values []V, e boolmin.Expr) (*bitvec.Vector, iostat.Stats) {
-	return ix.View().sel(values, boolmin.Compile(e), 1, nil)
-}
 
 // InParallel is In with segmented parallel evaluation (see
 // View.InParallel).

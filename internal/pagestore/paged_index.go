@@ -87,18 +87,17 @@ func (p *PagedIndex[V]) In(values []V) (*bitvec.Vector, iostat.Stats, Stats) {
 // live span, the page-fault charge runs under a child span named
 // "ebi.page.fetch" annotated with this call's hits and misses, so page
 // I/O shows up in the query's span tree. Without a span in the context
-// it is exactly In. The selection is reduced once: the expression whose
-// vectors are charged is the one evaluated.
+// it is exactly In. The selection is reduced once: the charge and the
+// evaluation read the index's one cached reduction of the value list.
 func (p *PagedIndex[V]) InContext(ctx context.Context, values []V) (*bitvec.Vector, iostat.Stats, Stats) {
-	expr := p.ix.ExprFor(values)
 	fsp := obs.SpanFromContext(ctx).StartChild("ebi.page.fetch")
-	hits, misses := p.chargeVars(expr.Vars())
+	hits, misses := p.chargeVars(p.ix.ExprFor(values).Vars())
 	if fsp != nil {
 		fsp.SetAttr("page_hits", hits)
 		fsp.SetAttr("page_misses", misses)
 		fsp.End()
 	}
-	rows, st := p.ix.InExpr(values, expr)
+	rows, st := p.ix.In(values)
 	return rows, st, Stats{Hits: hits, Misses: misses}
 }
 
