@@ -66,6 +66,7 @@ fuzz:
 	go test -fuzz FuzzMinimize -fuzztime 15s ./internal/boolmin/
 	go test -fuzz FuzzRetrievalFunction -fuzztime 10s ./internal/boolmin/
 	go test -fuzz FuzzFusedEval -fuzztime 20s ./internal/boolmin/
+	go test -fuzz FuzzIntervalCover -fuzztime 10s ./internal/boolmin/
 	go test -fuzz FuzzSegmentKernels -fuzztime 15s ./internal/bitvec/
 	go test -fuzz FuzzSwapCatchUp -fuzztime 20s ./internal/core/
 	go test -fuzz FuzzReorderPermutation -fuzztime 15s ./internal/reorder/

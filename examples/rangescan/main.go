@@ -1,7 +1,8 @@
 // Range selections three ways (Section 2.3): a total-order preserving
-// encoded bitmap index answering ad-hoc ranges with MSB-first comparison
-// passes, a range-based encoded bitmap index over predefined selections
-// (Figures 7/8), and the IN-list rewriting with logical reduction.
+// encoded bitmap index answering ad-hoc ranges as aligned-subcube covers
+// of their code intervals (at most k vector reads, no minimization), a
+// range-based encoded bitmap index over predefined selections (Figures
+// 7/8), and the IN-list rewriting with logical reduction.
 package main
 
 import (

@@ -147,8 +147,8 @@ func Advise(col ColumnProfile, w WorkloadProfile, pageSize, degree int) (Recomme
 		},
 		{
 			Kind: OrderedEncodedBitmap,
-			// The MSB-first comparison pass reads the k vectors (at most
-			// twice each) with no per-query minimization work.
+			// A range's interval cover reads at most the k vectors, with
+			// no per-query minimization work; priced k+1.
 			QueryCost:       pointFrac*float64(k) + w.RangeFraction*float64(k+1),
 			SpaceBytes:      analysis.EncodedBitmapBytes(n, m),
 			Applicable:      col.Ordered,
@@ -250,7 +250,7 @@ func reasonFor(kind IndexKind, col ColumnProfile, w WorkloadProfile, k int) stri
 	case EncodedBitmap:
 		return fmt.Sprintf("range searches over %d values stay within %d vectors after logical reduction", col.Cardinality, k)
 	case OrderedEncodedBitmap:
-		return fmt.Sprintf("ordered domain: ranges evaluate in <= %d comparison-pass vector reads", 2*k)
+		return fmt.Sprintf("ordered domain: a range is an interval cover reading <= %d vectors, with no minimization", k)
 	case BitSliced:
 		return "numeric domain with arithmetic-style range/aggregate access"
 	case RangeEncodedBitmap:

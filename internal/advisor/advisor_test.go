@@ -62,7 +62,7 @@ func TestAdviseHighCardinalityRangeHeavy(t *testing.T) {
 }
 
 // Ordered high-cardinality column with ad-hoc ranges: the ordered variant
-// (comparison passes) should beat the plain encoded index.
+// (interval covers) should beat the plain encoded index.
 func TestAdviseOrderedColumn(t *testing.T) {
 	rec := mustAdvise(t,
 		ColumnProfile{Name: "price", Rows: 1_000_000, Cardinality: 50000, Ordered: true},

@@ -141,6 +141,40 @@ func FromMinterms(k int, on []uint32) Expr {
 	return Expr{K: k, Cubes: cubes}
 }
 
+// IntervalCover returns the code interval [lo, hi] over k variables as a
+// sum of aligned subcubes, with no minimization: from lo upward, each cube
+// is the largest aligned block that starts at the next uncovered code and
+// ends at or below hi. Each cube fixes only its block's common high bits,
+// so it is a Theorem 2.2/2.3 retrieval function of its own. The cover has
+// at most max(1, 2(k-1)) cubes, in ascending code order, and the
+// MSB-first trie Compile builds shares their common high-bit prefixes. An
+// empty interval (lo > hi) is the constant false; the whole code space is
+// the constant true.
+func IntervalCover(k int, lo, hi uint32) Expr {
+	if k < 0 || k > MaxVars {
+		panic(fmt.Sprintf("boolmin: k=%d out of range [0,%d]", k, MaxVars))
+	}
+	if hi > kmask(k) {
+		panic(fmt.Sprintf("boolmin: interval bound %d outside %d-bit codes", hi, k))
+	}
+	e := Expr{K: k}
+	for lo <= hi {
+		size := uint32(1) << uint(k) // the block starting at 0 may span every code
+		if lo != 0 {
+			size = lo & -lo
+		}
+		for size-1 > hi-lo {
+			size >>= 1
+		}
+		e.Cubes = append(e.Cubes, Cube{Value: lo, Mask: size - 1})
+		if hi-lo == size-1 {
+			break
+		}
+		lo += size
+	}
+	return e
+}
+
 // Minimize runs Quine–McCluskey over the on-set with optional don't-cares
 // and returns a reduced sum-of-products expression equivalent to the on-set
 // on all points outside dc. Points may not appear in both on and dc.

@@ -14,14 +14,30 @@
 // bitvec.WordSource contract, so a WAH-compressed vector streams its words
 // group-by-group (internal/compress) instead of decompressing first.
 //
-// The iostat accounting is computed analytically from the program and is
-// exactly the sequential baseline's: identical VectorsRead, WordsRead, and
-// Ops as EvalVectors would report, block structure notwithstanding.
+// A Program holds its cubes as a literal trie: every cube's literals in
+// MSB-first variable order, cubes with a common literal prefix sharing its
+// nodes, flattened in pre-order. A cube whose path extends a shorter
+// cube's path is subsumed by it and dropped. The kernel walks the trie
+// once per block, keeping the product of the current path's literals in
+// one scratch block per depth: an inner node writes parent AND literal
+// into its depth's block, a leaf ORs parent AND literal straight into the
+// accumulator, and a depth-0 literal is read in place from its operand
+// block, its polarity folded into its children. A block therefore costs
+// one pass per trie node below depth 0, plus one per single-literal cube,
+// where a flat cube list costs one per literal plus one per cube; shared
+// prefixes (an IN list's common high bits, an interval cover's aligned
+// subcubes) are evaluated once.
+//
+// The iostat accounting is computed analytically from the expression and
+// is exactly the sequential baseline's: identical VectorsRead, WordsRead,
+// and Ops as EvalVectors would report, trie and block structure
+// notwithstanding.
 package boolmin
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -41,10 +57,16 @@ var (
 // L1-resident while still amortizing the per-block dispatch.
 const fusedBlockWords = 256
 
-// progLit is one literal of a compiled cube: operand slot and polarity.
-type progLit struct {
-	v   uint8
-	neg bool
+// trieNode is one literal of the compiled cube trie: operand slot and
+// polarity, its depth on the path (the literals above it), and where its
+// subtree ends in the pre-order node list.
+type trieNode struct {
+	v     uint8
+	neg   bool
+	depth uint8
+	leaf  bool  // a cube ends here: parent AND literal ORs into the result
+	first bool  // the first leaf in pre-order: it writes the result instead
+	next  int32 // index of the first node past this node's subtree
 }
 
 // Program is a reduced retrieval expression compiled for fused evaluation.
@@ -52,7 +74,7 @@ type progLit struct {
 // concurrent use (every evaluation's mutable state is per-call).
 type Program struct {
 	k     int
-	cubes [][]progLit // per cube, its literals in variable order
+	nodes []trieNode // the cube trie, MSB-first, in pre-order
 
 	constFalse bool // no cubes: empty row set, zero stats
 	constTrue  bool // a no-literal cube: full row set (after up-front reads)
@@ -78,35 +100,82 @@ func Compile(e Expr) *Program {
 	p.vars = e.Vars()
 	p.vectorsRead = bits.OnesCount32(p.vars)
 
+	km := kmask(e.K)
 	negSeen := uint32(0)
 	for _, c := range e.Cubes {
-		var lits []progLit
-		for i := 0; i < e.K; i++ {
-			bit := uint32(1) << uint(i)
-			if c.Mask&bit != 0 {
-				continue
-			}
-			neg := c.Value&bit == 0
-			if neg && negSeen&bit == 0 {
-				negSeen |= bit
-				p.ops++ // baseline materializes NOT B_i once, on first use
-			}
-			if len(lits) > 0 {
-				p.ops++ // AND with the cube's running product
-			}
-			lits = append(lits, progLit{v: uint8(i), neg: neg})
-		}
-		if len(lits) == 0 {
+		lits := ^c.Mask & km
+		if lits == 0 {
 			// Constant-true cube: the baseline fills and returns without
 			// charging this cube's OR or evaluating later cubes.
 			p.constTrue = true
-			p.cubes = nil
 			return p
 		}
-		p.ops++ // OR into the accumulator
-		p.cubes = append(p.cubes, lits)
+		// The baseline materializes NOT B_i once, on first use, then
+		// charges one AND per literal after the first and one OR.
+		negs := lits &^ c.Value
+		p.ops += bits.OnesCount32(negs&^negSeen) + bits.OnesCount32(lits)
+		negSeen |= negs
 	}
+	p.nodes = buildTrie(e)
 	return p
+}
+
+// buildTrie lays the cubes' literals out as a trie in MSB-first variable
+// order, flattened in pre-order. Sorting the literal paths puts every path
+// right after the paths it shares a prefix with, and a path after its own
+// prefixes: a path that extends (or repeats) the last one kept is subsumed
+// by that cube and dropped.
+func buildTrie(e Expr) []trieNode {
+	// A literal's key is its variable and polarity, v<<1 | neg.
+	keys := make([]uint8, 0, len(e.Cubes)*e.K)
+	paths := make([][]uint8, len(e.Cubes))
+	for ci, c := range e.Cubes {
+		start := len(keys)
+		for i := e.K - 1; i >= 0; i-- {
+			bit := uint32(1) << uint(i)
+			if c.Mask&bit == 0 {
+				key := uint8(i) << 1
+				if c.Value&bit == 0 {
+					key |= 1
+				}
+				keys = append(keys, key)
+			}
+		}
+		paths[ci] = keys[start:len(keys):len(keys)]
+	}
+	slices.SortFunc(paths, slices.Compare)
+
+	var nodes []trieNode
+	var open []int32 // open[d]: the node at depth d on the last kept path
+	var last []uint8
+	for _, path := range paths {
+		c := 0
+		for c < len(last) && c < len(path) && last[c] == path[c] {
+			c++
+		}
+		if last != nil && c == len(last) {
+			continue // subsumed by the last kept cube
+		}
+		for _, i := range open[c:] {
+			nodes[i].next = int32(len(nodes))
+		}
+		open = open[:c]
+		for d := c; d < len(path); d++ {
+			open = append(open, int32(len(nodes)))
+			nodes = append(nodes, trieNode{v: path[d] >> 1, neg: path[d]&1 != 0, depth: uint8(d), leaf: d == len(path)-1})
+		}
+		last = path
+	}
+	for _, i := range open {
+		nodes[i].next = int32(len(nodes))
+	}
+	for i := range nodes {
+		if nodes[i].leaf {
+			nodes[i].first = true
+			break
+		}
+	}
+	return nodes
 }
 
 // Vars returns the referenced-variable bitmask (bit i = operand i read).
@@ -129,8 +198,12 @@ func (p *Program) PredictStats(wordsPerVector int) (vectorsRead, wordsRead, ops 
 	return p.vectorsRead, p.vectorsRead * wordsPerVector, p.ops
 }
 
-// scratch is one reusable kernel block.
-type scratch struct{ buf [fusedBlockWords]uint64 }
+// scratch holds an evaluation's product blocks, one per trie depth from 1
+// to k-2: a node at depth k-1 is a cube's k-th literal, so always a leaf.
+// It is one allocation, so a pool miss costs exactly one.
+type scratch struct {
+	bufs [MaxVars - 2][fusedBlockWords]uint64
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -210,7 +283,7 @@ func (p *Program) begin(dst *bitvec.Vector, srcs []bitvec.WordSource) (res EvalR
 // time.
 func (p *Program) evalWords(dst *bitvec.Vector, srcs []bitvec.WordSource, lo, hi int) {
 	sc := scratchPool.Get().(*scratch)
-	var blocks [MaxVars][]uint64
+	var blocks, prod [MaxVars][]uint64
 	for blo := lo; blo < hi; blo += fusedBlockWords {
 		bhi := min(blo+fusedBlockWords, hi)
 		for i := 0; i < p.k; i++ {
@@ -218,55 +291,49 @@ func (p *Program) evalWords(dst *bitvec.Vector, srcs []bitvec.WordSource, lo, hi
 				blocks[i] = srcs[i].BlockWords(blo, bhi)
 			}
 		}
-		p.evalBlock(dst.BlockWords(blo, bhi), sc.buf[:bhi-blo], &blocks)
+		p.evalBlock(dst.BlockWords(blo, bhi), sc, &blocks, &prod)
 	}
 	scratchPool.Put(sc)
 }
 
-// evalBlock computes one destination block: acc = OR over cubes of the
-// cube's literal product, reading each operand block exactly once. The
-// first cube writes acc (so dst needs no pre-zeroing), later cubes OR in;
-// negated literals fold into the kernels (^src on first use, AND-NOT
-// after), so no complement is ever materialized.
-func (p *Program) evalBlock(acc, tmp []uint64, blocks *[MaxVars][]uint64) {
-	for ci, lits := range p.cubes {
-		if len(lits) == 1 {
-			l := lits[0]
-			src := blocks[l.v]
+// evalBlock computes one destination block by walking the trie in
+// pre-order. prod[d] is the product of the current path's literals above
+// depth d: the depth-0 literal's operand block itself (negated when
+// rootNeg), deeper products a scratch block per depth. Each node below
+// depth 0 is one pass over the block: an inner node writes its depth's
+// product, a leaf ORs parent AND literal into acc (the first leaf writes
+// acc, so dst needs no pre-zeroing). Negations fold into the kernels, so
+// no complement is ever materialized.
+func (p *Program) evalBlock(acc []uint64, sc *scratch, blocks, prod *[MaxVars][]uint64) {
+	rootNeg := false
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		src := blocks[nd.v]
+		if nd.depth == 0 {
 			switch {
-			case ci == 0 && l.neg:
+			case !nd.leaf:
+				prod[1], rootNeg = src, nd.neg
+			case nd.first && nd.neg:
 				copyNotWords(acc, src)
-			case ci == 0:
+			case nd.first:
 				copy(acc, src)
-			case l.neg:
+			case nd.neg:
 				orNotWords(acc, src)
 			default:
 				orWords(acc, src)
 			}
 			continue
 		}
-		out := acc
-		if ci > 0 {
-			out = tmp
-		}
-		if len(lits) == 2 {
-			and2Words(out, blocks[lits[0].v], blocks[lits[1].v], lits[0].neg, lits[1].neg)
-		} else {
-			if lits[0].neg {
-				copyNotWords(out, blocks[lits[0].v])
-			} else {
-				copy(out, blocks[lits[0].v])
-			}
-			for _, l := range lits[1:] {
-				if l.neg {
-					andNotWords(out, blocks[l.v])
-				} else {
-					andWords(out, blocks[l.v])
-				}
-			}
-		}
-		if ci > 0 {
-			orWords(acc, tmp)
+		par, parNeg := prod[nd.depth], nd.depth == 1 && rootNeg
+		switch {
+		case !nd.leaf:
+			out := sc.bufs[nd.depth-1][:len(acc)]
+			and2Words(out, par, src, parNeg, nd.neg)
+			prod[nd.depth+1] = out
+		case nd.first:
+			and2Words(acc, par, src, parNeg, nd.neg)
+		default:
+			orAnd2Words(acc, par, src, parNeg, nd.neg)
 		}
 	}
 }
@@ -278,20 +345,6 @@ func copyNotWords(dst, a []uint64) {
 	a = a[:len(dst)]
 	for i := range dst {
 		dst[i] = ^a[i]
-	}
-}
-
-func andWords(dst, a []uint64) {
-	a = a[:len(dst)]
-	for i := range dst {
-		dst[i] &= a[i]
-	}
-}
-
-func andNotWords(dst, a []uint64) {
-	a = a[:len(dst)]
-	for i := range dst {
-		dst[i] &^= a[i]
 	}
 }
 
@@ -334,25 +387,50 @@ func and2Words(dst, a, b []uint64, na, nb bool) {
 	}
 }
 
+// orAnd2Words ORs a two-literal product into dst in one pass: dst |= la
+// AND lb with each literal's polarity applied in-flight.
+func orAnd2Words(dst, a, b []uint64, na, nb bool) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	switch {
+	case !na && !nb:
+		for i := range dst {
+			dst[i] |= a[i] & b[i]
+		}
+	case !na && nb:
+		for i := range dst {
+			dst[i] |= a[i] &^ b[i]
+		}
+	case na && !nb:
+		for i := range dst {
+			dst[i] |= b[i] &^ a[i]
+		}
+	default:
+		for i := range dst {
+			dst[i] |= ^(a[i] | b[i])
+		}
+	}
+}
+
 // Selects reports whether the program selects a row holding code — the
 // same answer EvalInto computes for that row, without any operand. It
 // lets a caller extend an evaluation to rows kept as codes rather than
-// vector bits.
+// vector bits. It walks the trie, skipping the subtree of every literal
+// the code fails.
 func (p *Program) Selects(code uint32) bool {
 	if p.constTrue {
 		return true
 	}
-	for _, lits := range p.cubes {
-		match := true
-		for _, l := range lits {
-			if (code>>l.v&1 == 0) != l.neg {
-				match = false
-				break
-			}
+	for i := 0; i < len(p.nodes); {
+		nd := &p.nodes[i]
+		if (code>>nd.v&1 == 0) != nd.neg {
+			i = int(nd.next)
+			continue
 		}
-		if match {
+		if nd.leaf {
 			return true
 		}
+		i++
 	}
 	return false
 }

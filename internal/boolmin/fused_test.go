@@ -149,10 +149,76 @@ func TestFusedZeroAllocSteadyState(t *testing.T) {
 	for x := 0; x < 200; x += 3 {
 		on = append(on, uint32(x))
 	}
-	p := Compile(Minimize(8, on, nil))
+	// A trie-heavy program too: a random 64-value list keeps deep inner
+	// nodes, so every depth's scratch block is in use.
+	var list []uint32
+	for _, x := range r.Perm(1 << 8)[:64] {
+		list = append(list, uint32(x))
+	}
 	dst := bitvec.New(len(codes))
-	if allocs := testing.AllocsPerRun(100, func() { p.EvalInto(dst, srcs) }); allocs != 0 {
-		t.Fatalf("steady-state EvalInto allocates %.0f objects per run, want 0", allocs)
+	for _, p := range []*Program{Compile(Minimize(8, on, nil)), Compile(Minimize(8, list, nil))} {
+		if allocs := testing.AllocsPerRun(100, func() { p.EvalInto(dst, srcs) }); allocs != 0 {
+			t.Fatalf("steady-state EvalInto allocates %.0f objects per run, want 0", allocs)
+		}
+	}
+}
+
+// TestCompileTrie pins the trie's shape: cubes sharing a literal prefix
+// share its nodes, a cube extending (or repeating) another's literal path
+// is dropped, and evaluation still matches the baseline on rows and
+// accounting, which count every cube of the expression.
+func TestCompileTrie(t *testing.T) {
+	vecs := buildVectors(3, []uint32{0, 1, 2, 3, 4, 5, 6, 7, 5, 2})
+	cases := []struct {
+		name  string
+		e     Expr
+		nodes int
+	}{
+		// B2B1' + B2B1B0: B2 is shared, so 4 nodes for 5 literals.
+		{"shared prefix", Expr{K: 3, Cubes: []Cube{{Value: 0b100, Mask: 0b001}, {Value: 0b111}}}, 4},
+		// B2B1 + B2 + B2B1: both B2B1 cubes lie under the B2 leaf.
+		{"subsumed and repeated", Expr{K: 3, Cubes: []Cube{{Value: 0b110, Mask: 0b001}, {Value: 0b100, Mask: 0b011}, {Value: 0b110, Mask: 0b001}}}, 1},
+		// B1'B0 + B2'B0: no common first literal, no sharing.
+		{"disjoint roots", Expr{K: 3, Cubes: []Cube{{Value: 0b001, Mask: 0b100}, {Value: 0b001, Mask: 0b010}}}, 4},
+		// [1, 6] is the aligned blocks {1} {2,3} {4,5} {6}:
+		// B2'B1'B0 + B2'B1 + B2B1' + B2B1B0', 10 literals on 8 nodes.
+		{"interval cover", IntervalCover(3, 1, 6), 8},
+	}
+	for _, c := range cases {
+		p := Compile(c.e)
+		if len(p.nodes) != c.nodes {
+			t.Errorf("%s: %s compiled to %d trie nodes, want %d", c.name, c.e, len(p.nodes), c.nodes)
+		}
+		checkFusedAgrees(t, c.e, vecs)
+	}
+}
+
+// TestIntervalCoverExhaustive checks every interval of up to 10-bit codes:
+// the cover never exceeds max(1, 2(k-1)) cubes and reaches that bound, and
+// up to 6 bits it selects exactly the interval.
+func TestIntervalCoverExhaustive(t *testing.T) {
+	for k := 0; k <= 10; k++ {
+		most := 0
+		for lo := uint32(0); lo < 1<<uint(k); lo++ {
+			for hi := lo; hi < 1<<uint(k); hi++ {
+				e := IntervalCover(k, lo, hi)
+				most = max(most, len(e.Cubes))
+				if k > 6 {
+					continue
+				}
+				for x := uint32(0); x < 1<<uint(k); x++ {
+					if e.Eval(x) != (x >= lo && x <= hi) {
+						t.Fatalf("k=%d [%d, %d]: cover %s wrong at %d", k, lo, hi, e, x)
+					}
+				}
+			}
+		}
+		if want := max(1, 2*(k-1)); most != want {
+			t.Errorf("k=%d: largest cover has %d cubes, want %d", k, most, want)
+		}
+	}
+	if e := IntervalCover(4, 9, 3); len(e.Cubes) != 0 {
+		t.Fatalf("inverted interval covered by %s, want the constant false", e)
 	}
 }
 

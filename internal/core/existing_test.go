@@ -11,7 +11,8 @@ import (
 // shapes that change its answer: NULL codes, voided rows, no void
 // reservation, and a Synced index with an outstanding append tail
 // (before and after the tail folds). The base OR reads every vector once;
-// the NULL mask charges the full min-term's operations plus the AND-NOT.
+// the NULL mask charges IsNull's cached program's operations plus the
+// AND-NOT, and its vectors only where no OR pass read them.
 func TestExistingRowsAndStats(t *testing.T) {
 	type result struct {
 		rows string
@@ -47,12 +48,12 @@ func TestExistingRowsAndStats(t *testing.T) {
 			}
 			rows, st := ix.Existing()
 			return result{rows.String(), st}
-		}, result{"1110001", iostat.Stats{VectorsRead: 3, WordsRead: 3, BoolOps: 9}}},
+		}, result{"1110001", iostat.Stats{VectorsRead: 3, WordsRead: 3, BoolOps: 5}}},
 		{"nulls, no void reserve", func(t *testing.T) result {
 			ix := mustBuild(t, []int{5, 0, 6}, []bool{false, true, false}, &Options[int]{DisableVoidReserve: true})
 			rows, st := ix.Existing()
 			return result{rows.String(), st}
-		}, result{"101", iostat.Stats{BoolOps: 4}}},
+		}, result{"101", iostat.Stats{VectorsRead: 1, WordsRead: 1, BoolOps: 2}}},
 		{"deleted, no nulls", func(t *testing.T) result {
 			ix := mustBuild(t, []int{7, 8, 7}, nil, nil)
 			if err := ix.Delete(1); err != nil {
@@ -121,5 +122,38 @@ func TestExistingAllNullNoVectors(t *testing.T) {
 	rows, st := ix.Existing()
 	if rows.Any() || st != (iostat.Stats{BoolOps: 1}) {
 		t.Fatalf("Existing = (%s, %+v), want no rows and one BoolOp", rows, st)
+	}
+}
+
+// TestExistingChargesNullProgram checks Existing's NULL mask against
+// IsNull, which evaluates the same cached program: without the void
+// reservation no OR pass runs, so Existing reads exactly IsNull's vectors
+// and words; with it, the OR pass has read all k already. Either way it
+// adds IsNull's operations plus the AND-NOT.
+func TestExistingChargesNullProgram(t *testing.T) {
+	cases := []struct {
+		name   string
+		column []int
+		isNull []bool
+		opt    *Options[int]
+	}{
+		{"k=2, no void reserve", []int{5, 0, 6}, []bool{false, true, false}, &Options[int]{DisableVoidReserve: true}},
+		{"k=3, no void reserve", []int{1, 2, 3, 4, 0, 5}, []bool{false, false, false, false, true, false}, &Options[int]{DisableVoidReserve: true}},
+		{"no don't-cares", []int{1, 2, 0, 3}, []bool{false, false, true, false}, &Options[int]{DisableVoidReserve: true, DisableDontCares: true}},
+		{"void reserve", []int{1, 2, 3, 0, 2, 0, 1}, []bool{false, false, false, true, false, true, false}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ix := mustBuild(t, c.column, c.isNull, c.opt)
+			_, nullSt := ix.IsNull()
+			_, st := ix.Existing()
+			want := iostat.Stats{VectorsRead: nullSt.VectorsRead, WordsRead: nullSt.WordsRead, BoolOps: nullSt.BoolOps + 1}
+			if ix.reserveVoid {
+				want = iostat.Stats{VectorsRead: ix.K(), WordsRead: ix.K(), BoolOps: ix.K() + nullSt.BoolOps + 1}
+			}
+			if nullSt.VectorsRead == 0 || st != want {
+				t.Fatalf("Existing stats %+v, want %+v (IsNull %+v)", st, want, nullSt)
+			}
+		})
 	}
 }

@@ -6,14 +6,18 @@ import (
 	"sort"
 
 	"repro/internal/bitvec"
+	"repro/internal/boolmin"
 	"repro/internal/encoding"
 	"repro/internal/iostat"
 )
 
 // OrderedIndex is an encoded bitmap index whose mapping is total-order
-// preserving (Section 2.3), so range predicates "lo <= A <= hi" evaluate
-// directly on the bitmap vectors with the O'Neil–Quass MSB-first
-// comparison pass instead of being rewritten into IN-lists.
+// preserving (Section 2.3), so a range predicate "lo <= A <= hi" selects
+// one code interval. Range covers that interval with aligned subcubes
+// (boolmin.IntervalCover) instead of rewriting it into an IN-list and
+// minimizing: each subcube is a retrieval function reading only its fixed
+// high bits, and the cover runs through the fused kernel like every other
+// selection, reading at most k vectors.
 type OrderedIndex[V cmp.Ordered] struct {
 	ix     *Index[V]
 	sorted []V // domain in ascending value order
@@ -90,77 +94,78 @@ func (oi *OrderedIndex[V]) Len() int { return oi.ix.Len() }
 // K returns the number of bitmap vectors.
 func (oi *OrderedIndex[V]) K() int { return oi.ix.K() }
 
-// codeBounds translates a value range into a code range. ok is false when
-// the range selects nothing.
-func (oi *OrderedIndex[V]) codeBounds(lo, hi V) (cl, ch uint32, ok bool) {
+// Range returns rows with lo <= value <= hi. The values in range hold one
+// interval of codes [cl, ch]. Range widens it across codes no row can
+// hold — free codes, and the void code 0 while no row is deleted — so the
+// cover's blocks can only grow, splits it around the NULL code when that
+// falls inside, and evaluates the interval's aligned-subcube cover through
+// the index's view like any other selection. It reads the cover's
+// distinct variables: at most k vectors.
+func (oi *OrderedIndex[V]) Range(lo, hi V) (*bitvec.Vector, iostat.Stats) {
+	return oi.ix.View().eval(oi.rangeProgram(lo, hi), 1, nil)
+}
+
+// PredictRangeStats returns the exact Stats Range(lo, hi) would report,
+// from the encoding alone.
+func (oi *OrderedIndex[V]) PredictRangeStats(lo, hi V) iostat.Stats {
+	return predictProgram(oi.rangeProgram(lo, hi), oi.ix.Len())
+}
+
+// rangeProgram compiles the interval cover Range evaluates: the constant
+// false when no domain value lies in [lo, hi].
+func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
+	ix := oi.ix
+	k := ix.K()
 	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
 	j := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] > hi })
 	if i >= j {
-		return 0, 0, false
+		return boolmin.Compile(boolmin.Expr{K: k})
 	}
-	cl, _ = oi.ix.mapping.CodeOf(oi.sorted[i])
-	ch, _ = oi.ix.mapping.CodeOf(oi.sorted[j-1])
-	return cl, ch, true
-}
-
-// Range returns rows with lo <= value <= hi using one MSB-to-LSB pass per
-// bound over the k vectors (cost <= 2k vectors), the algorithm Section 4
-// says carries over from bit-sliced indexes under total-order preserving
-// encodings. Void rows (code 0) are excluded for free because value codes
-// start at 1.
-func (oi *OrderedIndex[V]) Range(lo, hi V) (*bitvec.Vector, iostat.Stats) {
-	var st iostat.Stats
-	cl, ch, ok := oi.codeBounds(lo, hi)
-	if !ok {
-		return bitvec.New(oi.ix.Len()), st
-	}
-	// lowCode/highCode bracket every code that can occur in a row: value
-	// codes, the NULL code, and 0 when any row has been voided. A
-	// comparison pass is skipped when its bound does not constrain that
-	// bracket.
-	lowCode, _ := oi.ix.mapping.CodeOf(oi.sorted[0])
-	highCode, _ := oi.ix.mapping.CodeOf(oi.sorted[len(oi.sorted)-1])
-	if oi.ix.hasNullCode {
-		if oi.ix.nullCode < lowCode {
-			lowCode = oi.ix.nullCode
+	cl, _ := ix.mapping.CodeOf(oi.sorted[i])
+	ch, _ := ix.mapping.CodeOf(oi.sorted[j-1])
+	// The codes a row can hold are the domain's value codes, the NULL code
+	// and, once a row is deleted, 0. Widen to just inside the nearest such
+	// codes below cl and above ch; they come from the sorted domain while
+	// it is the whole mapping (a value added since the build may hold any
+	// free code, so then the interval stays as it is).
+	below, above := int64(cl)-1, int64(ch)+1
+	if ix.mapping.Len() == len(oi.sorted) {
+		below, above = -1, int64(1)<<uint(k)
+		if i > 0 {
+			c, _ := ix.mapping.CodeOf(oi.sorted[i-1])
+			below = int64(c)
 		}
-		if oi.ix.nullCode > highCode {
-			highCode = oi.ix.nullCode
+		if j < len(oi.sorted) {
+			c, _ := ix.mapping.CodeOf(oi.sorted[j])
+			above = int64(c)
 		}
+		if ix.deleted > 0 {
+			below = max(below, 0)
+		}
+		if null := int64(ix.nullCode); ix.hasNullCode && null < int64(cl) {
+			below = max(below, null)
+		} else if ix.hasNullCode && null > int64(ch) {
+			above = min(above, null)
+		} // a NULL code inside [cl, ch] is split out below
 	}
-	if oi.ix.deleted > 0 {
-		lowCode = 0
+	cl, ch = uint32(below+1), uint32(above-1)
+	null := ix.nullCode
+	if !ix.hasNullCode || null < cl || null > ch {
+		return boolmin.Compile(boolmin.IntervalCover(k, cl, ch))
 	}
-	var rows *bitvec.Vector
-	if ch >= highCode {
-		rows = bitvec.New(oi.ix.Len())
-		rows.Fill()
-	} else {
-		ltHi, eqHi, s1 := oi.cmpCode(ch)
-		st.Add(s1)
-		rows = ltHi.Or(eqHi)
-		st.BoolOps++
+	e := boolmin.Expr{K: k}
+	if null > cl {
+		e.Cubes = boolmin.IntervalCover(k, cl, null-1).Cubes
 	}
-	if cl > lowCode {
-		ltLo, _, s2 := oi.cmpCode(cl)
-		st.Add(s2)
-		st.BoolOps++
-		rows.AndNot(ltLo)
+	if null < ch {
+		e.Cubes = append(e.Cubes, boolmin.IntervalCover(k, null+1, ch).Cubes...)
 	}
-	// Codes strictly between value codes may be unassigned or the NULL
-	// code; mask those rows out if any fall inside the bounds.
-	if oi.ix.hasNullCode && oi.ix.nullCode >= cl && oi.ix.nullCode <= ch {
-		nulls, s3 := oi.ix.IsNull()
-		st.Add(s3)
-		st.BoolOps++
-		rows.AndNot(nulls)
-	}
-	return rows, st
+	return boolmin.Compile(e)
 }
 
 // RangeViaReduction answers the same query by rewriting the range into an
 // IN-list and minimizing the retrieval expression — the paper's default
-// path, used by the benchmarks to compare against the comparison-pass
+// path, used by the benchmarks to compare against the interval-cover
 // algorithm.
 func (oi *OrderedIndex[V]) RangeViaReduction(lo, hi V) (*bitvec.Vector, iostat.Stats) {
 	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
@@ -169,26 +174,4 @@ func (oi *OrderedIndex[V]) RangeViaReduction(lo, hi V) (*bitvec.Vector, iostat.S
 		return bitvec.New(oi.ix.Len()), iostat.Stats{}
 	}
 	return oi.ix.In(oi.sorted[i:j])
-}
-
-// cmpCode computes rows with code < c and code == c in one MSB-first pass.
-func (oi *OrderedIndex[V]) cmpCode(c uint32) (lt, eq *bitvec.Vector, st iostat.Stats) {
-	n := oi.ix.Len()
-	eq = bitvec.New(n)
-	eq.Fill()
-	lt = bitvec.New(n)
-	for i := oi.ix.K() - 1; i >= 0; i-- {
-		vec := oi.ix.vectors[i]
-		st.VectorsRead++
-		st.WordsRead += vec.Words()
-		if c&(1<<uint(i)) != 0 {
-			lt.Or(bitvec.AndNot(eq, vec))
-			eq.And(vec)
-			st.BoolOps += 3
-		} else {
-			eq.AndNot(vec)
-			st.BoolOps++
-		}
-	}
-	return lt, eq, st
 }

@@ -28,7 +28,7 @@ func LoadOrdered[V cmp.Ordered](r io.Reader, codec ValueCodec[V]) (*OrderedIndex
 
 // OrderedFrom wraps an existing index whose mapping is total-order
 // preserving. It fails when the mapping is not order preserving — the
-// comparison-pass range algorithm would silently return wrong rows
+// interval-cover range algorithm would silently return wrong rows
 // otherwise.
 func OrderedFrom[V cmp.Ordered](ix *Index[V]) (*OrderedIndex[V], error) {
 	sorted := ix.mapping.Values() // ordered by code

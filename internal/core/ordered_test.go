@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitvec"
 	"repro/internal/encoding"
 )
 
@@ -43,8 +47,8 @@ func TestOrderedRange(t *testing.T) {
 	if rows.String() != "0010011" {
 		t.Fatalf("Range(102,104) = %s", rows.String())
 	}
-	if st.VectorsRead > 2*oi.K() {
-		t.Fatalf("Range read %d vectors, want <= 2k = %d", st.VectorsRead, 2*oi.K())
+	if st.VectorsRead > oi.K() {
+		t.Fatalf("Range read %d vectors, want <= k = %d", st.VectorsRead, oi.K())
 	}
 	// Bounds between domain values.
 	rows, _ = oi.Range(100, 101)
@@ -116,34 +120,164 @@ func TestRangeViaReductionAgrees(t *testing.T) {
 	}
 }
 
-// Property: Range matches a scan for arbitrary data and bounds, both
-// algorithms agreeing.
+// cmpCode is the O'Neil–Quass MSB-first comparison pass Range used before
+// interval covers: the rows whose code is below c and those whose code
+// equals c. It stays here as an oracle independent of boolmin.
+func cmpCode[V cmp.Ordered](oi *OrderedIndex[V], c uint32) (lt, eq *bitvec.Vector) {
+	eq = bitvec.New(oi.Len())
+	eq.Fill()
+	lt = bitvec.New(oi.Len())
+	for i := oi.K() - 1; i >= 0; i-- {
+		vec := oi.ix.vectors[i]
+		if c&(1<<uint(i)) != 0 {
+			lt.Or(bitvec.AndNot(eq, vec))
+			eq.And(vec)
+		} else {
+			eq.AndNot(vec)
+		}
+	}
+	return lt, eq
+}
+
+// rangeByComparison answers Range(lo, hi) with two comparison passes: the
+// rows whose code lies between the codes of the first value >= lo and the
+// last value <= hi, less the NULL rows.
+func rangeByComparison[V cmp.Ordered](oi *OrderedIndex[V], lo, hi V) *bitvec.Vector {
+	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
+	j := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] > hi })
+	if i >= j {
+		return bitvec.New(oi.Len())
+	}
+	cl, _ := oi.ix.mapping.CodeOf(oi.sorted[i])
+	ch, _ := oi.ix.mapping.CodeOf(oi.sorted[j-1])
+	ltHi, eqHi := cmpCode(oi, ch)
+	ltLo, _ := cmpCode(oi, cl)
+	rows := ltHi.Or(eqHi).AndNot(ltLo)
+	if oi.ix.hasNullCode {
+		_, nulls := cmpCode(oi, oi.ix.nullCode)
+		rows.AndNot(nulls)
+	}
+	return rows
+}
+
+// TestOrderedRangeNullCodeInside pins the split around the NULL code: on a
+// mapping with code gaps, NULL takes the lowest free code, which lies
+// between two value codes, and a range across it must leave NULL rows out.
+func TestOrderedRangeNullCodeInside(t *testing.T) {
+	m := encoding.NewMapping[int](4)
+	for i, c := range []uint32{1, 3, 4, 9, 12} {
+		m.MustAdd(10*(i+1), c)
+	}
+	col := []int{10, 20, 0, 30, 40, 0, 50, 20}
+	null := []bool{false, false, true, false, false, true, false, false}
+	ix, err := Build(col, null, &Options[int]{Mapping: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.nullCode != 2 {
+		t.Fatalf("NULL code = %d, want 2", ix.nullCode)
+	}
+	oi, err := OrderedFrom(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{10, 50}, {15, 35}, {20, 30}, {10, 20}, {30, 50}} {
+		rows, st := oi.Range(r[0], r[1])
+		if want := rangeByComparison(oi, r[0], r[1]); !rows.Equal(want) {
+			t.Fatalf("Range(%d, %d) = %s, want %s", r[0], r[1], rows, want)
+		}
+		if st.VectorsRead > oi.K() || st != oi.PredictRangeStats(r[0], r[1]) {
+			t.Fatalf("Range(%d, %d) stats %+v, predicted %+v (k=%d)", r[0], r[1], st, oi.PredictRangeStats(r[0], r[1]), oi.K())
+		}
+	}
+}
+
+// Property: Range matches a scan for arbitrary data and bounds, on the
+// plain ordered encoding, on order-preserving mappings with code gaps (a
+// custom one, or a favored build over a small domain), with NULL rows
+// (whose code may fall inside the interval) and deleted rows. Rows must
+// equal the scan, the comparison-pass oracle and the IN-list rewrite; the
+// cover must read at most k vectors and report exactly PredictRangeStats.
 func TestPropOrderedRangeMatchesScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
+		mode := r.Intn(3) // 0 plain, 1 custom gapped mapping, 2 favored
 		maxV := 2 + r.Intn(60)
+		if mode == 2 {
+			maxV = 2 + r.Intn(4) // the favored search enumerates code sets
+		}
 		col := make([]int, n)
+		null := make([]bool, n)
 		for i := range col {
 			col[i] = r.Intn(maxV)
+			null[i] = mode == 1 && r.Intn(8) == 0
 		}
-		oi, err := BuildOrdered(col, nil, nil)
+		var oi *OrderedIndex[int]
+		var err error
+		switch mode {
+		case 1:
+			k := encoding.BitsFor(maxV+1) + 1
+			m := encoding.NewMapping[int](k)
+			codes := r.Perm(1<<uint(k) - 1)[:maxV]
+			sort.Ints(codes)
+			for v, c := range codes {
+				m.MustAdd(v, uint32(c+1)) // codes from 1: 0 stays void
+			}
+			var ix *Index[int]
+			if ix, err = Build(col, null, &Options[int]{Mapping: m}); err == nil {
+				oi, err = OrderedFrom(ix)
+			}
+		case 2:
+			var fav []int
+			for v := 0; v < maxV; v++ {
+				if slices.Contains(col, v) && r.Intn(2) == 0 {
+					fav = append(fav, v)
+				}
+			}
+			oi, err = BuildOrdered(col, [][]int{fav}, nil)
+		default:
+			oi, err = BuildOrdered(col, nil, nil)
+		}
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		lo := r.Intn(maxV)
-		hi := r.Intn(maxV)
-		rows, st := oi.Range(lo, hi)
-		if st.VectorsRead > 2*oi.K()+1 {
-			return false
-		}
-		for i, v := range col {
-			if rows.Get(i) != (v >= lo && v <= hi) {
-				return false
+		if mode != 1 {
+			for i := r.Intn(4); i > 0; i-- {
+				if err := oi.Index().AppendNull(); err != nil {
+					t.Fatal(err)
+				}
+				col, null = append(col, 0), append(null, true)
 			}
 		}
-		viaRed, _ := oi.RangeViaReduction(lo, hi)
-		return rows.Equal(viaRed)
+		deleted := make([]bool, len(col))
+		for i := r.Intn(4); i > 0; i-- {
+			row := r.Intn(len(col))
+			if err := oi.Index().Delete(row); err != nil {
+				t.Fatal(err)
+			}
+			deleted[row] = true
+		}
+		for q := 0; q < 8; q++ {
+			lo, hi := r.Intn(maxV+2)-1, r.Intn(maxV+2)-1
+			rows, st := oi.Range(lo, hi)
+			for i, v := range col {
+				if rows.Get(i) != (!null[i] && !deleted[i] && v >= lo && v <= hi) {
+					t.Fatalf("seed %d mode %d: Range(%d, %d) row %d = %v", seed, mode, lo, hi, i, rows.Get(i))
+				}
+			}
+			if !rows.Equal(rangeByComparison(oi, lo, hi)) {
+				t.Fatalf("seed %d mode %d: Range(%d, %d) differs from the comparison oracle", seed, mode, lo, hi)
+			}
+			if viaRed, _ := oi.RangeViaReduction(lo, hi); !rows.Equal(viaRed) {
+				t.Fatalf("seed %d mode %d: Range(%d, %d) differs from RangeViaReduction", seed, mode, lo, hi)
+			}
+			if st.VectorsRead > oi.K() || st != oi.PredictRangeStats(lo, hi) {
+				t.Fatalf("seed %d mode %d: Range(%d, %d) stats %+v, predicted %+v (k=%d)",
+					seed, mode, lo, hi, st, oi.PredictRangeStats(lo, hi), oi.K())
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -164,6 +164,9 @@ func (v *View[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
 // Existing returns all non-void, non-NULL rows. With the void-zero
 // reservation it needs no Boolean minimization at all: a row exists iff
 // its code is nonzero (the OR of all vectors) and is not the NULL code.
+// The NULL rows come from IsNull's cached program; its vectors are
+// charged only where the OR pass has not read them already, that is
+// without the reservation.
 func (v *View[V]) Existing() (*bitvec.Vector, iostat.Stats) {
 	ix := v.ix
 	var st iostat.Stats
@@ -182,7 +185,11 @@ func (v *View[V]) Existing() (*bitvec.Vector, iostat.Stats) {
 	}
 	if ix.hasNullCode {
 		nulls := bitvec.New(ix.n)
-		res := boolmin.Compile(boolmin.RetrievalFunction(ix.K(), ix.nullCode)).EvalInto(nulls, ix.srcs)
+		res := ix.reduce([]uint32{ix.nullCode}).prog.EvalInto(nulls, ix.srcs)
+		if !ix.reserveVoid {
+			st.VectorsRead += res.VectorsRead
+			st.WordsRead += res.WordsRead
+		}
 		st.BoolOps += res.Ops + 1
 		acc.AndNot(nulls)
 	}

@@ -88,8 +88,8 @@ func (a EBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) { return strK
 // PredictGen implements PredictLeafIndex.
 func (a EBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
 
-// OrderedEBI adapts an order-preserving encoded bitmap index, answering
-// ranges with the MSB-first comparison pass.
+// OrderedEBI adapts an order-preserving encoded bitmap index, answering a
+// range as the aligned-subcube cover of its code interval.
 type OrderedEBI struct{ Ix *core.OrderedIndex[int64] }
 
 // Eq implements ColumnIndex.
@@ -109,7 +109,8 @@ func (a OrderedEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 }
 
 // Leaf implements LeafIndex: Eq and In go through the shared rewrite on
-// the wrapped index; a range is the MSB-first pass, always sequential.
+// the wrapped index; a range is the index's interval cover, always
+// sequential.
 func (a OrderedEBI) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
 	if r, ok := p.(Range); ok {
 		return a.Range(r.Lo, r.Hi)
@@ -117,18 +118,20 @@ func (a OrderedEBI) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.
 	return intKind.leaf(ctx, a.Ix.Index(), p, degree)
 }
 
-// Describe implements LeafIndex: the MSB-first comparison pass is stateful
-// across vectors, so ranges are neither fused nor segmented.
+// Describe implements LeafIndex: every operation runs one fused program;
+// a range's cover is compiled per call and evaluated sequentially, so
+// ranges are not segmented.
 func (a OrderedEBI) Describe(op Op, delta int) LeafInfo {
-	return ebiInfo(op != OpRange, a.Ix.Index().TheoreticalMinVectors(delta))
+	info := ebiInfo(true, a.Ix.Index().TheoreticalMinVectors(delta))
+	info.Parallel = op != OpRange
+	return info
 }
 
-// PredictLeafStats implements PredictLeafIndex for Eq and In. The
-// MSB-first range pass is data-independent too but not program-compiled;
-// it is out of scope here.
+// PredictLeafStats implements PredictLeafIndex: a range's Stats are its
+// interval cover's, Eq and In go through the shared rewrite.
 func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	if _, ok := p.(Range); ok {
-		return iostat.Stats{}, false
+	if r, ok := p.(Range); ok {
+		return a.Ix.PredictRangeStats(r.Lo, r.Hi), true
 	}
 	return intKind.predict(a.Ix.Index(), p)
 }

@@ -91,7 +91,8 @@ func TestExplainAnalyzeStatsExact(t *testing.T) {
 
 // TestExplainGoldenText pins the EXPLAIN (plan-only) tree rendering. The
 // estimates are the cost models' outputs: δ=8 routes to the encoded index
-// at k+1 reads, point selections to the simple index at 1 read each.
+// at k+1 reads, its interval cover running in the fused kernel, point
+// selections to the simple index at 1 read each.
 func TestExplainGoldenText(t *testing.T) {
 	pl, _, k := plannerFixture(t, 100, 16)
 	plan, err := pl.Explain(And{Preds: []Predicate{
@@ -109,7 +110,7 @@ func TestExplainGoldenText(t *testing.T) {
 	}
 	want := fmt.Sprintf(`EXPLAIN (0 <= v <= 7 AND (v = 1 OR v = 2))
 AND est=%d
-├─ leaf v range δ=8 via ebi est=%d
+├─ leaf v range δ=8 via ebi est=%d fused
 └─ OR est=2
    ├─ leaf v eq δ=1 via simple est=1
    └─ leaf v eq δ=1 via simple est=1

@@ -55,7 +55,7 @@ func TestFusedOpTruthTable(t *testing.T) {
 	}{
 		{"EBIInt", EBIInt{Ix: ix}, true, true, true},
 		{"EBIStr", EBIStr{Ix: sx}, true, true, false},
-		{"OrderedEBI", OrderedEBI{Ix: ordered}, true, true, false},
+		{"OrderedEBI", OrderedEBI{Ix: ordered}, true, true, true},
 		{"SyncedEBIInt", SyncedEBIInt{Ix: core.NewSynced(ix)}, true, true, true},
 		{"SyncedEBIStr", SyncedEBIStr{Ix: core.NewSynced(sx)}, true, true, false},
 		{"CompressedSimpleInt", CompressedSimpleInt{}, false, true, true},

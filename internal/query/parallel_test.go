@@ -167,9 +167,10 @@ func TestParallelUnsupportedFallsBackSequential(t *testing.T) {
 	}
 	pl.EnableParallel(ParallelPolicy{MinWords: 1, MaxDegree: 4})
 
-	// The ordered index's MSB-first range is not segmented: it must still
-	// route to the ebi path (sequential Range), not the executor fallback,
-	// and plain EXPLAIN must not advertise a degree it will not run with.
+	// The ordered index's interval-cover range is not segmented: it must
+	// still route to the ebi path (sequential Range), not the executor
+	// fallback, and plain EXPLAIN must not advertise a degree it will not
+	// run with.
 	plan, err := pl.Explain(Range{Col: "v", Lo: 2, Hi: 5})
 	if err != nil {
 		t.Fatal(err)

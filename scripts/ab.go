@@ -27,6 +27,13 @@
 //	            bound relative to its median, unless every head run beats every
 //	            base run
 //	ok          none of these
+//
+// It ends with one traced run (--trace 1) per side and workload on the first
+// pair's seed, and prints each BENCHMARK.json per-layer metric of the two
+// runs side by side with its relative change: the layer evidence for a
+// claim. A traced run is one sample, so that table has no verdict; its
+// replay stops at the window, so with short windows the two sides may
+// replay different numbers of queries (compare *.calls_per_query).
 package main
 
 import (
@@ -55,6 +62,9 @@ type benchmark struct {
 		Better string  `json:"better"`
 		Bound  float64 `json:"bound"`
 	} `json:"end_to_end"`
+	PerLayer []struct {
+		Name string `json:"name"`
+	} `json:"per_layer"`
 }
 
 // runsDir keeps each run's output.
@@ -120,7 +130,7 @@ func main() {
 		for _, w := range names {
 			for _, side := range order {
 				out := filepath.Join(runsDir, fmt.Sprintf("%s.%d.%s.txt", w, i, side))
-				res[w][side][i] = runOnce(bins[side], w, *seed+int64(i), *seconds, out)
+				res[w][side][i] = runOnce(bins[side], w, *seed+int64(i), *seconds, 0, out)
 			}
 		}
 		fmt.Fprintf(os.Stderr, "pair %d/%d done\n", i+1, *pairs)
@@ -181,13 +191,47 @@ func main() {
 		}
 		tw.Flush()
 	}
+
+	for _, w := range names {
+		traced := map[string]*result{}
+		for _, side := range []string{"base", "head"} {
+			out := filepath.Join(runsDir, fmt.Sprintf("%s.trace.%s.txt", w, side))
+			traced[side] = runOnce(bins[side], w, *seed, *seconds, 1, out)
+		}
+		fmt.Println()
+		fmt.Printf("%s traced, seed %d:\n", w, *seed)
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "metric\tbase\thead\tchange")
+		for _, m := range bm.PerLayer {
+			b, okB := value(traced["base"], m.Name)
+			h, okH := value(traced["head"], m.Name)
+			switch {
+			case !okB && !okH:
+				continue
+			case !okB || !okH || b == 0:
+				fmt.Fprintf(tw, "%s\t%s\t%s\t\n", m.Name, show(b, okB), show(h, okH))
+			default:
+				fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%+.1f%%\n", m.Name, b, h, 100*(h-b)/b)
+			}
+		}
+		tw.Flush()
+	}
 }
 
-// runOnce runs one benchmark invocation, keeps its output in out and
-// returns its result line, or nil when it printed none.
-func runOnce(bin, workload string, seed int64, seconds float64, out string) *result {
+// show formats a traced metric, or "-" for one the run did not report.
+func show(v float64, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return fmt.Sprintf("%.4g", v)
+}
+
+// runOnce runs one benchmark invocation at the given --trace level, keeps
+// its output in out and returns its result line, or nil when it printed
+// none.
+func runOnce(bin, workload string, seed int64, seconds float64, trace int, out string) *result {
 	cmd := exec.Command(bin, "--workload", workload, "--seed", fmt.Sprint(seed),
-		"--seconds", fmt.Sprint(seconds), "--trace", "0")
+		"--seconds", fmt.Sprint(seconds), "--trace", fmt.Sprint(trace))
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &buf, &buf
 	// A run with wrong answers exits non-zero and still prints its result

@@ -13,8 +13,8 @@
 # not a gate: once both binaries build it exits 0.
 #
 # Both builds use bench/run.sh's environment (the local toolchain, no
-# module fetch, caches in .bench_build/). BASE_REV is checked out in a
-# temporary git worktree under .bench_build/, removed on exit.
+# module fetch, caches in .bench_build/). BASE_REV is exported with git
+# archive into a temporary directory under .bench_build/, removed on exit.
 set -euo pipefail
 
 base=${1:?usage: scripts/fnalign.sh BASE_REV}
@@ -24,10 +24,11 @@ mkdir -p "$out"
 export GOCACHE="$out/go-cache" GOPATH="$out/go-path" XDG_CONFIG_HOME="$out/config" \
 	GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly GOWORK=off
 
-wt="$out/fnalign-worktree"
-git worktree remove --force "$wt" 2>/dev/null || true
-git worktree add --quiet --detach "$wt" "$base"
-trap 'git worktree remove --force "$wt"' EXIT
+wt="$out/fnalign-src"
+rm -rf "$wt"
+mkdir -p "$wt"
+trap 'rm -rf "$wt"' EXIT
+git archive "$base" | tar -x -C "$wt"
 
 (cd "$wt/bench" && go build -buildvcs=false -o "$out/fnalign-base" .)
 (cd "$root/bench" && go build -buildvcs=false -o "$out/fnalign-head" .)
