@@ -25,7 +25,7 @@ bench:
 # "Bench JSON"). Compare two snapshots with:
 #   go run ./cmd/ebibench compare OLD.json NEW.json
 bench-json:
-	go run ./cmd/ebibench -n 200000 -parallel -eval -reorder -audit -json BENCH_$$(date +%F).json
+	go run ./cmd/ebibench -n 200000 -json BENCH_$$(date +%F).json
 
 # Fused single-pass evaluation vs the multi-pass baseline (see
 # docs/evaluation.md).

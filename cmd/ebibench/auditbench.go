@@ -16,7 +16,7 @@ import (
 )
 
 // auditRig is the star-schema query stack the audit experiment and the
-// -audit BENCH section share: an EBI-served planner (the audited
+// -json suite's audit section share: an EBI-served planner (the audited
 // engine) plus an independent simple-bitmap executor for shadow checks.
 type auditRig struct {
 	ex    *query.Executor

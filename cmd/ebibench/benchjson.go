@@ -227,40 +227,30 @@ func runBenchSuite(cfg config) (*BenchFile, error) {
 	}
 	add("compression/encoded/salespoint", 1, 0, 0, iostat.Stats{}, float64(eWah)/float64(eRaw))
 
-	// Segmented parallel execution, behind -parallel: sequential vs
-	// fork/join medians over a multi-segment EBI. Interpret the speedup
-	// against the recorded maxprocs/numcpu — on one core only parity is
-	// achievable.
-	if cfg.parallel {
-		if err := benchParallelSection(cfg, bf); err != nil {
-			return nil, err
-		}
+	// Segmented parallel execution: sequential vs fork/join medians over a
+	// multi-segment EBI. Interpret the speedup against the recorded
+	// maxprocs/numcpu — on one core only parity is achievable.
+	if err := benchParallelSection(cfg, bf); err != nil {
+		return nil, err
 	}
-	// Fused single-pass evaluation vs the multi-pass baseline, behind
-	// -eval: the fused entries' Ratio (fused/baseline medians) makes a
-	// fused-path regression visible to `ebibench compare`.
-	if cfg.eval {
-		if err := benchEvalSection(cfg, bf); err != nil {
-			return nil, err
-		}
+	// Fused single-pass evaluation vs the multi-pass baseline: the fused
+	// entries' Ratio (fused/baseline medians) makes a fused-path
+	// regression visible to `ebibench compare`.
+	if err := benchEvalSection(cfg, bf); err != nil {
+		return nil, err
 	}
-	// Row reordering, behind -reorder: per-heuristic WAH ratios against
-	// the unsorted ~1.0 baseline plus streamed-eval medians; a ratio that
-	// creeps back toward the unsorted baseline is a first-class
-	// regression in `ebibench compare`.
-	if cfg.reorder {
-		if err := benchReorderSection(cfg, bf); err != nil {
-			return nil, err
-		}
+	// Row reordering: per-heuristic WAH ratios against the unsorted ~1.0
+	// baseline plus streamed-eval medians; a ratio that creeps back toward
+	// the unsorted baseline is a first-class regression in `ebibench
+	// compare`.
+	if err := benchReorderSection(cfg, bf); err != nil {
+		return nil, err
 	}
-	// Audit-plane overhead, behind -audit: the mixed planner query at
-	// 0%/1%/10% sampling; the rate entries' Ratio (rate/disabled
-	// medians) makes an audit hot-path regression visible to
-	// `ebibench compare`.
-	if cfg.audit {
-		if err := benchAuditSection(cfg, bf); err != nil {
-			return nil, err
-		}
+	// Audit-plane overhead: the mixed planner query at 0%/1%/10%
+	// sampling; the rate entries' Ratio (rate/disabled medians) makes an
+	// audit hot-path regression visible to `ebibench compare`.
+	if err := benchAuditSection(cfg, bf); err != nil {
+		return nil, err
 	}
 	// Zero-downtime adaptive re-encoding: hot-group cost before the
 	// flip, the flip itself, and the delivered gain after it.

@@ -91,7 +91,8 @@ func TestReadBenchFileValidates(t *testing.T) {
 }
 
 // TestBenchJSONRoundTrip runs the real suite on a small table and checks
-// the written snapshot re-reads with the full experiment set intact.
+// the written snapshot re-reads with the full experiment set, every
+// section included, intact.
 func TestBenchJSONRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the measured bench suite")
@@ -115,6 +116,9 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 		"build/encoded/day", "query/eq/encoded", "query/eq/simple",
 		"query/range180/encoded", "query/mixed-and-or/planner",
 		"compression/simple/salespoint", "compression/encoded/salespoint",
+		// One entry of each section the suite always writes.
+		"parallel/in8/par", "eval/in8/fused", "reorder/plan/gray-asc",
+		"audit/overhead/rate1pct", "reencode-live/flip",
 	} {
 		e, ok := byName[name]
 		if !ok {

@@ -54,18 +54,14 @@ import (
 )
 
 type config struct {
-	n        int
-	seed     int64
-	page     int
-	degree   int
-	serve    string
-	jsonOut  string
-	tol      float64
-	parallel bool
-	eval     bool
-	reorder  bool
-	audit    bool
-	fault    bool
+	n       int
+	seed    int64
+	page    int
+	degree  int
+	serve   string
+	jsonOut string
+	tol     float64
+	fault   bool
 }
 
 func main() {
@@ -77,10 +73,6 @@ func main() {
 	flag.StringVar(&cfg.serve, "serve", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof/* and /traces on this address (e.g. :8080); keeps serving after the experiment finishes")
 	flag.StringVar(&cfg.jsonOut, "json", "", "run the standardized bench suite and write a versioned BENCH_*.json perf-trajectory snapshot to this path (an experiment argument is then optional)")
 	flag.Float64Var(&cfg.tol, "tolerance", 0.25, "regression tolerance for the compare subcommand, as a fraction (0.25 = 25%)")
-	flag.BoolVar(&cfg.parallel, "parallel", false, "include the segmented seq-vs-par section in the -json bench suite")
-	flag.BoolVar(&cfg.eval, "eval", false, "include the fused-vs-baseline evaluation section in the -json bench suite")
-	flag.BoolVar(&cfg.reorder, "reorder", false, "include the row-reordering WAH-ratio and streamed-eval section in the -json bench suite")
-	flag.BoolVar(&cfg.audit, "audit", false, "include the audit-plane sampling-overhead section (0%/1%/10%) in the -json bench suite")
 	flag.BoolVar(&cfg.fault, "fault", false, "with the audit experiment: inject one result-bit flip and one stats-word corruption; exits NON-ZERO iff the audit plane detects both")
 	flag.Parse()
 

@@ -8,8 +8,9 @@
 //  2. Stats conformance — the measured iostat.Stats must equal the
 //     Theorem 2.2/2.3 analytic prediction for the executed plan,
 //     computed at sample time against the same encoding basis
-//     (query.PredictLeafIndex); live re-encoding flips and appends are
-//     told apart from genuine divergence by the basis stamp.
+//     (query.PredictLeafIndex.PredictLeaf, whose Stats and basis stamp
+//     come from one view of the index); live re-encoding flips and
+//     appends are told apart from genuine divergence by the basis stamp.
 //  3. Planner calibration — per-leaf est-vs-actual ratios feed rolling
 //     per-family EWMA gauges (ebi_audit_calibration_ratio_milli_<path>)
 //     with edge-triggered drift detection over the time-series ring.

@@ -12,8 +12,6 @@ var (
 		"Word-at-a-time bulk Boolean operations (And/Or/Xor/AndNot/Not).")
 	mPopcounts = obs.Default().Counter("ebi_bitvec_popcount_total",
 		"Popcount passes (Count/Rank) over bit vectors.")
-	mSegOps = obs.Default().Counter("ebi_bitvec_segment_ops_total",
-		"Segment-range Boolean kernels (AndInto/OrInto/AndNotInto/NotInto).")
 	mSegPopcounts = obs.Default().Counter("ebi_bitvec_segment_popcount_total",
 		"Segment-range popcount passes (PopcountRange).")
 )

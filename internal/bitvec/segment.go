@@ -5,13 +5,13 @@ import (
 	"math/bits"
 )
 
-// Segmented kernel views. A segment is a fixed 64Ki-bit (1024-word) slice
-// of a vector; the parallel execution engine partitions every bulk Boolean
-// operation into per-segment word ranges so independent workers can write
-// disjoint ranges of a shared destination without synchronization. All
-// range kernels are bit-identical to the whole-vector operations: applying
-// a kernel over every segment of a vector produces exactly the words the
-// corresponding whole-vector method would.
+// Segments. A segment is a fixed 64Ki-bit (1024-word) slice of a vector.
+// The parallel execution engine runs the fused kernel
+// (boolmin.Program.EvalParallelInto) once per segment's word range, so
+// independent workers write disjoint ranges of a shared destination
+// without synchronization; the pagestore heatmap buckets page touches by
+// segment. PopcountRange counts one range: summed over every segment it
+// equals Count.
 const (
 	// SegmentBits is the fixed segment size in bits. 64Ki bits = 8KiB of
 	// payload per segment per vector: large enough that the fork/join
@@ -49,72 +49,12 @@ func (v *Vector) SegmentSpan(seg int) (lo, hi int) {
 	return lo, hi
 }
 
-// checkRange validates a word range against v and the other operands.
-func (v *Vector) checkRange(lo, hi int, others ...*Vector) {
-	if lo < 0 || hi < lo || hi > len(v.words) {
-		panic(fmt.Sprintf("bitvec: word range [%d,%d) out of range [0,%d]", lo, hi, len(v.words)))
-	}
-	for _, o := range others {
-		v.sameLen(o)
-	}
-}
-
-// AndInto sets v's words [lo, hi) to a AND b over the same range. The
-// operands must all share v's length; v may alias a or b (the common
-// in-place form is v.AndInto(v, o, lo, hi)). Only words [lo, hi) of v are
-// written, so concurrent AndInto calls over disjoint ranges are safe.
-func (v *Vector) AndInto(a, b *Vector, lo, hi int) {
-	v.checkRange(lo, hi, a, b)
-	mSegOps.Inc()
-	for i := lo; i < hi; i++ {
-		v.words[i] = a.words[i] & b.words[i]
-	}
-}
-
-// OrInto sets v's words [lo, hi) to a OR b over the same range. Aliasing
-// and concurrency rules match AndInto.
-func (v *Vector) OrInto(a, b *Vector, lo, hi int) {
-	v.checkRange(lo, hi, a, b)
-	mSegOps.Inc()
-	for i := lo; i < hi; i++ {
-		v.words[i] = a.words[i] | b.words[i]
-	}
-}
-
-// AndNotInto sets v's words [lo, hi) to a AND NOT b over the same range.
-// Aliasing and concurrency rules match AndInto.
-func (v *Vector) AndNotInto(a, b *Vector, lo, hi int) {
-	v.checkRange(lo, hi, a, b)
-	mSegOps.Inc()
-	for i := lo; i < hi; i++ {
-		v.words[i] = a.words[i] &^ b.words[i]
-	}
-}
-
-// NotInto sets v's words [lo, hi) to NOT a over the same range,
-// maintaining the all-zero tail invariant when the range includes the
-// final word — so a segment-by-segment complement equals Not exactly.
-func (v *Vector) NotInto(a *Vector, lo, hi int) {
-	v.checkRange(lo, hi, a)
-	mSegOps.Inc()
-	for i := lo; i < hi; i++ {
-		v.words[i] = ^a.words[i]
-	}
-	if hi == len(v.words) {
-		v.trimTail()
-	}
-}
-
-// CopyInto copies a's words [lo, hi) into v.
-func (v *Vector) CopyInto(a *Vector, lo, hi int) {
-	v.checkRange(lo, hi, a)
-	copy(v.words[lo:hi], a.words[lo:hi])
-}
-
 // PopcountRange returns the number of set bits in words [lo, hi). Summing
 // it over all segments equals Count (the tail beyond Len is always zero).
 func (v *Vector) PopcountRange(lo, hi int) int {
-	v.checkRange(lo, hi)
+	if lo < 0 || hi < lo || hi > len(v.words) {
+		panic(fmt.Sprintf("bitvec: word range [%d,%d) out of range [0,%d]", lo, hi, len(v.words)))
+	}
 	mSegPopcounts.Inc()
 	c := 0
 	for _, w := range v.words[lo:hi] {

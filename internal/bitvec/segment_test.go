@@ -55,53 +55,22 @@ func TestSegmentSpanPanics(t *testing.T) {
 	}
 }
 
-// applySegmented runs a range kernel over every segment of dst and
-// returns dst, so kernels can be compared against whole-vector ops.
-func applySegmented(dst *Vector, fn func(lo, hi int)) *Vector {
-	for s := 0; s < dst.Segments(); s++ {
-		lo, hi := dst.SegmentSpan(s)
-		fn(lo, hi)
+// popcountWords is the reference for PopcountRange: the set bits of
+// words [lo, hi), one bit at a time.
+func popcountWords(v *Vector, lo, hi int) int {
+	c := 0
+	for i := lo * wordBits; i < hi*wordBits && i < v.Len(); i++ {
+		if v.Get(i) {
+			c++
+		}
 	}
-	return dst
+	return c
 }
 
 func TestSegmentKernelsMatchWholeVector(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 64, 1000, SegmentBits - 1, SegmentBits, SegmentBits + 65, 2*SegmentBits + 333} {
-		a, b := randomVec(r, n), randomVec(r, n)
-
-		checks := []struct {
-			name string
-			seg  func() *Vector
-			want *Vector
-		}{
-			{"and", func() *Vector {
-				d := New(n)
-				return applySegmented(d, func(lo, hi int) { d.AndInto(a, b, lo, hi) })
-			}, a.Clone().And(b)},
-			{"or", func() *Vector {
-				d := New(n)
-				return applySegmented(d, func(lo, hi int) { d.OrInto(a, b, lo, hi) })
-			}, a.Clone().Or(b)},
-			{"andnot", func() *Vector {
-				d := New(n)
-				return applySegmented(d, func(lo, hi int) { d.AndNotInto(a, b, lo, hi) })
-			}, a.Clone().AndNot(b)},
-			{"not", func() *Vector {
-				d := New(n)
-				return applySegmented(d, func(lo, hi int) { d.NotInto(a, lo, hi) })
-			}, a.Clone().Not()},
-			{"copy", func() *Vector {
-				d := New(n)
-				return applySegmented(d, func(lo, hi int) { d.CopyInto(a, lo, hi) })
-			}, a.Clone()},
-		}
-		for _, c := range checks {
-			if got := c.seg(); !got.Equal(c.want) {
-				t.Errorf("n=%d: segmented %s != whole-vector result", n, c.name)
-			}
-		}
-
+		a := randomVec(r, n)
 		sum := 0
 		for s := 0; s < a.Segments(); s++ {
 			lo, hi := a.SegmentSpan(s)
@@ -113,53 +82,24 @@ func TestSegmentKernelsMatchWholeVector(t *testing.T) {
 	}
 }
 
-func TestSegmentKernelsAliasing(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	n := SegmentBits + 99
-	a, b := randomVec(r, n), randomVec(r, n)
-
-	// In-place forms: v.AndInto(v, o, ...) must equal v.And(o).
-	v := a.Clone()
-	applySegmented(v, func(lo, hi int) { v.AndInto(v, b, lo, hi) })
-	if !v.Equal(a.Clone().And(b)) {
-		t.Error("aliased AndInto diverged from And")
-	}
-	v = a.Clone()
-	applySegmented(v, func(lo, hi int) { v.OrInto(v, b, lo, hi) })
-	if !v.Equal(a.Clone().Or(b)) {
-		t.Error("aliased OrInto diverged from Or")
-	}
-}
-
 func TestSegmentKernelZeroLengthRange(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	n := 2048
-	a, b := randomVec(r, n), randomVec(r, n)
-	d := New(n)
-	want := d.Clone()
-	d.AndInto(a, b, 5, 5) // no-op range
-	d.OrInto(a, b, 0, 0)
-	d.NotInto(a, d.Words(), d.Words())
-	if !d.Equal(want) {
-		t.Error("zero-length ranges modified the destination")
-	}
-	if got := a.PopcountRange(3, 3); got != 0 {
-		t.Errorf("PopcountRange over empty range = %d, want 0", got)
+	a := randomVec(rand.New(rand.NewSource(9)), 2048)
+	for _, at := range []int{0, 3, a.Words()} {
+		if got := a.PopcountRange(at, at); got != 0 {
+			t.Errorf("PopcountRange(%d, %d) = %d, want 0", at, at, got)
+		}
 	}
 }
 
 func TestSegmentKernelPanics(t *testing.T) {
-	a, b := New(128), New(128)
-	short := New(64)
+	a := New(128)
 	cases := []struct {
-		name string
-		fn   func()
+		name   string
+		lo, hi int
 	}{
-		{"lo<0", func() { New(128).AndInto(a, b, -1, 1) }},
-		{"hi<lo", func() { New(128).OrInto(a, b, 2, 1) }},
-		{"hi>words", func() { New(128).AndNotInto(a, b, 0, 3) }},
-		{"len mismatch", func() { New(128).AndInto(a, short, 0, 1) }},
-		{"not mismatch", func() { New(128).NotInto(short, 0, 1) }},
+		{"lo<0", -1, 1},
+		{"hi<lo", 2, 1},
+		{"hi>words", 0, 3},
 	}
 	for _, c := range cases {
 		func() {
@@ -168,14 +108,15 @@ func TestSegmentKernelPanics(t *testing.T) {
 					t.Errorf("%s: no panic", c.name)
 				}
 			}()
-			c.fn()
+			a.PopcountRange(c.lo, c.hi)
 		}()
 	}
 }
 
-// FuzzSegmentKernels cross-checks the range kernels against whole-vector
-// operations at fuzzer-chosen lengths and word ranges, exercising tail
-// words, segment boundaries, and zero-length ranges.
+// FuzzSegmentKernels checks PopcountRange at fuzzer-chosen lengths and
+// word ranges against a bit-at-a-time count, exercising tail words,
+// segment boundaries, and zero-length ranges, and checks that the counts
+// of every segment sum to Count.
 func FuzzSegmentKernels(f *testing.F) {
 	f.Add(int64(1), uint(100), uint(0), uint(2))
 	f.Add(int64(2), uint(SegmentBits), uint(SegmentWords-1), uint(SegmentWords))
@@ -183,48 +124,12 @@ func FuzzSegmentKernels(f *testing.F) {
 	f.Add(int64(4), uint(2*SegmentBits+7), uint(SegmentWords), uint(2*SegmentWords))
 	f.Fuzz(func(t *testing.T, seed int64, n, lo, hi uint) {
 		nn := int(n%(3*SegmentBits)) + 1
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomVec(r, nn), randomVec(r, nn)
+		a := randomVec(rand.New(rand.NewSource(seed)), nn)
 		words := a.Words()
 		l := int(lo) % (words + 1)
 		h := l + int(hi)%(words-l+1)
-
-		wantAnd := a.Clone().And(b)
-		wantOr := a.Clone().Or(b)
-		wantNot := a.Clone().Not()
-
-		// Each destination starts as a copy of the whole-vector result with
-		// the fuzzed range zeroed, so a correct kernel restores equality and
-		// an out-of-range write breaks it.
-		damage := func(w *Vector) *Vector {
-			d := w.Clone()
-			for i := l; i < h; i++ {
-				d.words[i] = 0
-			}
-			return d
-		}
-
-		d := damage(wantAnd)
-		d.AndInto(a, b, l, h)
-		if !d.Equal(wantAnd) {
-			t.Fatalf("AndInto[%d,%d) n=%d diverged", l, h, nn)
-		}
-		d = damage(wantOr)
-		d.OrInto(a, b, l, h)
-		if !d.Equal(wantOr) {
-			t.Fatalf("OrInto[%d,%d) n=%d diverged", l, h, nn)
-		}
-		d = damage(wantNot)
-		d.NotInto(a, l, h)
-		// NotInto only trims when the range reaches the final word; damage
-		// never sets bits, so the invariant and equality both must hold.
-		if !d.Equal(wantNot) {
-			t.Fatalf("NotInto[%d,%d) n=%d diverged", l, h, nn)
-		}
-		d = damage(a)
-		d.CopyInto(a, l, h)
-		if !d.Equal(a) {
-			t.Fatalf("CopyInto[%d,%d) n=%d diverged", l, h, nn)
+		if got, want := a.PopcountRange(l, h), popcountWords(a, l, h); got != want {
+			t.Fatalf("PopcountRange[%d,%d) n=%d = %d, want %d", l, h, nn, got, want)
 		}
 
 		whole := 0

@@ -8,11 +8,12 @@ import (
 	"repro/internal/iostat"
 )
 
-// The audit plane's stats-conformance check depends on Predict*Stats
-// being exactly the measured accounting of the corresponding read path,
-// for every shape the adapters can produce: known and unknown values,
-// NULLs (with and without an allocated NULL code), value lists, Synced
-// tails, and encodings swapped by a live Reencode.
+// The audit plane's stats-conformance check depends on a view's
+// Predict*Stats being exactly the measured accounting of the
+// corresponding read path, for every shape the adapters can produce:
+// known and unknown values, NULLs (with and without an allocated NULL
+// code), value lists, Synced tails, and encodings swapped by a live
+// Reencode.
 
 // rotatedMapping builds a wider mapping with every code shifted by one —
 // a guaranteed-different encoding over the same domain, for exercising
@@ -65,10 +66,10 @@ func TestPredictSelectionStatsIndexParity(t *testing.T) {
 		}
 		_, st := ix.In(vs)
 		return st
-	}, ix.PredictSelectionStats, sets)
+	}, ix.View().PredictSelectionStats, sets)
 
 	_, st := ix.IsNull()
-	if got := ix.PredictIsNullStats(); got != st {
+	if got := ix.View().PredictIsNullStats(); got != st {
 		t.Errorf("IsNull: predicted %+v, measured %+v", got, st)
 	}
 
@@ -78,7 +79,7 @@ func TestPredictSelectionStatsIndexParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, st = plain.IsNull()
-	if got := plain.PredictIsNullStats(); got != st || got != (iostat.Stats{}) {
+	if got := plain.View().PredictIsNullStats(); got != st || got != (iostat.Stats{}) {
 		t.Errorf("IsNull without null code: predicted %+v, measured %+v", got, st)
 	}
 }
@@ -123,9 +124,9 @@ func TestPredictSelectionStatsSyncedParity(t *testing.T) {
 	for _, stage := range stages {
 		t.Run(stage.name, func(t *testing.T) {
 			stage.prep(t)
-			checkSelectionParity(t, stage.name, measure, s.PredictSelectionStats, sets)
+			checkSelectionParity(t, stage.name, measure, s.View().PredictSelectionStats, sets)
 			_, st := s.IsNull()
-			if got := s.PredictIsNullStats(); got != st {
+			if got := s.View().PredictIsNullStats(); got != st {
 				t.Errorf("IsNull: predicted %+v, measured %+v", got, st)
 			}
 		})
@@ -138,18 +139,18 @@ func TestPredictGenChangesWithBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g0 := s.PredictGen()
+	g0 := s.View().PredictGen()
 	if err := s.Append("a"); err != nil {
 		t.Fatal(err)
 	}
-	g1 := s.PredictGen()
+	g1 := s.View().PredictGen()
 	if g1 == g0 {
 		t.Fatal("PredictGen unchanged by append")
 	}
 	if err := s.Reencode(rotatedMapping(s.Values())); err != nil {
 		t.Fatal(err)
 	}
-	if g2 := s.PredictGen(); g2 == g1 {
+	if g2 := s.View().PredictGen(); g2 == g1 {
 		t.Fatal("PredictGen unchanged by re-encoding flip")
 	}
 }

@@ -265,19 +265,6 @@ func (ix *Index[V]) IsNull() (*bitvec.Vector, iostat.Stats) { return ix.View().I
 // Existing returns all non-void, non-NULL rows.
 func (ix *Index[V]) Existing() (*bitvec.Vector, iostat.Stats) { return ix.View().Existing() }
 
-// PredictSelectionStats returns the exact Stats Eq or In would report.
-func (ix *Index[V]) PredictSelectionStats(values []V) iostat.Stats {
-	return ix.View().PredictSelectionStats(values)
-}
-
-// PredictIsNullStats returns the exact Stats IsNull would report.
-func (ix *Index[V]) PredictIsNullStats() iostat.Stats { return ix.View().PredictIsNullStats() }
-
-// PredictGen stamps the basis of the index's predictions. (Plain indexes
-// are not safe for concurrent mutation anyway; the stamp exists so the
-// audit plane can tell "prediction basis moved" from "engine diverged".)
-func (ix *Index[V]) PredictGen() uint64 { return ix.View().PredictGen() }
-
 // View returns the live snapshot. It never changes once loaded, so a
 // caller that reads through one view sees exactly one state of the index
 // however appends and re-encodings race it.
@@ -322,16 +309,3 @@ func (s *Synced[V]) IsNull() (*bitvec.Vector, iostat.Stats) { return s.View().Is
 
 // Existing returns non-void, non-NULL rows.
 func (s *Synced[V]) Existing() (*bitvec.Vector, iostat.Stats) { return s.View().Existing() }
-
-// PredictSelectionStats predicts Eq/In on one atomic snapshot, so the
-// prediction is consistent even while appends and re-encoding flips race
-// it.
-func (s *Synced[V]) PredictSelectionStats(values []V) iostat.Stats {
-	return s.View().PredictSelectionStats(values)
-}
-
-// PredictIsNullStats predicts IsNull on one atomic snapshot.
-func (s *Synced[V]) PredictIsNullStats() iostat.Stats { return s.View().PredictIsNullStats() }
-
-// PredictGen stamps the basis of the live snapshot's predictions.
-func (s *Synced[V]) PredictGen() uint64 { return s.View().PredictGen() }

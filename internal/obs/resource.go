@@ -7,9 +7,9 @@ import "runtime/metrics"
 //
 // cpuNS is the calling thread's CPU clock (CLOCK_THREAD_CPUTIME_ID on
 // linux, 0 elsewhere). Goroutines can migrate threads, so a span that
-// spans a migration under-reads; in practice query evaluation is
-// compute-bound and stays put, and the number is a measurement aid, not
-// an invariant. allocBytes/allocObjs are the process-global cumulative
+// spans a migration under-reads, floored at its same-thread children's
+// CPU (Span.End); in practice query evaluation is compute-bound and
+// stays put, and the number is a measurement aid, not an invariant. allocBytes/allocObjs are the process-global cumulative
 // heap-allocation counters from runtime/metrics: deltas are exact when
 // one query runs at a time and an upper bound under concurrency. The
 // runtime folds small allocations into these counters only when an

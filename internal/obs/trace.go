@@ -38,12 +38,13 @@ type Span struct {
 	Attrs      map[string]any `json:"attrs,omitempty"`
 
 	// Resource attribution, filled in at End. CPUNanos is the span
-	// goroutine's thread CPU time (plus, for spans with detached
-	// children, the workers' CPU), so a root span's CPU is the whole
-	// query's. AllocBytes/AllocObjects are process-global heap-alloc
-	// deltas over the span window: exact for a single query, an
-	// approximation under concurrent load (documented in
-	// docs/observability.md).
+	// goroutine's thread CPU time, never less than the sum of its
+	// same-thread children's, plus the CPU of its detached descendants
+	// (parallel workers), so a root span's CPU is the whole query's and
+	// no parent reads below its children. AllocBytes/AllocObjects are
+	// process-global heap-alloc deltas over the span window: exact for a
+	// single query, an approximation under concurrent load (documented
+	// in docs/observability.md).
 	CPUNanos     int64  `json:"cpu_ns"`
 	AllocBytes   uint64 `json:"alloc_bytes"`
 	AllocObjects uint64 `json:"allocs"`
@@ -56,7 +57,8 @@ type Span struct {
 	parent   *Span
 	detached bool // ended on a different goroutine than the parent
 	res      resSnap
-	extCPU   atomic.Int64 // CPU contributed by detached children
+	kidsCPU  atomic.Int64 // own CPU of same-thread children: a floor for sp's own
+	extCPU   atomic.Int64 // CPU of other threads: detached descendants'
 	childMu  sync.Mutex
 	labelCtx context.Context // pprof label set for worker goroutines
 }
@@ -197,13 +199,11 @@ func (sp *Span) End() {
 	}
 	// A goroutine that blocked inside the window (a fork-join caller
 	// waiting for its helpers) can resume on another thread, whose
-	// clock is unrelated to the one read at start: clamp that skew to
-	// an under-read rather than a negative CPU time.
-	own := end.cpuNS - sp.res.cpuNS
-	if own < 0 {
-		own = 0
-	}
-	sp.CPUNanos = own + sp.extCPU.Load()
+	// clock is unrelated to the one read at start. The window covers its
+	// same-thread children's, so their own CPU is a floor for sp's.
+	own := max(end.cpuNS-sp.res.cpuNS, sp.kidsCPU.Load())
+	ext := sp.extCPU.Load()
+	sp.CPUNanos = own + ext
 	if end.allocBytes >= sp.res.allocBytes {
 		sp.AllocBytes = end.allocBytes - sp.res.allocBytes
 	}
@@ -216,6 +216,11 @@ func (sp *Span) End() {
 			// Alloc counters are process-global, so the parent's own
 			// window already includes the worker's allocations.
 			sp.parent.extCPU.Add(sp.CPUNanos)
+		} else {
+			// The parent's window covers this span's own CPU but, like
+			// this span's, not its detached descendants'.
+			sp.parent.kidsCPU.Add(own)
+			sp.parent.extCPU.Add(ext)
 		}
 		sp.parent.childMu.Lock()
 		sp.parent.Children = append(sp.parent.Children, sp)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // spin burns CPU long enough for the thread clock to register progress.
@@ -116,6 +117,53 @@ func TestDetachedWorkerCPUAddsToParent(t *testing.T) {
 		if root.CPUNanos < workerCPU {
 			t.Fatalf("root CPU %d < summed worker CPU %d", root.CPUNanos, workerCPU)
 		}
+	}
+}
+
+// TestSpanCPUFloorAfterMigration pins the migration floor: a parent
+// whose goroutine resumed on another OS thread reads an unrelated thread
+// clock at End, yet its CPU never falls below its same-thread children's.
+func TestSpanCPUFloorAfterMigration(t *testing.T) {
+	withTelemetry(t)
+	_, root := StartSpan(context.Background(), "root")
+	var kids int64
+	for i := 0; i < 2; i++ {
+		child := root.StartChild("child")
+		spin()
+		child.End()
+		kids += child.CPUNanos
+	}
+	// Start the parent's window from a clock reading later than its
+	// children's end, as the clock of the thread it resumes on may be.
+	root.res.cpuNS = takeResSnap().cpuNS + int64(time.Hour)
+	root.End()
+	if root.CPUNanos < kids {
+		t.Fatalf("root CPU %d < its children's %d", root.CPUNanos, kids)
+	}
+}
+
+// TestNestedWorkerCPUReachesRoot checks that parallel workers detached
+// under a same-thread child count in every ancestor, not only in the
+// span they were detached from.
+func TestNestedWorkerCPUReachesRoot(t *testing.T) {
+	withTelemetry(t)
+	_, root := StartSpan(context.Background(), "root")
+	leaf := root.StartChild("leaf")
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := leaf.StartDetached("worker")
+			spin()
+			w.End()
+		}()
+	}
+	wg.Wait()
+	leaf.End()
+	root.End()
+	if root.CPUNanos < leaf.CPUNanos {
+		t.Fatalf("root CPU %d < leaf CPU %d", root.CPUNanos, leaf.CPUNanos)
 	}
 }
 

@@ -13,80 +13,61 @@ import (
 	"repro/internal/table"
 )
 
-// The encoded-bitmap adapters answer every leaf through the shared
-// rewrite in leaf.go; their ColumnIndex methods are Leaf run sequentially.
+// ebi adapts an encoded bitmap index over int64 or string values: a plain
+// core.Index or a live core.Synced. Each leaf reads one view of Ix and is
+// rewritten (leaf.go), evaluated and predicted on that snapshot, so a
+// Synced index is safe to query while other goroutines append or a live
+// re-encoding flips it. The ColumnIndex methods are Leaf run sequentially;
+// string columns answer no ranges.
+type ebi[V int64 | string, X interface {
+	View() *core.View[V]
+	TheoreticalMinVectors(delta int) int
+}] struct{ Ix X }
 
-// EBIInt adapts an encoded bitmap index over int64 values.
-type EBIInt struct{ Ix *core.Index[int64] }
+type (
+	// EBIInt adapts an encoded bitmap index over int64 values.
+	EBIInt = ebi[int64, *core.Index[int64]]
+	// EBIStr adapts an encoded bitmap index over strings.
+	EBIStr = ebi[string, *core.Index[string]]
+	// SyncedEBIInt adapts a concurrency-safe encoded bitmap index over
+	// int64 values.
+	SyncedEBIInt = ebi[int64, *core.Synced[int64]]
+	// SyncedEBIStr adapts a concurrency-safe encoded bitmap index over
+	// strings — the serving shape ebicli's -apply mode uses, where the
+	// drift watcher re-encodes the live index under query traffic.
+	SyncedEBIStr = ebi[string, *core.Synced[string]]
+)
 
 // Eq implements ColumnIndex.
-func (a EBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+func (a ebi[V, X]) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return a.Leaf(context.Background(), Eq{Val: v}, 1)
 }
 
 // In implements ColumnIndex.
-func (a EBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+func (a ebi[V, X]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
 // Range implements ColumnIndex as an IN list over the mapped domain.
-func (a EBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+func (a ebi[V, X]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return a.Leaf(context.Background(), Range{Lo: lo, Hi: hi}, 1)
 }
 
 // Leaf implements LeafIndex.
-func (a EBIInt) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return intKind.leaf(ctx, a.Ix, p, degree)
+func (a ebi[V, X]) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	return kindOf[V]().leaf(ctx, a.Ix.View(), p, degree)
 }
 
-// Describe implements LeafIndex: Eq, In and the Range rewrite each run one
-// fused, segmentable program.
-func (a EBIInt) Describe(op Op, delta int) LeafInfo {
-	return ebiInfo(true, a.Ix.TheoreticalMinVectors(delta))
+// Describe implements LeafIndex: every operation the rewrite accepts runs
+// one fused, segmentable program.
+func (a ebi[V, X]) Describe(op Op, delta int) LeafInfo {
+	return ebiInfo(kindOf[V]().answers(op), a.Ix.TheoreticalMinVectors(delta))
 }
 
-// PredictLeafStats implements PredictLeafIndex.
-func (a EBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) { return intKind.predict(a.Ix, p) }
-
-// PredictGen implements PredictLeafIndex.
-func (a EBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// EBIStr adapts an encoded bitmap index over string values; ranges are
-// unsupported.
-type EBIStr struct{ Ix *core.Index[string] }
-
-// Eq implements ColumnIndex.
-func (a EBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), Eq{Val: v}, 1)
+// PredictLeaf implements PredictLeafIndex.
+func (a ebi[V, X]) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
+	return kindOf[V]().predict(a.Ix.View(), p)
 }
-
-// In implements ColumnIndex.
-func (a EBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), In{Vals: vs}, 1)
-}
-
-// Range is unsupported on string attributes.
-func (a EBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// Leaf implements LeafIndex.
-func (a EBIStr) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return strKind.leaf(ctx, a.Ix, p, degree)
-}
-
-// Describe implements LeafIndex: Eq and In are fused and segmentable.
-func (a EBIStr) Describe(op Op, delta int) LeafInfo {
-	return ebiInfo(op != OpRange, a.Ix.TheoreticalMinVectors(delta))
-}
-
-// PredictLeafStats implements PredictLeafIndex. Range has no analytic
-// model: the adapter refuses it and the executor's scan fallback depends
-// on the table, not the encoding.
-func (a EBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) { return strKind.predict(a.Ix, p) }
-
-// PredictGen implements PredictLeafIndex.
-func (a EBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
 
 // OrderedEBI adapts an order-preserving encoded bitmap index, answering a
 // range as the aligned-subcube cover of its code interval.
@@ -109,13 +90,13 @@ func (a OrderedEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 }
 
 // Leaf implements LeafIndex: Eq and In go through the shared rewrite on
-// the wrapped index; a range is the index's interval cover, always
+// the wrapped index's view; a range is the index's interval cover, always
 // sequential.
 func (a OrderedEBI) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
 	if r, ok := p.(Range); ok {
 		return a.Range(r.Lo, r.Hi)
 	}
-	return intKind.leaf(ctx, a.Ix.Index(), p, degree)
+	return intKind.leaf(ctx, a.Ix.Index().View(), p, degree)
 }
 
 // Describe implements LeafIndex: every operation runs one fused program;
@@ -127,142 +108,51 @@ func (a OrderedEBI) Describe(op Op, delta int) LeafInfo {
 	return info
 }
 
-// PredictLeafStats implements PredictLeafIndex: a range's Stats are its
+// PredictLeaf implements PredictLeafIndex: a range's Stats are its
 // interval cover's, Eq and In go through the shared rewrite.
-func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
+func (a OrderedEBI) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
+	v := a.Ix.Index().View()
 	if r, ok := p.(Range); ok {
-		return a.Ix.PredictRangeStats(r.Lo, r.Hi), true
+		return a.Ix.PredictRangeStats(r.Lo, r.Hi), v.PredictGen(), true
 	}
-	return intKind.predict(a.Ix.Index(), p)
+	return intKind.predict(v, p)
 }
 
-// PredictGen implements PredictLeafIndex.
-func (a OrderedEBI) PredictGen() uint64 { return a.Ix.Index().PredictGen() }
+// simple adapts a simple bitmap index over int64 or string values; string
+// columns answer no ranges.
+type simple[V int64 | string] struct{ Ix *simplebitmap.Index[V] }
 
-// SyncedEBIInt adapts a concurrency-safe encoded bitmap index over int64
-// values; each leaf is rewritten, evaluated and predicted on one snapshot
-// view, so it is safe to query while other goroutines append or a live
-// re-encoding flips.
-type SyncedEBIInt struct{ Ix *core.Synced[int64] }
+type (
+	// SimpleInt adapts a simple bitmap index over int64 values.
+	SimpleInt = simple[int64]
+	// SimpleStr adapts a simple bitmap index over strings.
+	SimpleStr = simple[string]
+)
 
 // Eq implements ColumnIndex.
-func (a SyncedEBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), Eq{Val: v}, 1)
-}
-
-// In implements ColumnIndex.
-func (a SyncedEBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), In{Vals: vs}, 1)
-}
-
-// Range implements ColumnIndex as an IN list over the mapped domain.
-func (a SyncedEBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), Range{Lo: lo, Hi: hi}, 1)
-}
-
-// Leaf implements LeafIndex.
-func (a SyncedEBIInt) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return intKind.leaf(ctx, a.Ix.View(), p, degree)
-}
-
-// Describe implements LeafIndex, as for EBIInt.
-func (a SyncedEBIInt) Describe(op Op, delta int) LeafInfo {
-	return ebiInfo(true, a.Ix.TheoreticalMinVectors(delta))
-}
-
-// PredictLeafStats implements PredictLeafIndex.
-func (a SyncedEBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	return intKind.predict(a.Ix.View(), p)
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a SyncedEBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// SyncedEBIStr adapts a concurrency-safe encoded bitmap index over
-// string values — the serving shape ebicli's -apply mode uses, where the
-// drift watcher re-encodes the live index under query traffic.
-type SyncedEBIStr struct{ Ix *core.Synced[string] }
-
-// Eq implements ColumnIndex.
-func (a SyncedEBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), Eq{Val: v}, 1)
-}
-
-// In implements ColumnIndex.
-func (a SyncedEBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), In{Vals: vs}, 1)
-}
-
-// Range is unsupported on string attributes.
-func (a SyncedEBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// Leaf implements LeafIndex.
-func (a SyncedEBIStr) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	return strKind.leaf(ctx, a.Ix.View(), p, degree)
-}
-
-// Describe implements LeafIndex, as for EBIStr.
-func (a SyncedEBIStr) Describe(op Op, delta int) LeafInfo {
-	return ebiInfo(op != OpRange, a.Ix.TheoreticalMinVectors(delta))
-}
-
-// PredictLeafStats implements PredictLeafIndex.
-func (a SyncedEBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	return strKind.predict(a.Ix.View(), p)
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a SyncedEBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// SimpleInt adapts a simple bitmap index over int64 values.
-type SimpleInt struct{ Ix *simplebitmap.Index[int64] }
-
-// Eq implements ColumnIndex.
-func (a SimpleInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+func (a simple[V]) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	if v.Null {
 		rows, st := a.Ix.IsNull()
 		return rows, st, nil
 	}
-	rows, st := a.Ix.Eq(v.I)
+	rows, st := a.Ix.Eq(kindOf[V]().cell(v))
 	return rows, st, nil
 }
 
 // In implements ColumnIndex.
-func (a SimpleInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(intKind.values(vs))
+func (a simple[V]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	rows, st := a.Ix.In(kindOf[V]().values(vs))
 	return rows, st, nil
 }
 
 // Range ORs one vector per qualifying value: the paper's c_s = δ cost.
-func (a SimpleInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(intKind.inRange(a.Ix.Values(), lo, hi))
-	return rows, st, nil
-}
-
-// SimpleStr adapts a simple bitmap index over strings.
-type SimpleStr struct{ Ix *simplebitmap.Index[string] }
-
-// Eq implements ColumnIndex.
-func (a SimpleStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
+func (a simple[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+	k := kindOf[V]()
+	if !k.answers(OpRange) {
+		return nil, iostat.Stats{}, ErrUnsupported
 	}
-	rows, st := a.Ix.Eq(v.S)
+	rows, st := a.Ix.In(k.inRange(a.Ix.Values(), lo, hi))
 	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a SimpleStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(strKind.values(vs))
-	return rows, st, nil
-}
-
-// Range is unsupported on string attributes.
-func (a SimpleStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
 }
 
 // BSIAdapter adapts a bit-sliced index over non-negative int64 keys.

@@ -104,6 +104,38 @@ func TestExplainAnalyzeResourceAttribution(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeCPUFloorAfterMigration pins the plan-node floor: when
+// the walker resumes on another OS thread, the thread clock it reads at
+// the end of a combinator's window is unrelated to the one at its start,
+// yet the combinator's CPU never falls below its children's.
+func TestExplainAnalyzeCPUFloorAfterMigration(t *testing.T) {
+	pl, _, _ := plannerFixture(t, 500, 16)
+	// Window reads in preorder: OR start, each leaf's start and end, OR
+	// end — the last on a thread whose clock reads below the first.
+	clock := []int64{5000, 5000, 5100, 5100, 5300, 200}
+	calls := 0
+	defer func(orig func() obs.Resources) { takeResources = orig }(takeResources)
+	takeResources = func() obs.Resources {
+		calls++
+		return obs.Resources{CPUNanos: clock[min(calls, len(clock))-1]}
+	}
+	p := Or{Preds: []Predicate{
+		Eq{Col: "v", Val: table.IntCell(5)},
+		Range{Col: "v", Lo: 10, Hi: 12},
+	}}
+	_, plan, err := pl.ExplainAnalyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(clock) {
+		t.Fatalf("%d clock reads, want %d", calls, len(clock))
+	}
+	root := plan.Root
+	if kids := root.Children[0].CPUNanos + root.Children[1].CPUNanos; kids != 300 || root.CPUNanos < kids {
+		t.Fatalf("root CPU %d, children's %d: want root >= children = 300", root.CPUNanos, kids)
+	}
+}
+
 // TestExemplarResolvesToSpanTree checks the exemplar tentpole end to
 // end: a query evaluation leaves an exemplar on its latency bucket, and
 // the exemplar's trace ID resolves through /traces?id= machinery

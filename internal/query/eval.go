@@ -35,7 +35,7 @@ func (r *evalRun) eval(ctx context.Context, p Predicate, n *PlanNode) (*bitvec.V
 	var t0 time.Time
 	var r0 obs.Resources
 	if n != nil && r.timed {
-		t0, r0 = time.Now(), obs.TakeResources()
+		t0, r0 = time.Now(), takeResources()
 	}
 	before := r.st
 	var rows *bitvec.Vector
@@ -58,11 +58,24 @@ func (r *evalRun) eval(ctx context.Context, p Predicate, n *PlanNode) (*bitvec.V
 	n.Rows = rows.Count()
 	if r.timed {
 		n.ElapsedNS = time.Since(t0).Nanoseconds()
-		res := obs.TakeResources().Sub(r0)
+		res := takeResources().Sub(r0)
 		n.CPUNanos, n.AllocBytes, n.AllocObjects = res.CPUNanos, res.AllocBytes, res.AllocObjects
+		// A walker that resumed on another OS thread reads an unrelated
+		// thread clock at the end of its window, which Sub clamps to
+		// zero. The window covers the children's, so their CPU is a
+		// floor.
+		var kids int64
+		for _, c := range n.Children {
+			kids += c.CPUNanos
+		}
+		n.CPUNanos = max(n.CPUNanos, kids)
 	}
 	return rows, nil
 }
+
+// takeResources reads the resource clocks a timed plan node's window
+// subtracts.
+var takeResources = obs.TakeResources
 
 // combine evaluates a combinator's children and folds them.
 func (r *evalRun) combine(ctx context.Context, p Predicate, n *PlanNode) (*bitvec.Vector, error) {

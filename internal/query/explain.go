@@ -109,7 +109,8 @@ type PlanNode struct {
 	// evaluation window with obs.TakeResources semantics: thread-CPU
 	// time and process heap allocation (exact for a single query, an
 	// upper bound under concurrent load). A combinator's window covers
-	// its children, so the root's numbers are the whole evaluation's.
+	// its children, so the root's numbers are the whole evaluation's;
+	// its CPU is never less than the sum of its children's.
 	CPUNanos     int64  `json:"cpu_ns,omitempty"`
 	AllocBytes   uint64 `json:"alloc_bytes,omitempty"`
 	AllocObjects uint64 `json:"allocs,omitempty"`

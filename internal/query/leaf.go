@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/core"
 	"repro/internal/iostat"
 	"repro/internal/obs"
 	"repro/internal/table"
@@ -82,19 +83,6 @@ func columnLeaf(ix ColumnIndex, p Predicate) (*bitvec.Vector, iostat.Stats, erro
 	return nil, iostat.Stats{}, fmt.Errorf("query: %T is not a leaf predicate", p)
 }
 
-// ebiIndex is what the shared encoded-bitmap rewrite evaluates and
-// predicts through: a core.Index, or one core.View of a Synced index so
-// that a leaf's rewrite and evaluation read the same snapshot.
-type ebiIndex[V comparable] interface {
-	IsNull() (*bitvec.Vector, iostat.Stats)
-	Eq(v V) (*bitvec.Vector, iostat.Stats)
-	In(values []V) (*bitvec.Vector, iostat.Stats)
-	InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats)
-	Values() []V
-	PredictIsNullStats() iostat.Stats
-	PredictSelectionStats(values []V) iostat.Stats
-}
-
 // ebiSel is a leaf predicate rewritten for an encoded bitmap index.
 type ebiSel[V comparable] struct {
 	null bool // IS NULL
@@ -111,25 +99,25 @@ func (s ebiSel[V]) list() []V {
 	return s.vals
 }
 
-// run evaluates the selection on ix; a degree above one segments it.
-func (s ebiSel[V]) run(ctx context.Context, ix ebiIndex[V], degree int) (*bitvec.Vector, iostat.Stats) {
+// run evaluates the selection on view; a degree above one segments it.
+func (s ebiSel[V]) run(ctx context.Context, view *core.View[V], degree int) (*bitvec.Vector, iostat.Stats) {
 	switch {
 	case s.null:
-		return ix.IsNull()
+		return view.IsNull()
 	case degree > 1:
-		return ix.InParallel(s.list(), degree, obs.SpanFromContext(ctx))
+		return view.InParallel(s.list(), degree, obs.SpanFromContext(ctx))
 	case s.eq:
-		return ix.Eq(s.v)
+		return view.Eq(s.v)
 	}
-	return ix.In(s.vals)
+	return view.In(s.vals)
 }
 
 // predict returns the Stats run reports, from the encoding alone.
-func (s ebiSel[V]) predict(ix ebiIndex[V]) iostat.Stats {
+func (s ebiSel[V]) predict(view *core.View[V]) iostat.Stats {
 	if s.null {
-		return ix.PredictIsNullStats()
+		return view.PredictIsNullStats()
 	}
-	return ix.PredictSelectionStats(s.list())
+	return view.PredictSelectionStats(s.list())
 }
 
 // cellKind is how leaf rewrites read one column value type: cell
@@ -141,16 +129,28 @@ type cellKind[V comparable] struct {
 }
 
 var (
-	intKind = cellKind[int64]{
+	intKind = &cellKind[int64]{
 		cell:    func(c table.Cell) int64 { return c.I },
 		between: func(v, lo, hi int64) bool { return v >= lo && v <= hi },
 	}
-	strKind = cellKind[string]{cell: func(c table.Cell) string { return c.S }}
+	strKind = &cellKind[string]{cell: func(c table.Cell) string { return c.S }}
 )
+
+// kindOf returns V's cell kind: intKind for int64, strKind for string.
+func kindOf[V int64 | string]() *cellKind[V] {
+	var k any = strKind
+	if _, ok := any(*new(V)).(int64); ok {
+		k = intKind
+	}
+	return k.(*cellKind[V])
+}
+
+// answers reports whether columns of this kind answer op.
+func (k *cellKind[V]) answers(op Op) bool { return op != OpRange || k.between != nil }
 
 // values returns an IN list's literals as column values. NULL cells drop
 // out: IS NULL is a separate predicate.
-func (k cellKind[V]) values(cells []table.Cell) []V {
+func (k *cellKind[V]) values(cells []table.Cell) []V {
 	vals := make([]V, 0, len(cells))
 	for _, c := range cells {
 		if !c.Null {
@@ -161,7 +161,7 @@ func (k cellKind[V]) values(cells []table.Cell) []V {
 }
 
 // inRange returns the domain values inside [lo, hi] (int columns only).
-func (k cellKind[V]) inRange(domain []V, lo, hi int64) []V {
+func (k *cellKind[V]) inRange(domain []V, lo, hi int64) []V {
 	var vals []V
 	for _, v := range domain {
 		if k.between(v, lo, hi) {
@@ -174,41 +174,41 @@ func (k cellKind[V]) inRange(domain []V, lo, hi int64) []V {
 // rewrite is the one leaf rewrite every encoded-bitmap adapter evaluates
 // and predicts through: Eq against NULL is IS NULL, Eq is the index's
 // cached single-value selection, In drops NULL cells, and an int Range is
-// an IN list over the mapped domain — the paper's discrete-domains
+// an IN list over the view's domain — the paper's discrete-domains
 // rewriting.
-func (k cellKind[V]) rewrite(ix ebiIndex[V], p Predicate) (ebiSel[V], error) {
+func (k *cellKind[V]) rewrite(view *core.View[V], p Predicate) (ebiSel[V], error) {
 	switch p := p.(type) {
 	case Eq:
 		return ebiSel[V]{null: p.Val.Null, eq: true, v: k.cell(p.Val)}, nil
 	case In:
 		return ebiSel[V]{vals: k.values(p.Vals)}, nil
 	case Range:
-		if k.between == nil {
+		if !k.answers(OpRange) {
 			return ebiSel[V]{}, ErrUnsupported
 		}
-		return ebiSel[V]{vals: k.inRange(ix.Values(), p.Lo, p.Hi)}, nil
+		return ebiSel[V]{vals: k.inRange(view.Values(), p.Lo, p.Hi)}, nil
 	}
 	return ebiSel[V]{}, fmt.Errorf("query: %T is not a leaf predicate", p)
 }
 
-// leaf answers p on ix through the rewrite.
-func (k cellKind[V]) leaf(ctx context.Context, ix ebiIndex[V], p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	s, err := k.rewrite(ix, p)
+// leaf answers p on view through the rewrite.
+func (k *cellKind[V]) leaf(ctx context.Context, view *core.View[V], p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
+	s, err := k.rewrite(view, p)
 	if err != nil {
 		return nil, iostat.Stats{}, err
 	}
-	rows, st := s.run(ctx, ix, degree)
+	rows, st := s.run(ctx, view, degree)
 	return rows, st, nil
 }
 
-// predict returns the Stats leaf would report for p, or ok=false when the
-// rewrite refuses p.
-func (k cellKind[V]) predict(ix ebiIndex[V], p Predicate) (iostat.Stats, bool) {
-	s, err := k.rewrite(ix, p)
+// predict returns the Stats leaf would report for p on view and the
+// view's basis stamp, or ok=false when the rewrite refuses p.
+func (k *cellKind[V]) predict(view *core.View[V], p Predicate) (iostat.Stats, uint64, bool) {
+	s, err := k.rewrite(view, p)
 	if err != nil {
-		return iostat.Stats{}, false
+		return iostat.Stats{}, 0, false
 	}
-	return s.predict(ix), true
+	return s.predict(view), view.PredictGen(), true
 }
 
 // ebiInfo describes an encoded-bitmap path: kernel reports that the

@@ -11,7 +11,8 @@ import (
 // Analytic whole-query stats prediction for the audit plane. An EBI
 // leaf's prediction runs the same rewrite that evaluated it (leaf.go: Eq
 // over NULL becomes IsNull, int Range becomes an IN-list over the mapped
-// domain, NULL cells drop out of IN-lists), so a predicted iostat.Stats is
+// domain, NULL cells drop out of IN-lists) on one view of the index, the
+// view its basis stamp also comes from, so a predicted iostat.Stats is
 // the Theorem 2.2/2.3 accounting of exactly the retrieval functions the
 // engine compiled — any divergence from the measured stats means the
 // execution changed, not the workload. Access paths without an analytic
@@ -22,14 +23,13 @@ import (
 // pure function of the encoding, so they can be predicted without
 // touching data.
 type PredictLeafIndex interface {
-	// PredictLeafStats returns the exact Stats the adapter would report
-	// for the leaf, or ok=false when the operation has no analytic model
-	// (e.g. Range on string attributes, which the adapter refuses).
-	PredictLeafStats(p Predicate) (iostat.Stats, bool)
-	// PredictGen stamps the prediction basis (encoding epoch, code-space
-	// generation, logical length). Predictions with equal stamps were
-	// computed against the same basis.
-	PredictGen() uint64
+	// PredictLeaf returns the exact Stats the adapter would report for
+	// the leaf and a stamp of the prediction basis (encoding epoch,
+	// code-space generation, logical length), both read from one view of
+	// the index: predictions with equal stamps were computed against the
+	// same basis. ok=false when the operation has no analytic model (e.g.
+	// Range on string attributes, which the adapter refuses).
+	PredictLeaf(p Predicate) (iostat.Stats, uint64, bool)
 }
 
 // predictFold mixes a leaf stamp into a whole-query basis stamp
@@ -84,11 +84,7 @@ func predictResolve(ix ColumnIndex, registered bool, tab *table.Table, leaf Pred
 	if !ok {
 		return iostat.Stats{}, 0, false
 	}
-	s, ok := pix.PredictLeafStats(leaf)
-	if !ok {
-		return iostat.Stats{}, 0, false
-	}
-	return s, pix.PredictGen(), true
+	return pix.PredictLeaf(leaf)
 }
 
 // PredictStats returns the analytic Stats an Eval of p through this
