@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -234,9 +235,7 @@ type Auditor struct {
 	fault atomic.Pointer[func(*query.AuditRecord)]
 
 	mu             sync.Mutex
-	verdicts       []Verdict
-	vNext          int
-	vCount         int
+	verdicts       *obs.Ring[Verdict]
 	calib          map[string]*pathCalib
 	lastMismatch   *MismatchDetail
 	lastDivergence *DivergenceDetail
@@ -258,7 +257,7 @@ func New(cfg Config) *Auditor {
 		cfg:      cfg,
 		stride:   stride,
 		ch:       make(chan *query.AuditRecord, cfg.Queue),
-		verdicts: make([]Verdict, verdictRing),
+		verdicts: obs.NewRing[Verdict](verdictRing),
 		calib:    make(map[string]*pathCalib),
 	}
 }
@@ -551,11 +550,7 @@ func (a *Auditor) recordDivergence(rec *query.AuditRecord, fresh iostat.Stats) {
 
 func (a *Auditor) pushVerdict(v Verdict) {
 	a.mu.Lock()
-	a.verdicts[a.vNext] = v
-	a.vNext = (a.vNext + 1) % len(a.verdicts)
-	if a.vCount < len(a.verdicts) {
-		a.vCount++
-	}
+	a.verdicts.Push(v)
 	a.mu.Unlock()
 }
 
@@ -678,10 +673,8 @@ func (a *Auditor) Snapshot() Snapshot {
 			Drifting:   c.drifting,
 		}
 	}
-	s.Verdicts = make([]Verdict, 0, a.vCount)
-	for i := 0; i < a.vCount; i++ {
-		s.Verdicts = append(s.Verdicts, a.verdicts[(a.vNext-a.vCount+i+len(a.verdicts))%len(a.verdicts)])
-	}
+	s.Verdicts = a.verdicts.Recent(0)
+	slices.Reverse(s.Verdicts) // oldest first
 	s.LastMismatch = a.lastMismatch
 	s.LastDivergence = a.lastDivergence
 	s.LastCalibDrift = a.lastCalibDrift

@@ -58,9 +58,7 @@ type Recorder[V comparable] struct {
 
 	mu        sync.Mutex
 	values    map[string][]V // sketch key -> selected value list
-	window    []sample
-	next      int
-	filled    int
+	window    *obs.Ring[sample]
 	sumExcess int
 	sumActual int
 }
@@ -88,7 +86,7 @@ func NewRecorder[V comparable](name string, sketchCapacity, window int) *Recorde
 		gScore: obs.Default().Gauge("ebi_drift_score_milli_"+suffix,
 			"Rolling drift score of index "+name+" in thousandths: sum(excess)/sum(actual vectors read) over the recent evaluation window."),
 		values: make(map[string][]V, sketchCapacity),
-		window: make([]sample, window),
+		window: obs.NewRing[sample](window),
 	}
 }
 
@@ -123,17 +121,12 @@ func (r *Recorder[V]) ObserveSelection(values []V, st iostat.Stats, minVectors i
 	if evicted, was := r.sketch.Add(key, 1); was {
 		delete(r.values, evicted)
 	}
-	if r.filled == len(r.window) {
-		old := r.window[r.next]
+	if old, ok := r.window.Push(sample{excess: excess, actual: st.VectorsRead}); ok {
 		r.sumExcess -= old.excess
 		r.sumActual -= old.actual
-	} else {
-		r.filled++
 	}
-	r.window[r.next] = sample{excess: excess, actual: st.VectorsRead}
 	r.sumExcess += excess
 	r.sumActual += st.VectorsRead
-	r.next = (r.next + 1) % len(r.window)
 	score := r.scoreLocked()
 	r.mu.Unlock()
 
@@ -200,10 +193,8 @@ func (r *Recorder[V]) Reset() {
 	defer r.mu.Unlock()
 	r.sketch.Reset()
 	r.values = make(map[string][]V, r.sketch.Capacity())
-	for i := range r.window {
-		r.window[i] = sample{}
-	}
-	r.next, r.filled, r.sumExcess, r.sumActual = 0, 0, 0, 0
+	r.window.Reset()
+	r.sumExcess, r.sumActual = 0, 0
 	r.gScore.Set(0)
 }
 

@@ -140,6 +140,8 @@ type Watcher[V comparable] struct {
 	gProposedK *obs.Gauge
 	gApplies   *obs.Gauge
 
+	loop obs.Loop
+
 	mu            sync.Mutex
 	report        Report
 	runs          uint64
@@ -147,9 +149,6 @@ type Watcher[V comparable] struct {
 	applies       uint64
 	lastApply     *ApplyReport
 	lastApplyTime time.Time
-	stop          chan struct{}
-	done          chan struct{}
-	started       bool
 }
 
 // NewWatcher builds a watcher over ix fed by rec. The watcher is
@@ -194,50 +193,17 @@ func (w *Watcher[V]) Recorder() *Recorder[V] { return w.rec }
 // Start launches the background loop and registers the /debug/drift
 // source. Calling Start on a running watcher is a no-op.
 func (w *Watcher[V]) Start() {
-	w.mu.Lock()
-	if w.started {
-		w.mu.Unlock()
-		return
-	}
-	w.started = true
-	w.stop = make(chan struct{})
-	w.done = make(chan struct{})
-	stop, done := w.stop, w.done
-	w.mu.Unlock()
-
-	obs.RegisterDriftSource(w.rec.Name(), func() any { return w.Report() })
-	go w.loop(stop, done)
-}
-
-func (w *Watcher[V]) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(w.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			w.RunOnce()
-		}
+	if w.loop.Start(w.cfg.Interval, func() { w.RunOnce() }) {
+		obs.RegisterDriftSource(w.rec.Name(), func() any { return w.Report() })
 	}
 }
 
 // Stop halts the background loop, waits for it to exit, and removes
 // the /debug/drift registration. Safe to call on a stopped watcher.
 func (w *Watcher[V]) Stop() {
-	w.mu.Lock()
-	if !w.started {
-		w.mu.Unlock()
-		return
+	if w.loop.Stop() {
+		obs.UnregisterDriftSource(w.rec.Name())
 	}
-	w.started = false
-	stop, done := w.stop, w.done
-	w.mu.Unlock()
-
-	close(stop)
-	<-done
-	obs.UnregisterDriftSource(w.rec.Name())
 }
 
 // Report returns the latest published report (zero-valued before the

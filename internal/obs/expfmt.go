@@ -12,38 +12,7 @@ import (
 // exposition format (version 0.0.4): "# HELP" and "# TYPE" comment lines
 // followed by the samples. Histograms expose cumulative _bucket series
 // with "le" labels plus _sum and _count.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	var err error
-	pr := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	r.each(func(m metric, help string) {
-		name := m.Name()
-		if help != "" {
-			pr("# HELP %s %s\n", name, escapeHelp(help))
-		}
-		switch m := m.(type) {
-		case *Counter:
-			pr("# TYPE %s counter\n%s %d\n", name, name, m.Value())
-		case *Gauge:
-			pr("# TYPE %s gauge\n%s %d\n", name, name, m.Value())
-		case *Histogram:
-			pr("# TYPE %s histogram\n", name)
-			cum := uint64(0)
-			for i, b := range m.bounds {
-				cum += m.counts[i].Load()
-				pr("%s_bucket{le=%q} %d\n", name, formatFloat(b), cum)
-			}
-			cum += m.counts[len(m.bounds)].Load()
-			pr("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-			pr("%s_sum %s\n", name, formatFloat(m.Sum()))
-			pr("%s_count %d\n", name, m.Count())
-		}
-	})
-	return err
-}
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.writeText(w, false) }
 
 // WriteOpenMetrics renders the registry in the OpenMetrics 1.0 text
 // format. It differs from WritePrometheus in the points Prometheus'
@@ -51,7 +20,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // without the suffix, histogram buckets carry exemplars ("# {...}"
 // suffixes) linking tail buckets to trace/span IDs, and the exposition
 // ends with "# EOF".
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.writeText(w, true) }
+
+// writeText is the one text renderer behind both exposition formats.
+func (r *Registry) writeText(w io.Writer, openMetrics bool) error {
 	var err error
 	pr := func(format string, args ...any) {
 		if err == nil {
@@ -59,36 +31,39 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		}
 	}
 	r.each(func(m metric, help string) {
-		name := m.Name()
+		name, sample := m.Name(), m.Name()
+		if _, ok := m.(*Counter); ok && openMetrics {
+			name = strings.TrimSuffix(name, "_total")
+			sample = name + "_total"
+		}
+		if help != "" {
+			pr("# HELP %s %s\n", name, escapeHelp(help))
+		}
 		switch m := m.(type) {
 		case *Counter:
-			family := strings.TrimSuffix(name, "_total")
-			if help != "" {
-				pr("# HELP %s %s\n", family, escapeHelp(help))
-			}
-			pr("# TYPE %s counter\n%s_total %d\n", family, family, m.Value())
+			pr("# TYPE %s counter\n%s %d\n", name, sample, m.Value())
 		case *Gauge:
-			if help != "" {
-				pr("# HELP %s %s\n", name, escapeHelp(help))
-			}
 			pr("# TYPE %s gauge\n%s %d\n", name, name, m.Value())
 		case *Histogram:
-			if help != "" {
-				pr("# HELP %s %s\n", name, escapeHelp(help))
-			}
 			pr("# TYPE %s histogram\n", name)
 			cum := uint64(0)
-			for i, b := range m.bounds {
+			for i := range m.counts {
 				cum += m.counts[i].Load()
-				pr("%s_bucket{le=%q} %d%s\n", name, formatFloat(b), cum, exemplarSuffix(m.Exemplar(i)))
+				le, ex := "+Inf", ""
+				if i < len(m.bounds) {
+					le = formatFloat(m.bounds[i])
+				}
+				if openMetrics {
+					ex = exemplarSuffix(m.Exemplar(i))
+				}
+				pr("%s_bucket{le=%q} %d%s\n", name, le, cum, ex)
 			}
-			cum += m.counts[len(m.bounds)].Load()
-			pr("%s_bucket{le=\"+Inf\"} %d%s\n", name, cum, exemplarSuffix(m.Exemplar(len(m.bounds))))
-			pr("%s_sum %s\n", name, formatFloat(m.Sum()))
-			pr("%s_count %d\n", name, m.Count())
+			pr("%s_sum %s\n%s_count %d\n", name, formatFloat(m.Sum()), name, m.Count())
 		}
 	})
-	pr("# EOF\n")
+	if openMetrics {
+		pr("# EOF\n")
+	}
 	return err
 }
 

@@ -41,42 +41,46 @@ g_h_count 3
 	}
 }
 
-// TestOpenMetricsGolden pins the OpenMetrics rendering: counter families
-// drop the _total suffix, buckets carry exemplars, and the exposition
-// ends with # EOF.
+// TestOpenMetricsGolden pins the OpenMetrics exposition byte-for-byte
+// on a registry holding every metric kind plus an exemplar: counter
+// families drop the _total suffix (a counter without it gains one on its
+// sample), only buckets carry exemplars, and the exposition ends with
+// # EOF.
 func TestOpenMetricsGolden(t *testing.T) {
 	withTelemetry(t)
 	r := NewRegistry()
-	r.Counter("om_c_total", "a counter").Add(7)
+	r.Counter("om_c_total", "a counter\nwith a newline and a \\ backslash").Add(7)
+	r.Counter("om_events", "").Add(2)
+	r.Gauge("om_g", "a gauge").Set(-2)
 	h := r.Histogram("om_h", "a histogram", []float64{0.5, 2})
 	h.Observe(0.25)
-	sp := &Span{ID: 11, TraceID: 9}
-	h.ObserveSpan(1.5, sp)
+	h.ObserveSpan(1.5, &Span{ID: 11, TraceID: 9})
+	h.Observe(10)
+	h.Exemplar(1).UnixNano = 1_700_000_000_250_000_000 // pin the wall-clock stamp
 
 	var sb strings.Builder
 	if err := r.WriteOpenMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-
-	for _, want := range []string{
-		"# HELP om_c a counter\n",
-		"# TYPE om_c counter\nom_c_total 7\n",
-		"# TYPE om_h histogram\n",
-		`om_h_bucket{le="0.5"} 1` + "\n",
-		"om_h_sum 1.75\n",
-		"om_h_count 2\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("openmetrics missing %q in:\n%s", want, out)
-		}
-	}
-	// The 1.5 sample landed in le=2 with an exemplar naming its trace.
-	if !strings.Contains(out, `om_h_bucket{le="2"} 2 # {trace_id="9",span_id="11"} 1.5 `) {
-		t.Errorf("openmetrics missing exemplar on le=2:\n%s", out)
-	}
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Errorf("openmetrics does not end with # EOF:\n%s", out)
+	want := `# HELP om_c a counter\nwith a newline and a \\ backslash
+# TYPE om_c counter
+om_c_total 7
+# TYPE om_events counter
+om_events_total 2
+# HELP om_g a gauge
+# TYPE om_g gauge
+om_g -2
+# HELP om_h a histogram
+# TYPE om_h histogram
+om_h_bucket{le="0.5"} 1
+om_h_bucket{le="2"} 2 # {trace_id="9",span_id="11"} 1.5 1700000000.250
+om_h_bucket{le="+Inf"} 3
+om_h_sum 11.75
+om_h_count 3
+# EOF
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("openmetrics exposition drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

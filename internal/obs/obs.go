@@ -9,7 +9,7 @@
 //     enabled) and snapshotable to Prometheus text exposition format and
 //     expvar-style JSON;
 //   - a tracing layer of lightweight spans with a bounded in-memory ring
-//     of recent traces and a pluggable sink;
+//     of recent traces;
 //   - an http.Handler mounting /metrics, /debug/vars, /debug/pprof/*,
 //     and /traces.
 //

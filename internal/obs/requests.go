@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -167,9 +168,9 @@ func (l *RequestLog) Snapshot() RequestReport {
 			Count:         fam.count,
 			Errors:        fam.errors,
 			MeanSeconds:   fam.sumDur.Seconds() / float64(fam.count),
-			P50Seconds:    bucketPercentile(fam.buckets, fam.count, 0.50),
-			P90Seconds:    bucketPercentile(fam.buckets, fam.count, 0.90),
-			P99Seconds:    bucketPercentile(fam.buckets, fam.count, 0.99),
+			P50Seconds:    bucketPercentile(LatencyBuckets, fam.buckets, fam.count, 0.50),
+			P90Seconds:    bucketPercentile(LatencyBuckets, fam.buckets, fam.count, 0.90),
+			P99Seconds:    bucketPercentile(LatencyBuckets, fam.buckets, fam.count, 0.99),
 			CPUSeconds:    fam.sumCPU.Seconds(),
 			AllocBytes:    fam.sumAllocBytes,
 			AllocObjects:  fam.sumAllocObjs,
@@ -207,28 +208,28 @@ func (l *RequestLog) Reset() {
 	l.dropped = 0
 }
 
-// bucketPercentile estimates the q-th percentile from a per-bucket
-// latency distribution over LatencyBuckets: the upper bound of the
-// bucket holding the q-th sample. Samples in the +Inf bucket clamp to
-// the largest finite bound, so the estimate stays JSON-representable —
-// it is then a lower bound rather than an upper one.
-func bucketPercentile(buckets []uint64, count uint64, q float64) float64 {
-	if count == 0 {
+// bucketPercentile estimates the q-th percentile of total observations
+// from per-bucket (non-cumulative) counts over bounds, +Inf last: the
+// upper bound of the bucket holding the nearest-rank sample, rank
+// ceil(q*total) clamped to [1, total]. Samples in the +Inf bucket clamp
+// to the largest finite bound, so the estimate stays JSON-representable
+// — it is then a lower bound rather than an upper one. 0 when there are
+// no observations. /debug/requests and the scraper's interval
+// percentiles both use it.
+func bucketPercentile(bounds []float64, counts []uint64, total uint64, q float64) float64 {
+	if total == 0 || len(bounds) == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(count))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := min(max(uint64(math.Ceil(q*float64(total))), 1), total)
 	var cum uint64
-	for i, c := range buckets {
+	for i, c := range counts {
 		cum += c
 		if cum >= rank {
-			if i < len(LatencyBuckets) {
-				return LatencyBuckets[i]
+			if i < len(bounds) {
+				return bounds[i]
 			}
 			break
 		}
 	}
-	return LatencyBuckets[len(LatencyBuckets)-1]
+	return bounds[len(bounds)-1]
 }

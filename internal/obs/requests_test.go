@@ -101,8 +101,28 @@ func TestRequestLogDisabledAndNilSafe(t *testing.T) {
 func TestBucketPercentileInfClampsToLargestFiniteBound(t *testing.T) {
 	buckets := make([]uint64, len(LatencyBuckets)+1)
 	buckets[len(buckets)-1] = 5 // everything in +Inf
-	got := bucketPercentile(buckets, 5, 0.5)
+	got := bucketPercentile(LatencyBuckets, buckets, 5, 0.5)
 	if want := LatencyBuckets[len(LatencyBuckets)-1]; got != want {
 		t.Fatalf("percentile = %v, want clamp to %v", got, want)
+	}
+}
+
+// TestRequestPercentileIsNearestRank pins one percentile rule for both
+// views: /debug/requests and the scraper's interval _p50 rank the same
+// three observations at ceil(0.5*3) = 2, the 10ms bucket.
+func TestRequestPercentileIsNearestRank(t *testing.T) {
+	withTelemetry(t)
+	l := NewRequestLog()
+	s, reg := newTestScraper(t, TimeSeriesConfig{})
+	h := reg.Histogram("rq_seconds", "", nil)
+	for _, d := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond} {
+		l.Observe(RequestSample{Family: "v = 1", Duration: d})
+		h.Observe(d.Seconds())
+	}
+	if got := l.Snapshot().Families[0].P50Seconds; got != 0.01 {
+		t.Errorf("/debug/requests p50 = %v, want 0.01", got)
+	}
+	if got := s.ScrapeOnce().Values["rq_seconds_p50"]; got != 0.01 {
+		t.Errorf("scraper interval p50 = %v, want 0.01", got)
 	}
 }

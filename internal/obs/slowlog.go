@@ -41,10 +41,8 @@ type SlowQuery struct {
 type SlowLog struct {
 	latencyNS atomic.Int64
 
-	mu    sync.Mutex
-	ring  []*SlowQuery
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring *Ring[*SlowQuery]
 }
 
 // DefaultSlowLogCapacity is the ring size of the default slow log.
@@ -66,10 +64,7 @@ func DefaultSlowLog() *SlowLog { return defaultSlowLog }
 // NewSlowLog returns a slow log with a ring of the given capacity and
 // the latency trigger disabled (threshold 0).
 func NewSlowLog(capacity int) *SlowLog {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &SlowLog{ring: make([]*SlowQuery, capacity)}
+	return &SlowLog{ring: NewRing[*SlowQuery](capacity)}
 }
 
 // SetLatencyThreshold sets the wall-time trigger. A threshold <= 0
@@ -137,9 +132,7 @@ var mSlowQueries = Default().Counter("ebi_slow_queries_total",
 func (s *SlowLog) Record(q SlowQuery) {
 	mSlowQueries.Inc()
 	s.mu.Lock()
-	s.ring[s.next] = &q
-	s.next = (s.next + 1) % len(s.ring)
-	s.total++
+	s.ring.Push(&q)
 	s.mu.Unlock()
 }
 
@@ -148,18 +141,7 @@ func (s *SlowLog) Record(q SlowQuery) {
 func (s *SlowLog) Recent(n int) []*SlowQuery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n <= 0 || n > len(s.ring) {
-		n = len(s.ring)
-	}
-	out := make([]*SlowQuery, 0, n)
-	for i := 1; i <= n; i++ {
-		q := s.ring[(s.next-i+len(s.ring))%len(s.ring)]
-		if q == nil {
-			break
-		}
-		out = append(out, q)
-	}
-	return out
+	return s.ring.Recent(n)
 }
 
 // Total returns how many queries have been captured, including ones the
@@ -167,5 +149,5 @@ func (s *SlowLog) Recent(n int) []*SlowQuery {
 func (s *SlowLog) Total() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.total
+	return s.ring.Total()
 }

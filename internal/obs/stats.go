@@ -20,20 +20,11 @@ var (
 		"Tree nodes visited (B-tree paths).")
 	cntPagesRead = Default().Counter("ebi_pages_read_total",
 		"4K-page equivalents of the word volume moved (the paper's page I/O).")
-
-	// Last-query gauges: the most recent Stats snapshot, set from the
-	// same value that advanced the counters.
-	gaugeLastVectors = Default().Gauge("ebi_last_query_vectors_read",
-		"Vectors read by the most recent query evaluation.")
-	gaugeLastWords = Default().Gauge("ebi_last_query_words_read",
-		"Words scanned by the most recent query evaluation.")
-	gaugeLastBoolOps = Default().Gauge("ebi_last_query_bool_ops",
-		"Boolean ops performed by the most recent query evaluation.")
 )
 
 // AddStats records one evaluation's iostat.Stats into the registry: the
-// ebi_*_total counters advance by the Stats fields and the
-// ebi_last_query_* gauges are set from the same value.
+// ebi_*_total counters advance by the Stats fields. The newest query's
+// own Stats are on its root span in /traces.
 func AddStats(st iostat.Stats) {
 	if !enabled.Load() {
 		return
@@ -44,7 +35,4 @@ func AddStats(st iostat.Stats) {
 	cntRowsScanned.Add(uint64(st.RowsScanned))
 	cntNodesRead.Add(uint64(st.NodesRead))
 	cntPagesRead.Add(uint64(st.PagesRead(0)))
-	gaugeLastVectors.Set(int64(st.VectorsRead))
-	gaugeLastWords.Set(int64(st.WordsRead))
-	gaugeLastBoolOps.Set(int64(st.BoolOps))
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -14,7 +13,7 @@ import (
 // registry metric at a fixed interval into a bounded circular buffer, so
 // the telemetry endpoints gain history — /debug/timeseries serves the
 // trailing window, the flight recorder dumps it into incident bundles,
-// and rolling-window SLO burn-rate gauges (ebi_slo_*) are derived from
+// and the rolling-window SLO latency burn-rate gauge is derived from
 // it. The metric hot paths are untouched: the scraper only *reads* the
 // atomics, so mutators stay at one atomic load while telemetry is
 // disabled and one load plus one add while enabled.
@@ -49,17 +48,15 @@ type TimeSeriesConfig struct {
 	LatencySeries string
 }
 
-// The SLO burn gauges' fixed parameters. The latency burn rate is the
+// The SLO burn gauge's fixed parameters. The latency burn rate is the
 // fraction of LatencySeries observations above latencyObjective (rounded
 // up to the histogram's nearest bucket bound), relative to latencyBudget:
 // 1.0 means the window is consuming its error budget exactly as fast as
-// it accrues. The drift burn rate reads 1.0 at driftWarn, the drift
-// watcher's default warn line. Both roll over the trailing burnWindow
-// samples (one minute at the default interval).
+// it accrues. It rolls over the trailing burnWindow samples (one minute
+// at the default interval).
 const (
 	latencyObjective = 100 * time.Millisecond
 	latencyBudget    = 0.01
-	driftWarn        = 0.25
 	burnWindow       = 60
 )
 
@@ -79,10 +76,6 @@ func (cfg TimeSeriesConfig) withDefaults() TimeSeriesConfig {
 	return cfg
 }
 
-// driftScorePrefix identifies the per-index drift-score gauges the
-// drift burn gauge rolls up (see internal/drift.NewRecorder).
-const driftScorePrefix = "ebi_drift_score_milli_"
-
 // overSLOSuffix marks the derived series counting the latency
 // histogram's per-interval observations above the SLO objective.
 const overSLOSuffix = "_over_slo"
@@ -92,20 +85,23 @@ const overSLOSuffix = "_over_slo"
 // loop, waits for it, and unregisters the route. All methods are safe
 // for concurrent use.
 type Scraper struct {
-	cfg TimeSeriesConfig
-
+	cfg          TimeSeriesConfig
 	gLatencyBurn *Gauge
-	gDriftBurn   *Gauge
+	loop         Loop
 
-	mu           sync.Mutex
-	ring         []Sample
-	next, filled int
-	prevCounter  map[string]uint64
-	prevBucket   map[string][]uint64
-	subs         []func(Sample)
-	started      bool
-	stop         chan struct{}
-	done         chan struct{}
+	mu          sync.Mutex
+	ring        *Ring[Sample]
+	prevCounter map[string]uint64
+	prevHist    map[string]histScrape
+	subs        []func(Sample)
+}
+
+// histScrape is one histogram as the previous scrape read it: the
+// per-bucket counts, sum and count its next interval's deltas start from.
+type histScrape struct {
+	buckets []uint64
+	sum     float64
+	count   uint64
 }
 
 // NewScraper returns a scraper over cfg.Registry. It is inert until
@@ -114,15 +110,12 @@ func NewScraper(cfg TimeSeriesConfig) *Scraper {
 	cfg = cfg.withDefaults()
 	return &Scraper{
 		cfg:  cfg,
-		ring: make([]Sample, cfg.Capacity),
+		ring: NewRing[Sample](cfg.Capacity),
 		gLatencyBurn: cfg.Registry.Gauge("ebi_slo_latency_burn_milli",
 			"Rolling-window SLO burn rate x1000 for query latency: the fraction of "+
 				cfg.LatencySeries+" observations above the objective, relative to the error budget."),
-		gDriftBurn: cfg.Registry.Gauge("ebi_slo_drift_burn_milli",
-			"Rolling-window SLO burn rate x1000 for encoding drift: the worst "+
-				driftScorePrefix+"* score in the window, relative to the warn threshold."),
 		prevCounter: make(map[string]uint64),
-		prevBucket:  make(map[string][]uint64),
+		prevHist:    make(map[string]histScrape),
 	}
 }
 
@@ -143,58 +136,25 @@ func (s *Scraper) OnSample(fn func(Sample)) {
 // /debug/timeseries route. Calling Start on a running scraper is a
 // no-op.
 func (s *Scraper) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-
-	RegisterRoute("/debug/timeseries", "windowed metric history from the in-process ring (?window=30s&step=5s)",
-		s.handler())
-	go s.loop(stop, done)
-}
-
-func (s *Scraper) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(s.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			s.ScrapeOnce()
-		}
+	if s.loop.Start(s.cfg.Interval, func() { s.ScrapeOnce() }) {
+		RegisterRoute("/debug/timeseries", "windowed metric history from the in-process ring (?window=30s&step=5s)",
+			s.handler())
 	}
 }
 
 // Stop halts the background loop, waits for it, and unregisters the
 // /debug/timeseries route. Safe to call on a stopped scraper.
 func (s *Scraper) Stop() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
+	if s.loop.Stop() {
+		UnregisterRoute("/debug/timeseries")
 	}
-	s.started = false
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-
-	close(stop)
-	<-done
-	UnregisterRoute("/debug/timeseries")
 }
 
 // ScrapeOnce takes one sample synchronously: every registry metric is
 // read, deltas are computed against the previous scrape, the sample
-// enters the ring, the ebi_slo_* burn gauges are refreshed from the
-// trailing window, and subscribers run. The background loop calls it on
-// every tick; tests and demos may drive it directly.
+// enters the ring, the ebi_slo_latency_burn_milli gauge is refreshed
+// from the trailing window, and subscribers run. The background loop
+// calls it on every tick; tests and demos may drive it directly.
 func (s *Scraper) ScrapeOnce() Sample {
 	now := time.Now()
 	vals := make(map[string]float64)
@@ -216,19 +176,13 @@ func (s *Scraper) ScrapeOnce() Sample {
 		}
 	})
 	smp := Sample{UnixMilli: now.UnixMilli(), Values: vals}
-	s.ring[s.next] = smp
-	s.next = (s.next + 1) % len(s.ring)
-	if s.filled < len(s.ring) {
-		s.filled++
-	}
-	latBurn, driftBurn := s.burnRatesLocked()
+	s.ring.Push(smp)
+	latBurn := s.latencyBurnLocked()
 	vals["ebi_slo_latency_burn_milli"] = float64(latBurn)
-	vals["ebi_slo_drift_burn_milli"] = float64(driftBurn)
 	subs := append([]func(Sample){}, s.subs...)
 	s.mu.Unlock()
 
 	s.gLatencyBurn.Set(latBurn)
-	s.gDriftBurn.Set(driftBurn)
 	for _, fn := range subs {
 		fn(smp)
 	}
@@ -239,32 +193,26 @@ func (s *Scraper) ScrapeOnce() Sample {
 // deltas, interval percentiles, and — for the SLO latency histogram —
 // the count of observations above the objective.
 func (s *Scraper) scrapeHistogram(h *Histogram, vals map[string]float64) {
-	cur := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		cur[i] = h.counts[i].Load()
-	}
-	prev := s.prevBucket[h.name]
-	deltas := make([]uint64, len(cur))
+	prev := s.prevHist[h.name]
+	cur := histScrape{buckets: make([]uint64, len(h.counts))}
+	deltas := make([]uint64, len(h.counts))
 	var total uint64
-	for i, c := range cur {
-		d := c
-		if prev != nil && i < len(prev) && prev[i] <= c {
-			d = c - prev[i]
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		cur.buckets[i], deltas[i] = c, c
+		if i < len(prev.buckets) && prev.buckets[i] <= c {
+			deltas[i] = c - prev.buckets[i]
 		}
-		deltas[i] = d
-		total += d
+		total += deltas[i]
 	}
-	s.prevBucket[h.name] = cur
+	cur.sum, cur.count = h.Sum(), h.Count()
+	s.prevHist[h.name] = cur
+	vals[h.name+"_count"] = float64(cur.count - prev.count)
+	vals[h.name+"_sum"] = cur.sum - prev.sum
 
-	prevSum, prevCount := s.prevHistTotals(h.name)
-	sum, count := h.Sum(), h.Count()
-	vals[h.name+"_count"] = float64(count - prevCount)
-	vals[h.name+"_sum"] = sum - prevSum
-	s.storeHistTotals(h.name, sum, count)
-
-	vals[h.name+"_p50"] = histPercentile(h.bounds, deltas, total, 0.50)
-	vals[h.name+"_p90"] = histPercentile(h.bounds, deltas, total, 0.90)
-	vals[h.name+"_p99"] = histPercentile(h.bounds, deltas, total, 0.99)
+	vals[h.name+"_p50"] = bucketPercentile(h.bounds, deltas, total, 0.50)
+	vals[h.name+"_p90"] = bucketPercentile(h.bounds, deltas, total, 0.90)
+	vals[h.name+"_p99"] = bucketPercentile(h.bounds, deltas, total, 0.99)
 
 	if h.name == s.cfg.LatencySeries {
 		over := total
@@ -279,75 +227,18 @@ func (s *Scraper) scrapeHistogram(h *Histogram, vals map[string]float64) {
 	}
 }
 
-// Histogram sum/count previous-scrape state, kept alongside the bucket
-// state under a key suffix that cannot collide with a metric name
-// (metric names never contain NUL). Sums are stored as float64 bits.
-func (s *Scraper) prevHistTotals(name string) (sum float64, count uint64) {
-	if st, ok := s.prevBucket[name+"\x00totals"]; ok && len(st) == 2 {
-		return math.Float64frombits(st[0]), st[1]
-	}
-	return 0, 0
-}
-
-func (s *Scraper) storeHistTotals(name string, sum float64, count uint64) {
-	s.prevBucket[name+"\x00totals"] = []uint64{math.Float64bits(sum), count}
-}
-
-// burnRatesLocked computes the rolling-window SLO burn rates from the
-// ring (including the just-pushed sample). Caller holds s.mu.
-func (s *Scraper) burnRatesLocked() (latencyMilli, driftMilli int64) {
-	n := burnWindow
-	if n > s.filled {
-		n = s.filled
-	}
+// latencyBurnLocked computes the rolling-window SLO latency burn rate
+// from the ring (including the just-pushed sample). Caller holds s.mu.
+func (s *Scraper) latencyBurnLocked() int64 {
 	var over, count float64
-	var worstDrift float64
-	for i := 1; i <= n; i++ {
-		smp := s.ring[(s.next-i+len(s.ring))%len(s.ring)]
+	for _, smp := range s.ring.Recent(burnWindow) {
 		over += smp.Values[s.cfg.LatencySeries+overSLOSuffix]
 		count += smp.Values[s.cfg.LatencySeries+"_count"]
-		for k, v := range smp.Values {
-			if strings.HasPrefix(k, driftScorePrefix) && v > worstDrift {
-				worstDrift = v
-			}
-		}
 	}
-	if count > 0 {
-		burn := (over / count) / latencyBudget
-		latencyMilli = int64(burn * 1000)
-	}
-	driftMilli = int64(worstDrift / driftWarn) // scores are already milli
-	return latencyMilli, driftMilli
-}
-
-// histPercentile estimates the q-th percentile of one interval's
-// observations from per-bucket deltas: the upper bound of the bucket
-// holding the q-th sample, with the +Inf bucket clamped to the largest
-// finite bound (the estimate becomes a lower bound). 0 when the
-// interval saw no observations.
-func histPercentile(bounds []float64, deltas []uint64, total uint64, q float64) float64 {
-	if total == 0 || len(bounds) == 0 {
+	if count == 0 {
 		return 0
 	}
-	// Nearest-rank percentile: rank = ceil(q * N), clamped to [1, N].
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, d := range deltas {
-		cum += d
-		if cum >= rank {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			break
-		}
-	}
-	return bounds[len(bounds)-1]
+	return int64((over / count) / latencyBudget * 1000)
 }
 
 // TimeSeriesWindow is the /debug/timeseries payload: aligned timestamp
@@ -394,17 +285,14 @@ func (s *Scraper) WindowSeries(window, step time.Duration, prefix string) TimeSe
 	cutoff := time.Now().Add(-window).UnixMilli()
 
 	s.mu.Lock()
+	recent := s.ring.Recent(0)
+	s.mu.Unlock()
 	// Newest-first with the stride, then reverse, so the most recent
 	// sample is always present regardless of alignment.
 	var picked []Sample
-	for i := 1; i <= s.filled; i += stride {
-		smp := s.ring[(s.next-i+len(s.ring))%len(s.ring)]
-		if smp.UnixMilli < cutoff {
-			break
-		}
-		picked = append(picked, smp)
+	for i := 0; i < len(recent) && recent[i].UnixMilli >= cutoff; i += stride {
+		picked = append(picked, recent[i])
 	}
-	s.mu.Unlock()
 
 	n := len(picked)
 	out.Samples = n
@@ -463,13 +351,13 @@ func (s *Scraper) handler() http.HandlerFunc {
 // sorted — tests and discovery.
 func (s *Scraper) SeriesNames() []string {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.filled == 0 {
+	last := s.ring.Recent(1)
+	s.mu.Unlock()
+	if len(last) == 0 {
 		return nil
 	}
-	last := s.ring[(s.next-1+len(s.ring))%len(s.ring)]
-	names := make([]string, 0, len(last.Values))
-	for k := range last.Values {
+	names := make([]string, 0, len(last[0].Values))
+	for k := range last[0].Values {
 		names = append(names, k)
 	}
 	sort.Strings(names)

@@ -101,13 +101,11 @@ func TestSLOBurnGauges(t *testing.T) {
 		LatencySeries: "ts_slo_seconds",
 	})
 	h := reg.Histogram("ts_slo_seconds", "", nil)
-	d := reg.Gauge("ebi_drift_score_milli_t", "")
 
 	for i := 0; i < 9; i++ {
 		h.Observe(0.2) // over the 100ms objective
 	}
 	h.Observe(0.001)
-	d.Set(500) // drift score 0.50, twice the warn line
 	smp := s.ScrapeOnce()
 
 	if v := smp.Values["ts_slo_seconds_over_slo"]; v != 9 {
@@ -116,10 +114,6 @@ func TestSLOBurnGauges(t *testing.T) {
 	// Burn = (9/10)/0.01 = 90, published in milli.
 	if v := s.gLatencyBurn.Value(); v != 90000 {
 		t.Errorf("latency burn = %d milli, want 90000", v)
-	}
-	// Drift burn = 0.50/0.25 = 2.0 in milli.
-	if v := s.gDriftBurn.Value(); v != 2000 {
-		t.Errorf("drift burn = %d milli, want 2000", v)
 	}
 	// A quiet scrape leaves the rolling window still burning.
 	s.ScrapeOnce()

@@ -186,8 +186,8 @@ func (sp *Span) SetError(err error) {
 
 // End finishes the span: the duration and resource deltas are fixed,
 // and the span attaches to its parent — or, for a root, is pushed into
-// its tracer's ring (and sink, if set). End must be called at most
-// once; the span must not be mutated afterwards.
+// its tracer's ring. End must be called at most once; the span must not
+// be mutated afterwards.
 func (sp *Span) End() {
 	if sp == nil {
 		return
@@ -252,13 +252,10 @@ func (sp *Span) Walk(fn func(*Span)) {
 }
 
 // Tracer keeps a bounded ring of the most recent finished root spans
-// (whole trees) and forwards each one to an optional sink.
+// (whole trees).
 type Tracer struct {
-	mu    sync.Mutex
-	ring  []*Span
-	next  int
-	total uint64
-	sink  func(*Span)
+	mu   sync.Mutex
+	ring *Ring[*Span]
 }
 
 // DefaultTracerCapacity is the ring size of the default tracer.
@@ -271,22 +268,13 @@ func DefaultTracer() *Tracer { return defaultTracer }
 
 // NewTracer returns a tracer with a ring of the given capacity.
 func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]*Span, capacity)}
+	return &Tracer{ring: NewRing[*Span](capacity)}
 }
 
 func (t *Tracer) add(sp *Span) {
 	t.mu.Lock()
-	t.ring[t.next] = sp
-	t.next = (t.next + 1) % len(t.ring)
-	t.total++
-	sink := t.sink
+	t.ring.Push(sp)
 	t.mu.Unlock()
-	if sink != nil {
-		sink(sp)
-	}
 }
 
 // Recent returns up to n finished root spans, newest first. n <= 0
@@ -294,30 +282,14 @@ func (t *Tracer) add(sp *Span) {
 func (t *Tracer) Recent(n int) []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n <= 0 || n > len(t.ring) {
-		n = len(t.ring)
-	}
-	out := make([]*Span, 0, n)
-	for i := 1; i <= n; i++ {
-		sp := t.ring[(t.next-i+len(t.ring))%len(t.ring)]
-		if sp == nil {
-			break
-		}
-		out = append(out, sp)
-	}
-	return out
+	return t.ring.Recent(n)
 }
 
 // ByID returns the retained tree containing the span or trace ID, or
 // nil if the ring has already dropped it. Exemplars hand out trace and
 // span IDs; this is how /traces?id= resolves them back to a full tree.
 func (t *Tracer) ByID(id uint64) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, root := range t.ring {
-		if root == nil {
-			continue
-		}
+	for _, root := range t.Recent(0) {
 		if root.TraceID == id {
 			return root
 		}
@@ -339,14 +311,5 @@ func (t *Tracer) ByID(id uint64) *Span {
 func (t *Tracer) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
-}
-
-// SetSink installs a function called synchronously with every finished
-// root span (nil uninstalls). The sink must be fast and must not call
-// back into the tracer.
-func (t *Tracer) SetSink(fn func(*Span)) {
-	t.mu.Lock()
-	t.sink = fn
-	t.mu.Unlock()
+	return t.ring.Total()
 }

@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -202,5 +204,52 @@ func TestAdapterInstantiations(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompressedSimpleRangeMatchesScan checks the WAH simple adapter's
+// Range against the scan over a [0, 40) domain: with an open upper bound
+// (col >= lo), wider than the domain, and narrow, where its Stats stay
+// those of probing each integer of the interval.
+func TestCompressedSimpleRangeMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	col := make([]int64, 2000)
+	tab := table.MustNew("t", table.NewColumn("v", table.Int64))
+	for i := range col {
+		col[i] = int64(r.Intn(40))
+		if err := tab.AppendRow(table.IntCell(col[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := NewExecutor(tab)
+	wah, err := simplebitmap.BuildCompressed(col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := CompressedSimpleInt{Ix: wah}
+	for _, c := range []struct {
+		lo, hi int64
+		probe  []int64 // the interval's integers; nil for the wide cases
+	}{
+		{lo: 30, hi: math.MaxInt64},
+		{lo: -1000, hi: 1000},
+		{lo: 10, hi: 14, probe: []int64{10, 11, 12, 13, 14}},
+	} {
+		want, _, err := scan.Eval(Range{Col: "v", Lo: c.lo, Hi: c.hi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := a.Range(c.lo, c.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("Range[%d, %d] = %d rows, scan %d", c.lo, c.hi, got.Count(), want.Count())
+		}
+		if c.probe != nil {
+			if _, probed := wah.In(c.probe); st != probed {
+				t.Fatalf("Range[%d, %d] stats %+v, probing the interval %+v", c.lo, c.hi, st, probed)
+			}
+		}
 	}
 }

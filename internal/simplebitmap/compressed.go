@@ -62,6 +62,15 @@ func (ix *CompressedIndex[V]) Len() int { return ix.n }
 // Cardinality returns the number of distinct indexed values.
 func (ix *CompressedIndex[V]) Cardinality() int { return len(ix.vectors) }
 
+// Values returns the distinct indexed values in an unspecified order.
+func (ix *CompressedIndex[V]) Values() []V {
+	out := make([]V, 0, len(ix.vectors))
+	for v := range ix.vectors {
+		out = append(out, v)
+	}
+	return out
+}
+
 // SizeBytes returns the compressed payload size.
 func (ix *CompressedIndex[V]) SizeBytes() int {
 	total := ix.nulls.SizeBytes()
