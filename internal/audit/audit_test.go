@@ -109,8 +109,8 @@ func auditQueries() []query.Predicate {
 }
 
 // A clean engine under full sampling must produce zero mismatches and
-// zero stats divergence across every source (executor, planner,
-// prepared), with every sample either verified or explicitly skipped.
+// zero stats divergence across every source (executor, planner), with
+// every sample either verified or explicitly skipped.
 func TestAuditCleanRun(t *testing.T) {
 	withTelemetry(t)
 	tab, ex, pl := auditFixture(t)
@@ -126,19 +126,12 @@ func TestAuditCleanRun(t *testing.T) {
 		if _, _, _, err := pl.Eval(q); err != nil {
 			t.Fatalf("planner %s: %v", q, err)
 		}
-		pq, err := pl.Prepare(q)
-		if err != nil {
-			t.Fatalf("prepare %s: %v", q, err)
-		}
-		if _, _, _, err := pq.Eval(); err != nil {
-			t.Fatalf("prepared %s: %v", q, err)
-		}
 	}
 	a.Flush()
 
 	d := base.deltas()
-	if d.sampled != 18 {
-		t.Fatalf("sampled %d executions, want 18 (6 queries x 3 sources)", d.sampled)
+	if d.sampled != 12 {
+		t.Fatalf("sampled %d executions, want 12 (6 queries x 2 sources)", d.sampled)
 	}
 	if d.mismatches != 0 || d.divergence != 0 {
 		t.Fatalf("clean run produced %d mismatches, %d stats divergences", d.mismatches, d.divergence)
@@ -157,8 +150,8 @@ func TestAuditCleanRun(t *testing.T) {
 	if len(s.Config.References) != 1 || s.Config.References[0] != "scan" {
 		t.Fatalf("snapshot references: %v", s.Config.References)
 	}
-	if len(s.Verdicts) != 18 {
-		t.Fatalf("verdict ring holds %d, want 18", len(s.Verdicts))
+	if len(s.Verdicts) != 12 {
+		t.Fatalf("verdict ring holds %d, want 12", len(s.Verdicts))
 	}
 	for _, v := range s.Verdicts {
 		if v.Verdict != "ok" {

@@ -110,15 +110,16 @@ func TestCustomWideMapping(t *testing.T) {
 	}
 }
 
-// Prepared selections on an index that is then re-encoded recompile.
+// A repeated selection, reduced once through the code-set cache, selects
+// the same rows after the index is re-encoded.
 func TestPreparedSurvivesReencode(t *testing.T) {
 	col := []int{0, 1, 2, 3, 0, 1}
 	ix, err := Build(col, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ix.Prepare([]int{0, 1})
-	before, _ := p.Eval()
+	sel := []int{0, 1}
+	before, _ := ix.In(sel)
 	nm := encoding.NewMapping[int](3)
 	nm.MustAdd(0, 6)
 	nm.MustAdd(1, 3)
@@ -127,8 +128,8 @@ func TestPreparedSurvivesReencode(t *testing.T) {
 	if err := ix.Reencode(nm); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := p.Eval()
+	after, _ := ix.In(sel)
 	if !before.Equal(after) {
-		t.Fatal("Prepared result changed across re-encode")
+		t.Fatal("repeated In result changed across re-encode")
 	}
 }

@@ -31,9 +31,10 @@ func Example() {
 	// rows: [0 1 3 4], vectors read: 1
 }
 
-// ExampleIndex_Prepare compiles a selection once and reuses the reduced
-// retrieval function.
-func ExampleIndex_Prepare() {
+// ExampleIndex_In answers an IN selection by reading one vector. The
+// reduced retrieval function is cached per code set, so repeating the
+// selection reuses it.
+func ExampleIndex_In() {
 	column := []int{10, 20, 30, 40, 10, 20}
 	m := encoding.NewMapping[int](3) // code 0 stays free for voids
 	m.MustAdd(10, 2)
@@ -44,9 +45,8 @@ func ExampleIndex_Prepare() {
 	if err != nil {
 		panic(err)
 	}
-	sel := ix.Prepare([]int{10, 20}) // codes {010,011} + don't-cares -> B1
-	rows, _ := sel.Eval()
-	fmt.Printf("%d rows via %d vector(s)\n", rows.Count(), sel.AccessCost())
+	rows, st := ix.In([]int{10, 20}) // codes {010,011} + don't-cares -> B1
+	fmt.Printf("%d rows via %d vector(s)\n", rows.Count(), st.VectorsRead)
 	// Output:
 	// 4 rows via 1 vector(s)
 }

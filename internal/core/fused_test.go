@@ -65,34 +65,6 @@ func TestEqIntoZeroAllocWarmed(t *testing.T) {
 	}
 }
 
-// TestPreparedEvalIntoZeroAllocWarmed is the IN-list allocation gate: a
-// prepared selection holds its compiled program, so re-evaluating into a
-// reused destination must not allocate.
-func TestPreparedEvalIntoZeroAllocWarmed(t *testing.T) {
-	ix, _ := fusedIndexFixture(t)
-	prep := ix.Prepare([]int64{1, 3, 7, 12})
-	dst := bitvec.New(ix.Len())
-	prep.EvalInto(dst) // warm (compiles on first use)
-	if allocs := testing.AllocsPerRun(100, func() { prep.EvalInto(dst) }); allocs != 0 {
-		t.Fatalf("warmed Prepared.EvalInto allocates %.0f objects per run, want 0", allocs)
-	}
-	want, wantSt := ix.In([]int64{1, 3, 7, 12})
-	if gotSt := prep.EvalInto(dst); !dst.Equal(want) || gotSt != wantSt {
-		t.Fatalf("Prepared.EvalInto diverges from In: stats %+v vs %+v", gotSt, wantSt)
-	}
-}
-
-func TestPreparedEvalIntoPanicsOnLengthMismatch(t *testing.T) {
-	ix, _ := fusedIndexFixture(t)
-	prep := ix.Prepare([]int64{1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	prep.EvalInto(bitvec.New(ix.Len() + 1))
-}
-
 // TestCachedProgramSurvivesMutation checks that the program cache
 // invalidates correctly: after appends (including a widening append that
 // grows k and rebuilds the source slice), Eq and EqInto still agree with a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -49,6 +50,9 @@ func FuzzLoad(f *testing.F) {
 
 // FuzzBuildQueryDelete drives the index through arbitrary operation
 // sequences derived from fuzz bytes and checks invariants throughout.
+// After every operation it re-evaluates one fixed IN list, whose
+// reduction the code-set cache serves on every repeat: domain expansion,
+// widening, NULL-code allocation and deletes must never leave it stale.
 func FuzzBuildQueryDelete(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 4, 5})
 	f.Add([]byte{0, 0, 0, 0})
@@ -60,7 +64,8 @@ func FuzzBuildQueryDelete(f *testing.F) {
 			t.Fatal(err)
 		}
 		mirror := make([]int, 0, len(data)) // -1 = void, -2 = null
-		for _, b := range data {
+		sel := []int{0, 2, 5}
+		for op, b := range data {
 			switch {
 			case b >= 250: // delete a row
 				if ix.Len() > 0 {
@@ -81,6 +86,16 @@ func FuzzBuildQueryDelete(f *testing.F) {
 					t.Fatal(err)
 				}
 				mirror = append(mirror, v)
+			}
+			rows, st := ix.In(sel)
+			if rows.Len() != len(mirror) || st.VectorsRead > ix.K() {
+				t.Fatalf("op %d: In(%v) has %d rows (want %d), read %d vectors, k=%d",
+					op, sel, rows.Len(), len(mirror), st.VectorsRead, ix.K())
+			}
+			for i, mv := range mirror {
+				if rows.Get(i) != slices.Contains(sel, mv) {
+					t.Fatalf("op %d: In(%v) wrong at row %d (mirror %d)", op, sel, i, mv)
+				}
 			}
 		}
 		if err := ix.CheckInvariants(); err != nil {

@@ -560,7 +560,6 @@ func (ix *Index[V]) reduce(codes []uint32) *reduction {
 	pc.mu.RUnlock()
 	if ok {
 		mExprCacheHits.Inc()
-		mProgCacheHits.Inc()
 		return r
 	}
 	mExprCacheMisses.Inc()

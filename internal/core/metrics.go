@@ -21,12 +21,8 @@ var (
 		"Domain expansions that widened the index by one bitmap vector (Figure 2b).")
 	mReencodes = obs.Default().Counter("ebi_core_reencodes_total",
 		"Dynamic re-encodings applied (future-work reconstruction).")
-	mPreparedRecompiles = obs.Default().Counter("ebi_core_prepared_recompiles_total",
-		"Prepared selections recompiled after a code-space generation change.")
 	mParallelEvals = obs.Default().Counter("ebi_core_parallel_evals_total",
 		"Retrieval-function evaluations routed through the segmented parallel engine.")
-	mProgCacheHits = obs.Default().Counter("ebi_core_prog_cache_hits_total",
-		"Selections served a compiled fused program without reducing it again (code-set cache hits and warm Prepared selections).")
 	mSwaps = obs.Default().Counter("ebi_core_swaps_total",
 		"Live epoch flips: re-encodings applied by shadow rebuild + atomic pointer swap with reads in flight.")
 	mFolds = obs.Default().Counter("ebi_core_tail_folds_total",

@@ -7,10 +7,10 @@ import (
 )
 
 // SelectionObserver receives one record per value-selection evaluation
-// (Eq/In/NotIn and their parallel and prepared forms). values is the
-// deduplicated in-domain value list the reduced retrieval expression
-// selects — for NotIn that is the included complement, exactly what a
-// re-encoding workload wants. minVectors is the Theorem 2.2/2.3
+// (Eq/In/NotIn and their parallel forms). values is the deduplicated
+// in-domain value list the reduced retrieval expression selects — for
+// NotIn that is the included complement, exactly what a re-encoding
+// workload wants. minVectors is the Theorem 2.2/2.3
 // theoretical minimum number of vectors any encoding of the current
 // code space could read for a selection of that width, so
 // st.VectorsRead - minVectors is the evaluation's encoding-inefficiency

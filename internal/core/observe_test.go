@@ -205,17 +205,16 @@ func TestSelectionObserverHooks(t *testing.T) {
 		t.Fatal("out-of-domain selection was observed")
 	}
 
-	// Prepared re-runs observe on every evaluation.
-	p := ix.Prepare([]int{4, 5})
+	// A repeated selection observes on every evaluation, cached or not.
 	before = obs.count()
-	_, _ = p.Eval()
-	_, _ = p.Eval()
+	_, _ = ix.In([]int{4, 5})
+	_, _ = ix.In([]int{4, 5})
 	if obs.count() != before+2 {
-		t.Fatalf("prepared evals observed %d times, want 2", obs.count()-before)
+		t.Fatalf("repeated In observed %d times, want 2", obs.count()-before)
 	}
 	got = obs.last(t)
 	if !reflect.DeepEqual(got.values, []int{4, 5}) || got.min != 2 {
-		t.Fatalf("prepared observation = %+v", got)
+		t.Fatalf("repeated In observation = %+v", got)
 	}
 
 	// Parallel evaluation observes identically to sequential.

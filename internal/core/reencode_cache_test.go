@@ -97,46 +97,6 @@ func TestSyncedEqCacheInvalidatedOnLiveReencode(t *testing.T) {
 	}
 }
 
-// TestSyncedPreparedRecompilesAcrossFlip: a prepared selection compiled
-// before a live re-encoding must detect the generation change, recompile
-// (counted), and select the same rows under the new code assignment.
-func TestSyncedPreparedRecompilesAcrossFlip(t *testing.T) {
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	column := []string{"a", "b", "a", "c", "b", "a", "d", "c"}
-	s, err := BuildSynced(column, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := s.Prepare([]string{"a", "c"})
-	want, _ := p.Eval()
-	if want.Count() != 5 {
-		t.Fatalf("prepared selects %d rows, want 5", want.Count())
-	}
-
-	recompiles := obs.Default().Counter("ebi_core_prepared_recompiles_total", "")
-	before := recompiles.Value()
-
-	if err := s.Reencode(swappedMapping(t, s.Mapping(), "a", "d")); err != nil {
-		t.Fatal(err)
-	}
-
-	got, _ := p.Eval()
-	if !got.Equal(want) {
-		t.Fatalf("post-flip prepared selects %d rows, want %d", got.Count(), want.Count())
-	}
-	if recompiles.Value() != before+1 {
-		t.Fatalf("prepared recompiles advanced by %d, want 1", recompiles.Value()-before)
-	}
-	// A second evaluation under the same generation stays cached.
-	if again, _ := p.Eval(); !again.Equal(want) {
-		t.Fatal("second post-flip evaluation diverged")
-	}
-	if recompiles.Value() != before+1 {
-		t.Fatalf("warm re-run recompiled again (%d total)", recompiles.Value()-before)
-	}
-}
-
 // setReader is what the code-set cache tests read through: a plain Index
 // or a Synced one.
 type setReader interface {

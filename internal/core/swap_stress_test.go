@@ -32,7 +32,7 @@ func permutedMapping(r *rand.Rand, values []int64) *encoding.Mapping[int64] {
 }
 
 // TestSyncedSwapStress hammers one Synced index from concurrent readers
-// (Eq, In, EqInto, a prepared re-run), a writer (appends including
+// (Eq, In, EqInto, a repeated In), a writer (appends including
 // domain expansion, NULLs, and deletes), and a swapper repeatedly
 // applying live re-encodings. Run under -race this is the epoch
 // scheme's main torture test. It asserts:
@@ -81,7 +81,7 @@ func TestSyncedSwapStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(1000 + g)))
-			prep := s.Prepare([]int64{2, 3, 5})
+			fixed := []int64{2, 3, 5} // repeats: served from the code-set cache
 			lastLen := 0
 			check := func(op string, rows *bitvec.Vector, vectorsRead int) {
 				if rows.Len() < lastLen {
@@ -105,8 +105,8 @@ func TestSyncedSwapStress(t *testing.T) {
 					st := s.EqInto(int64(r.Intn(card)), dst)
 					check("EqInto", dst, st.VectorsRead)
 				default:
-					rows, st := prep.Eval()
-					check("Prepared.Eval", rows, st.VectorsRead)
+					rows, st := s.In(fixed)
+					check("In(fixed)", rows, st.VectorsRead)
 				}
 			}
 		}(g)

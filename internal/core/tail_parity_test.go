@@ -111,9 +111,6 @@ func TestSyncedTailParity(t *testing.T) {
 				wantRows, wantSt = ix.NotIn(p)
 				check(fmt.Sprintf("NotIn(%v)", p), gotRows, gotSt, wantRows, wantSt)
 
-				gotRows, gotSt = s.Prepare(p).Eval()
-				wantRows, wantSt = ix.Prepare(p).Eval()
-				check(fmt.Sprintf("Prepare(%v).Eval", p), gotRows, gotSt, wantRows, wantSt)
 			}
 			gotRows, gotSt := s.IsNull()
 			wantRows, wantSt := ix.IsNull()

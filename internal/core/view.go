@@ -11,10 +11,10 @@ import (
 
 // View is one immutable read view of an encoded bitmap index: a base
 // Index plus an append tail of codes for rows past the base's vectors.
-// Every selection, prediction and prepared evaluation is implemented once
-// here; Index and Synced read through it. A plain Index is a view with an
-// empty tail (it is mutated in place, so its view follows it), and a
-// Synced index publishes a fresh view at every write.
+// Every selection and prediction is implemented once here; Index and
+// Synced read through it. A plain Index is a view with an empty tail (it
+// is mutated in place, so its view follows it), and a Synced index
+// publishes a fresh view at every write.
 //
 // The tail is evaluated with the same compiled program as the base
 // (boolmin.Program.Selects), and the Stats a view reports are exactly

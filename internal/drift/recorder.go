@@ -36,9 +36,9 @@ type sample struct {
 
 // Recorder profiles one index's selection stream. It implements
 // core.SelectionObserver: install it with SetSelectionObserver and
-// every Eq/In/NotIn (and parallel/prepared) evaluation feeds it. It is
-// safe for concurrent use and never calls back into the index, so it
-// runs fine under Synced's lock-free readers.
+// every Eq/In/NotIn (and parallel) evaluation feeds it. It is safe for
+// concurrent use and never calls back into the index, so it runs fine
+// under Synced's lock-free readers.
 //
 // Two things are maintained per observation: the predicate's
 // normalized key is counted in a bounded Space-Saving sketch (with a

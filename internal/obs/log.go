@@ -162,8 +162,8 @@ func NewLogger(level Level) *Logger {
 var defaultLogger = NewLogger(LevelInfo)
 
 // DefaultLogger returns the process-wide logger the EBI stack emits
-// structured events through (slow queries, prepared-selection
-// recompiles, ...).
+// structured events through (slow queries, flight-recorder capture
+// failures, drift re-encodings, ...).
 func DefaultLogger() *Logger { return defaultLogger }
 
 // SetLevel changes the minimum emitted level.

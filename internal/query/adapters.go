@@ -8,7 +8,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/iostat"
-	"repro/internal/projidx"
 	"repro/internal/simplebitmap"
 	"repro/internal/table"
 )
@@ -230,30 +229,6 @@ func (a BTreeAdapter) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) 
 		lo = 0
 	}
 	rows, st := a.Ix.Range(uint64(lo), uint64(hi), a.NRows)
-	return rows, st, nil
-}
-
-// ProjAdapter adapts a projection index over int64 values.
-type ProjAdapter struct{ Ix *projidx.Index[int64] }
-
-// Eq implements ColumnIndex.
-func (a ProjAdapter) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		return bitvec.New(a.Ix.Len()), iostat.Stats{}, nil
-	}
-	rows, st := a.Ix.Eq(v.I)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a ProjAdapter) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(intKind.values(vs))
-	return rows, st, nil
-}
-
-// Range implements ColumnIndex.
-func (a ProjAdapter) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.Range(lo, hi)
 	return rows, st, nil
 }
 

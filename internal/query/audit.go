@@ -25,7 +25,7 @@ import (
 type AuditRecord struct {
 	Query   string
 	Family  string
-	Source  string // "executor", "planner", "prepared", or "explain"
+	Source  string // "executor", "planner" or "explain"
 	Pred    Predicate
 	Rows    *bitvec.Vector // private clone of the returned row set
 	Stats   iostat.Stats

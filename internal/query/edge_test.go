@@ -81,31 +81,3 @@ func TestEBIAdapterNullCells(t *testing.T) {
 		t.Fatalf("Range = %v", rows)
 	}
 }
-
-func TestExecutorCountAndSum(t *testing.T) {
-	tab := table.MustNew("t",
-		table.NewColumn("g", table.String),
-		table.NewColumn("v", table.Int64),
-	)
-	_ = tab.AppendRow(table.StrCell("x"), table.IntCell(10))
-	_ = tab.AppendRow(table.StrCell("y"), table.IntCell(20))
-	_ = tab.AppendRow(table.StrCell("x"), table.NullCell())
-	ex := NewExecutor(tab)
-	n, _, err := ex.Count(Eq{Col: "g", Val: table.StrCell("x")})
-	if err != nil || n != 2 {
-		t.Fatalf("Count = %d, %v", n, err)
-	}
-	sum, _, err := ex.Sum(Eq{Col: "g", Val: table.StrCell("x")}, "v")
-	if err != nil || sum != 10 { // NULL measure skipped
-		t.Fatalf("Sum = %d, %v", sum, err)
-	}
-	if _, _, err := ex.Sum(Eq{Col: "g", Val: table.StrCell("x")}, "nope"); err == nil {
-		t.Fatal("unknown measure should error")
-	}
-	if _, _, err := ex.Sum(Eq{Col: "g", Val: table.StrCell("x")}, "g"); err == nil {
-		t.Fatal("string measure should error")
-	}
-	if _, _, err := ex.Count(Eq{Col: "nope", Val: table.IntCell(1)}); err == nil {
-		t.Fatal("Count should propagate errors")
-	}
-}

@@ -16,12 +16,10 @@ import (
 // pl nil every leaf goes to the executor (its registered index or a
 // scan); otherwise leaves are routed through the planner's access paths.
 type evalRun struct {
-	ex       *Executor
-	pl       *Planner
-	st       iostat.Stats
-	choices  []Choice
-	timed    bool // plan nodes record wall time and resource use
-	prepared bool // routing was counted once, at Prepare
+	ex      *Executor
+	pl      *Planner
+	st      iostat.Stats
+	choices []Choice
 }
 
 // eval is the one predicate-tree walker. Leaves resolve in preorder — the
@@ -29,12 +27,12 @@ type evalRun struct {
 // predicate's leaves; And and Or fold their children left to right and
 // Not complements its child, each combine charging one BoolOp. n is the
 // plan node mirroring p, or nil when no plan tree is kept; with one, every
-// node records its subtree's actuals (and, when timed, its wall time and
-// resource use, a window that covers its children).
+// node records its subtree's actuals, wall time and resource use (a
+// window that covers its children).
 func (r *evalRun) eval(ctx context.Context, p Predicate, n *PlanNode) (*bitvec.Vector, error) {
 	var t0 time.Time
 	var r0 obs.Resources
-	if n != nil && r.timed {
+	if n != nil {
 		t0, r0 = time.Now(), takeResources()
 	}
 	before := r.st
@@ -56,20 +54,17 @@ func (r *evalRun) eval(ctx context.Context, p Predicate, n *PlanNode) (*bitvec.V
 	n.Stats = r.st.Sub(before)
 	n.ActReads = jsonFloat(actualCost(n.Stats))
 	n.Rows = rows.Count()
-	if r.timed {
-		n.ElapsedNS = time.Since(t0).Nanoseconds()
-		res := takeResources().Sub(r0)
-		n.CPUNanos, n.AllocBytes, n.AllocObjects = res.CPUNanos, res.AllocBytes, res.AllocObjects
-		// A walker that resumed on another OS thread reads an unrelated
-		// thread clock at the end of its window, which Sub clamps to
-		// zero. The window covers the children's, so their CPU is a
-		// floor.
-		var kids int64
-		for _, c := range n.Children {
-			kids += c.CPUNanos
-		}
-		n.CPUNanos = max(n.CPUNanos, kids)
+	n.ElapsedNS = time.Since(t0).Nanoseconds()
+	res := takeResources().Sub(r0)
+	n.CPUNanos, n.AllocBytes, n.AllocObjects = res.CPUNanos, res.AllocBytes, res.AllocObjects
+	// A walker that resumed on another OS thread reads an unrelated thread
+	// clock at the end of its window, which Sub clamps to zero. The window
+	// covers the children's, so their CPU is a floor.
+	var kids int64
+	for _, c := range n.Children {
+		kids += c.CPUNanos
 	}
+	n.CPUNanos = max(n.CPUNanos, kids)
 	return rows, nil
 }
 
@@ -175,18 +170,12 @@ func (r *evalRun) planLeaf(ctx context.Context, p Predicate, n *PlanNode) (*bitv
 	r.st.Add(s)
 	ch.Actual = actualCost(s)
 	r.choices = append(r.choices, ch)
-	switch {
-	case r.prepared: // routing was counted at Prepare
-	case routed:
+	if routed {
 		mPlannerChoices.Inc()
-	default:
+	} else {
 		mPlannerFallbacks.Inc()
 	}
-	// A prepared leaf's misestimate counts once, however often it re-runs.
-	if ch.Misestimated() && (n == nil || !n.misSeen) {
-		if n != nil {
-			n.misSeen = true
-		}
+	if ch.Misestimated() {
 		mPlannerMisestimates.Inc()
 	}
 	if n != nil {
@@ -209,26 +198,21 @@ func finishLeafSpan(lsp *obs.Span, ch Choice, s iostat.Stats, err error) {
 }
 
 // analyze is an evaluation that fills a plan tree: the routing Explain
-// would show, then the walker with every node timed.
+// would show, then the walker with every node timed. The plan's header
+// carries the evaluation's total Stats and wall time, and the root's
+// resource totals.
 func (r *evalRun) analyze(ctx context.Context, p Predicate) (*bitvec.Vector, *Plan, error) {
 	t0 := time.Now()
 	root, err := r.pl.explain(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	r.timed = true
 	rows, err := r.eval(ctx, p, root)
 	if err != nil {
 		return nil, nil, err
 	}
-	return rows, analyzedPlan(root, r.st, time.Since(t0).Nanoseconds()), nil
-}
-
-// analyzedPlan heads an analyzed plan tree: the evaluation's total Stats
-// and wall time, and the root's resource totals.
-func analyzedPlan(root *PlanNode, st iostat.Stats, elapsedNS int64) *Plan {
-	return &Plan{
-		Query: root.Pred, Analyzed: true, Root: root, Stats: st, ElapsedNS: elapsedNS,
+	return rows, &Plan{
+		Query: root.Pred, Analyzed: true, Root: root, Stats: r.st, ElapsedNS: time.Since(t0).Nanoseconds(),
 		CPUNanos: root.CPUNanos, AllocBytes: root.AllocBytes, AllocObjects: root.AllocObjects,
-	}
+	}, nil
 }

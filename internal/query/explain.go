@@ -122,9 +122,8 @@ type PlanNode struct {
 	Children []*PlanNode `json:"children,omitempty"`
 
 	// Routing bound at plan time, which execution follows.
-	path    *AccessPath // nil = executor fallback
-	cost    float64     // path's estimate
-	misSeen bool        // misestimate already counted (prepared re-runs)
+	path *AccessPath // nil = executor fallback
+	cost float64     // path's estimate
 }
 
 // setChoice records how a leaf ran.
@@ -134,16 +133,6 @@ func (n *PlanNode) setChoice(ch Choice) {
 	n.Misestimate = ch.Misestimated()
 	n.ExcessVectors = ch.Excess
 	n.PageHits, n.PageMisses = ch.PageHits, ch.PageMisses
-}
-
-// clone deep-copies the node's subtree.
-func (n *PlanNode) clone() *PlanNode {
-	c := *n
-	c.Children = nil
-	for _, child := range n.Children {
-		c.Children = append(c.Children, child.clone())
-	}
-	return &c
 }
 
 // Walk visits the node and its subtree in depth-first order.

@@ -8,7 +8,7 @@ import "repro/internal/obs"
 // iostat.Stats values returned to callers.
 var (
 	mQueries = obs.Default().Counter("ebi_queries_total",
-		"Top-level predicate evaluations: Executor, Planner, prepared re-runs and EXPLAIN ANALYZE.")
+		"Top-level predicate evaluations: Executor, Planner and EXPLAIN ANALYZE.")
 	mQueryErrors = obs.Default().Counter("ebi_query_errors_total",
 		"Top-level predicate evaluations that returned an error.")
 	hQuerySeconds = obs.Default().Histogram("ebi_query_seconds",

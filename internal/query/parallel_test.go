@@ -109,39 +109,6 @@ func TestChoiceStringParallelSuffix(t *testing.T) {
 	}
 }
 
-func TestPreparedQueryRechecksParallelGate(t *testing.T) {
-	pl, col := parallelFixture(t, 2)
-	pred := In{Col: "v", Vals: []table.Cell{table.IntCell(col[0]), table.IntCell(col[1])}}
-	pq, err := pl.Prepare(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, choices, err := pq.Eval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(choices) != 1 || choices[0].Par != 2 {
-		t.Fatalf("prepared parallel choices = %+v, want Par=2", choices)
-	}
-	seqRows, _, _, err := pl.Eval(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Equal(seqRows) {
-		t.Fatal("prepared parallel rows differ from planner eval")
-	}
-	// Toggling the gate off changes the next execution's degree without
-	// re-preparing.
-	pl.DisableParallel()
-	_, _, choices, err = pq.Eval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choices[0].Par != 0 {
-		t.Fatalf("prepared query kept Par=%d after DisableParallel", choices[0].Par)
-	}
-}
-
 // TestParallelUnsupportedFallsBackSequential pins the sequential fallback:
 // a path that cannot run an operation in parallel runs it sequentially on
 // the same path (not through the executor fallback), and EXPLAIN predicts

@@ -114,13 +114,8 @@ func BTreeModel(height, rowsPerValue int) CostModel {
 		if delta < 1 {
 			return 0
 		}
-		return float64(delta*height) + float64(delta*rowsPerValue)*rowCostWeight
+		return float64(delta) * (float64(height) + float64(rowsPerValue)*rowCostWeight)
 	}
-}
-
-// ScanModel prices a full column scan of n rows.
-func ScanModel(n int) CostModel {
-	return func(Op, int) float64 { return float64(n) * rowCostWeight }
 }
 
 // NewPlanner returns a planner over the executor's table. The executor's
@@ -250,9 +245,12 @@ func leafShape(p Predicate) (col string, op Op, delta int, ok bool) {
 	case In:
 		return p.Col, OpIn, len(p.Vals), true
 	case Range:
-		d := int(p.Hi - p.Lo + 1)
-		if d < 0 {
-			d = 0
+		// The integers in [Lo, Hi], saturated at math.MaxInt: an open
+		// bound (Lo = MinInt64 or Hi = MaxInt64) must not wrap to an empty
+		// range, which every cost model prices at 0.
+		d := 0
+		if p.Hi >= p.Lo {
+			d = int(min(uint64(p.Hi)-uint64(p.Lo), math.MaxInt-1)) + 1
 		}
 		return p.Col, OpRange, d, true
 	}

@@ -83,6 +83,37 @@ func TestPlannerRoutesByDelta(t *testing.T) {
 	}
 }
 
+// An open-ended range is as wide as a range gets: its width saturates at
+// math.MaxInt instead of wrapping to 0, which every model prices at 0 and
+// which would send it down the first registered path (the simple bitmap,
+// reading one vector per value).
+func TestPlannerOpenRangeIsWide(t *testing.T) {
+	pl, _, k := plannerFixture(t, 2000, 64)
+	for _, p := range []Range{
+		{Col: "v", Lo: 0, Hi: math.MaxInt64},
+		{Col: "v", Lo: math.MinInt64, Hi: 40},
+		{Col: "v", Lo: math.MinInt64, Hi: math.MaxInt64},
+	} {
+		rows, st, choices, err := pl.Eval(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if len(choices) != 1 || choices[0].Path != "ebi" || choices[0].Delta != math.MaxInt {
+			t.Fatalf("%s routed to %+v, want ebi with δ=MaxInt", p, choices)
+		}
+		if st.VectorsRead > k {
+			t.Fatalf("%s read %d vectors, k=%d", p, st.VectorsRead, k)
+		}
+		want, _, err := pl.ex.Eval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Equal(want) {
+			t.Fatalf("%s: %d rows, the scan %d", p, rows.Count(), want.Count())
+		}
+	}
+}
+
 func TestPlannerFallback(t *testing.T) {
 	tab := table.MustNew("t", table.NewColumn("v", table.Int64))
 	_ = tab.AppendRow(table.IntCell(7))
@@ -166,11 +197,8 @@ func TestCostModels(t *testing.T) {
 	if BSIModel(8)(OpEq, 1) != 8 || BSIModel(8)(OpRange, 99) != 16 || BSIModel(8)(OpIn, 3) != 24 {
 		t.Fatal("BSIModel wrong")
 	}
-	if BTreeModel(3, 10)(OpEq, 1) != 3+10*rowCostWeight {
+	if BTreeModel(3, 10)(OpEq, 1) != 3+10*rowCostWeight || BTreeModel(2, 10)(OpRange, math.MaxInt) <= 0 {
 		t.Fatal("BTreeModel wrong")
-	}
-	if ScanModel(512)(OpEq, 1) != 1 {
-		t.Fatal("ScanModel wrong")
 	}
 	if !math.IsInf(math.Inf(1), 1) {
 		t.Fatal("sanity")

@@ -103,8 +103,8 @@ func (e *Executor) PredictStats(p Predicate) (iostat.Stats, uint64, bool) {
 	return st, gen, true
 }
 
-// PredictStatsForRun returns the analytic Stats for a planner (or
-// prepared) execution that recorded the given routing decisions: leaf i
+// PredictStatsForRun returns the analytic Stats for a planner run (Eval
+// or EXPLAIN ANALYZE) that recorded the given routing decisions: leaf i
 // resolves through choices[i].Path — a named access path, or "fallback"
 // for the executor's resolution. ok=false when the plan shape and the
 // choice list disagree (defensive: never guess) or some routed path has

@@ -251,39 +251,3 @@ func cellEqual(a, b table.Cell) bool {
 	}
 	return a.I == b.I && a.S == b.S
 }
-
-// Count evaluates the predicate and returns only the qualifying row
-// count — the COUNT(*) pushdown, which never materializes row ids beyond
-// the bitmap.
-func (e *Executor) Count(p Predicate) (int, iostat.Stats, error) {
-	rows, st, err := e.Eval(p)
-	if err != nil {
-		return 0, st, err
-	}
-	return rows.Count(), st, nil
-}
-
-// Sum evaluates the predicate and sums an int64 measure column over the
-// qualifying rows.
-func (e *Executor) Sum(p Predicate, measureCol string) (int64, iostat.Stats, error) {
-	rows, st, err := e.Eval(p)
-	if err != nil {
-		return 0, st, err
-	}
-	col := e.tab.Column(measureCol)
-	if col == nil {
-		return 0, st, fmt.Errorf("query: unknown measure column %s", measureCol)
-	}
-	if col.Kind != table.Int64 {
-		return 0, st, fmt.Errorf("query: measure column %s is %s, not int64", measureCol, col.Kind)
-	}
-	var sum int64
-	rows.ForEach(func(row int) bool {
-		if !col.IsNull(row) {
-			sum += col.Int(row)
-			st.RowsScanned++
-		}
-		return true
-	})
-	return sum, st, nil
-}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bsi"
 	"repro/internal/btree"
 	"repro/internal/core"
-	"repro/internal/projidx"
 	"repro/internal/simplebitmap"
 	"repro/internal/table"
 )
@@ -165,7 +164,6 @@ func TestAdaptersAgreeWithScan(t *testing.T) {
 		"simple":  SimpleInt{Ix: simple},
 		"bsi":     BSIAdapter{Ix: bsi.Build(uvals)},
 		"btree":   BTreeAdapter{Ix: btree.Build(uvals, 16), NRows: n},
-		"proj":    ProjAdapter{Ix: projidx.Build(vals)},
 	}
 
 	scan := NewExecutor(tab)

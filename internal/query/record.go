@@ -9,18 +9,17 @@ import (
 	"repro/internal/obs"
 )
 
-// queryRecord is one top-level evaluation — Executor.Eval, Planner.Eval,
-// a prepared re-run or EXPLAIN ANALYZE — and the one source every
-// per-query view derives from, in finish. It lives on the entry point's
-// stack: with telemetry off and no audit sink, a run allocates nothing
-// beyond the walker and renders no string.
+// queryRecord is one top-level evaluation — Executor.Eval, Planner.Eval
+// or EXPLAIN ANALYZE — and the one source every per-query view derives
+// from, in finish. It lives on the entry point's stack: with telemetry
+// off and no audit sink, a run allocates nothing beyond the walker and
+// renders no string.
 type queryRecord struct {
-	source string // AuditRecord.Source: "executor", "planner", "prepared" or "explain"
+	source string // AuditRecord.Source: "executor", "planner" or "explain"
 	pred   Predicate
 	family string    // FamilyKey(pred), computed at most once
 	span   *obs.Span // root span; nil while telemetry is off
 	run    evalRun   // the walker's Stats and Choices
-	root   *PlanNode // a prepared query's bound plan, which the walker fills
 	rows   *bitvec.Vector
 	plan   *Plan // analyzed plan: EXPLAIN ANALYZE, and planner runs while traced
 	err    error
@@ -39,19 +38,13 @@ func (rec *queryRecord) exec(ctx context.Context, name string) {
 	rec.finish()
 }
 
-// walk evaluates. A prepared run fills its bound plan, timed only while
-// traced: per-node resource capture costs two runtime/metrics reads and a
-// clock syscall. EXPLAIN ANALYZE, and a traced planner run so the slow
-// log can keep its plan, fill a fresh analyzed plan.
+// walk evaluates. EXPLAIN ANALYZE, and a traced planner run so the slow
+// log can keep its plan, fill an analyzed plan.
 func (rec *queryRecord) walk(ctx context.Context) {
 	r := &rec.run
-	switch {
-	case rec.root != nil:
-		r.timed = rec.span != nil
-		rec.rows, rec.err = r.eval(ctx, rec.pred, rec.root)
-	case rec.source == "explain" || (r.pl != nil && rec.span != nil):
+	if rec.source == "explain" || (r.pl != nil && rec.span != nil) {
 		rec.rows, rec.plan, rec.err = r.analyze(ctx, rec.pred)
-	default:
+	} else {
 		rec.rows, rec.err = r.eval(ctx, rec.pred, nil)
 	}
 }
@@ -120,10 +113,7 @@ func (rec *queryRecord) finish() {
 			obs.DefaultSlowLog().Capture(time.Duration(sp.DurationNS), mis != nil, func(q *obs.SlowQuery) {
 				q.Query, q.Stats = rec.pred.String(), st
 				q.Par, q.Fused, q.ExcessVectors = par, fused, excess
-				if rec.root != nil { // the next run rewrites the bound plan's nodes
-					root := rec.root.clone()
-					q.Plan = analyzedPlan(root, st, root.ElapsedNS)
-				} else if rec.plan != nil {
+				if rec.plan != nil {
 					q.Plan = rec.plan
 				}
 			})

@@ -52,38 +52,28 @@ func TestExecutorLatencyReachesSLO(t *testing.T) {
 	}
 }
 
-// preparedSlowFixture returns a prepared two-leaf query with the slow
-// log's latency threshold dropped to 1ns, so every run qualifies.
-func preparedSlowFixture(t *testing.T) *PreparedQuery {
-	t.Helper()
+// Every re-run of a repeated planner query over the latency threshold
+// (dropped to 1ns, so every run qualifies) reaches /debug/slowlog with its
+// reason and an analyzed plan of that run.
+func TestPreparedRerunInSlowLog(t *testing.T) {
 	pl, _, _ := plannerFixture(t, 300, 16)
 	withTelemetry(t)
 	obs.DefaultSlowLog().SetLatencyThreshold(time.Nanosecond)
 	t.Cleanup(func() { obs.DefaultSlowLog().SetLatencyThreshold(obs.DefaultSlowThreshold) })
-	pq, err := pl.Prepare(And{Preds: []Predicate{
+	q := And{Preds: []Predicate{
 		Range{Col: "v", Lo: 0, Hi: 11},
 		In{Col: "v", Vals: []table.Cell{table.IntCell(1), table.IntCell(5)}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pq
-}
-
-// Every prepared re-run over the latency threshold reaches
-// /debug/slowlog with its reason and an analyzed plan of that run.
-func TestPreparedRerunInSlowLog(t *testing.T) {
-	pq := preparedSlowFixture(t)
+	}}
 	before := obs.DefaultSlowLog().Total()
 	var st iostat.Stats
 	for i := 0; i < 3; i++ {
 		var err error
-		if _, st, _, err = pq.Eval(); err != nil {
+		if _, st, _, err = pl.Eval(q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := obs.DefaultSlowLog().Total() - before; got != 3 {
-		t.Fatalf("slow log captured %d of 3 prepared runs", got)
+		t.Fatalf("slow log captured %d of 3 planner runs", got)
 	}
 
 	srv := httptest.NewServer(obs.Handler())
@@ -105,48 +95,13 @@ func TestPreparedRerunInSlowLog(t *testing.T) {
 		t.Fatalf("slowlog = %s", body)
 	}
 	e := entries[0]
-	if e.Query != pq.Plan().Query || !strings.HasPrefix(e.Reason, "latency") || e.Stats != st {
-		t.Fatalf("entry = %q reason %q stats %+v, want %q latency %+v", e.Query, e.Reason, e.Stats, pq.Plan().Query, st)
+	if e.Query != q.String() || !strings.HasPrefix(e.Reason, "latency") || e.Stats != st {
+		t.Fatalf("entry = %q reason %q stats %+v, want %q latency %+v", e.Query, e.Reason, e.Stats, q.String(), st)
 	}
 	if e.Plan == nil || !e.Plan.Analyzed || e.Plan.Stats != st || e.Plan.Root == nil ||
 		e.Plan.Root.Kind != KindAnd || len(e.Plan.Root.Children) != 2 || e.Plan.Root.Stats != st {
 		t.Fatalf("entry plan = %+v, want the analyzed run", e.Plan)
 	}
-	if p, _ := obs.DefaultSlowLog().Recent(1)[0].Plan.(*Plan); p == nil || p.Root == pq.Plan().Root {
-		t.Fatal("slow-log entry shares the prepared query's plan nodes")
-	}
-}
-
-// The captured plan is a copy: reading the slow log while the same
-// prepared query keeps re-running (and rewriting its plan nodes) must not
-// race. Meaningful under -race.
-func TestPreparedSlowLogPlanIsCopy(t *testing.T) {
-	pq := preparedSlowFixture(t)
-	if _, _, _, err := pq.Eval(); err != nil {
-		t.Fatal(err)
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := json.Marshal(obs.DefaultSlowLog().Recent(4)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		if _, _, _, err := pq.Eval(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	<-done
 }
 
 // EXPLAIN ANALYZE reaches the audit sink like every other entry point,
