@@ -21,9 +21,10 @@ race:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Write a versioned perf-trajectory snapshot (see docs/observability.md,
-# "Bench JSON"). Compare two snapshots with:
+# Write a versioned snapshot of the paper-figure experiments (see
+# docs/observability.md, "Bench JSON"). Compare two snapshots with:
 #   go run ./cmd/ebibench compare OLD.json NEW.json
+# A speed claim comes from `make ab` (ebiload, bench/), not from these.
 bench-json:
 	go run ./cmd/ebibench -n 200000 -json BENCH_$$(date +%F).json
 

@@ -14,7 +14,6 @@ package repro
 //	BenchmarkRangeBased                Section 4: Wu-Yu buckets vs range-encoded EBI
 //	BenchmarkJoinIndex                 Section 4: bitmapped join index
 //	BenchmarkBaseBSlicing              Section 4: non-binary-base bit slicing
-//	BenchmarkOrderedAggregates         Section 5: vector-side MIN/MAX/TopK
 //	BenchmarkAggregateStrategies       decode vs bitmap-side histograms
 //	BenchmarkCompressedSimpleIndex     plain vs WAH simple bitmap index
 //	Benchmark*Ablation                 DESIGN.md §5 design-choice ablations
@@ -685,38 +684,5 @@ func BenchmarkRangeBased(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(vectors), "vectors/4preds")
-	})
-}
-
-// BenchmarkOrderedAggregates measures vector-side MIN/MAX/TopK on the
-// ordered encoded bitmap index against a scan.
-func BenchmarkOrderedAggregates(b *testing.B) {
-	column := uniformColumn(1000)
-	oi, err := core.BuildOrdered(column, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sel, _ := oi.Range(100, 900)
-	b.Run("max/vectors", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			oi.Max(sel)
-		}
-	})
-	b.Run("max/scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			max := int64(-1)
-			sel.ForEach(func(row int) bool {
-				if column[row] > max {
-					max = column[row]
-				}
-				return true
-			})
-			_ = max
-		}
-	})
-	b.Run("top5", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			oi.TopK(sel, 5)
-		}
 	})
 }

@@ -23,9 +23,9 @@ import (
 // changes; compare refuses to diff files with mismatched schemas.
 const BenchSchema = "ebibench/v1"
 
-// BenchFile is one point on the perf trajectory: a versioned snapshot of
-// measured latencies, vector reads, and compression ratios, plus enough
-// build metadata to interpret it later.
+// BenchFile is one snapshot of the paper-figure suite: measured
+// latencies, vector reads, and compression ratios, plus enough build
+// metadata to interpret it later.
 type BenchFile struct {
 	Schema      string            `json:"schema"`
 	GoVersion   string            `json:"go_version"`
@@ -78,7 +78,7 @@ func timeIt(iters int, fn func() iostat.Stats) (medNS, p99NS int64, st iostat.St
 const benchIters = 25
 
 // runBenchSuite measures the standardized workload set and returns the
-// trajectory snapshot.
+// snapshot.
 func runBenchSuite(cfg config) (*BenchFile, error) {
 	r := rand.New(rand.NewSource(cfg.seed))
 	scfg := workload.StarConfig{Facts: cfg.n, Products: 200, SalesPoints: 12, Days: 730, MaxQty: 50}

@@ -8,10 +8,12 @@
 //	ebibench [flags] -json OUT.json [experiment]
 //	ebibench [-tolerance F] compare OLD.json NEW.json
 //
-// -json runs a standardized measured suite and writes a versioned
-// BENCH_*.json perf-trajectory snapshot (median/p99 latency, vector
-// reads, compression ratios, build metadata); compare diffs two
-// snapshots and exits nonzero on regressions beyond the tolerance.
+// -json runs a standardized measured suite over the paper-figure
+// experiments and writes a versioned BENCH_*.json snapshot (median/p99
+// latency, vector reads, compression ratios, build metadata); compare
+// diffs two snapshots and exits nonzero on regressions beyond the
+// tolerance. The evidence for a speed claim is the ebiload benchmark in
+// bench/, run as a same-host A/B with `make ab` (see bench/README.md).
 //
 // Experiments:
 //
@@ -71,7 +73,7 @@ func main() {
 	flag.IntVar(&cfg.page, "page", 4096, "page size for the B-tree cost model (paper: 4K)")
 	flag.IntVar(&cfg.degree, "degree", 512, "B-tree degree (paper: 512)")
 	flag.StringVar(&cfg.serve, "serve", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof/* and /traces on this address (e.g. :8080); keeps serving after the experiment finishes")
-	flag.StringVar(&cfg.jsonOut, "json", "", "run the standardized bench suite and write a versioned BENCH_*.json perf-trajectory snapshot to this path (an experiment argument is then optional)")
+	flag.StringVar(&cfg.jsonOut, "json", "", "run the standardized bench suite and write a versioned BENCH_*.json snapshot of the paper-figure experiments to this path (an experiment argument is then optional)")
 	flag.Float64Var(&cfg.tol, "tolerance", 0.25, "regression tolerance for the compare subcommand, as a fraction (0.25 = 25%)")
 	flag.BoolVar(&cfg.fault, "fault", false, "with the audit experiment: inject one result-bit flip and one stats-word corruption; exits NON-ZERO iff the audit plane detects both")
 	flag.Parse()

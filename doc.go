@@ -7,8 +7,8 @@
 // internal/bitvec, internal/boolmin (Quine–McCluskey logical reduction),
 // and internal/encoding (well-defined encodings, chains, hierarchy /
 // total-order / range-based variants); internal/simplebitmap,
-// internal/bsi, internal/btree and internal/projidx are the baselines the
-// paper compares against. See README.md, DESIGN.md and EXPERIMENTS.md.
+// internal/bsi and internal/btree are the baselines the paper compares
+// against. See README.md, DESIGN.md and EXPERIMENTS.md.
 //
 // bench_test.go in this directory holds one benchmark per table and
 // figure of the paper's evaluation plus ablations; cmd/ebibench prints

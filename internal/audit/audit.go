@@ -30,7 +30,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -679,16 +678,4 @@ func (a *Auditor) Snapshot() Snapshot {
 	s.LastDivergence = a.lastDivergence
 	s.LastCalibDrift = a.lastCalibDrift
 	return s
-}
-
-// Paths returns the calibrated path names, sorted — tests and discovery.
-func (a *Auditor) Paths() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.calib))
-	for p := range a.calib {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -33,17 +33,6 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, wordsFor(n)), n: n}
 }
 
-// FromBools builds a vector from a slice of booleans.
-func FromBools(bs []bool) *Vector {
-	v := New(len(bs))
-	for i, b := range bs {
-		if b {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // FromIndices builds a vector of n bits with the given positions set.
 func FromIndices(n int, idx []int) *Vector {
 	v := New(n)

@@ -92,17 +92,6 @@ func (e Expr) Eval(x uint32) bool {
 	return false
 }
 
-// OnSet enumerates all points in {0,1}^K where the expression is true.
-func (e Expr) OnSet() []uint32 {
-	var out []uint32
-	for x := uint32(0); x < 1<<uint(e.K); x++ {
-		if e.Eval(x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // String renders the expression in the paper's notation, e.g.
 // "B2'B1B0' + B2B1'" (Bi = variable i, ' = negation). The constant false
 // renders as "0", constant true as "1".

@@ -178,13 +178,6 @@ func buildTrie(e Expr) []trieNode {
 	return nodes
 }
 
-// Vars returns the referenced-variable bitmask (bit i = operand i read).
-func (p *Program) Vars() uint32 { return p.vars }
-
-// AccessCost returns the number of distinct operands the program reads —
-// the paper's c_e.
-func (p *Program) AccessCost() int { return p.vectorsRead }
-
 // PredictStats returns the analytic accounting an EvalInto over dense
 // operands of wordsPerVector words each would report — the Theorem
 // 2.2/2.3 prediction for this retrieval function, computable without

@@ -64,13 +64,13 @@ func TestExistingRowsAndStats(t *testing.T) {
 		}, result{"101", iostat.Stats{VectorsRead: 2, WordsRead: 2, BoolOps: 2}}},
 		{"synced tail", func(t *testing.T) result {
 			s := syncedExistingFixture(t, col, nulls)
-			rows, st := s.Existing()
+			rows, st := s.View().Existing()
 			return result{rows.String(), st}
 		}, result{wantRows.String(), iostat.Stats{VectorsRead: 3, WordsRead: 6, BoolOps: 8}}},
 		{"synced tail folded", func(t *testing.T) result {
 			s := syncedExistingFixture(t, col, nulls)
 			s.Flush()
-			rows, st := s.Existing()
+			rows, st := s.View().Existing()
 			return result{rows.String(), st}
 		}, result{wantRows.String(), iostat.Stats{VectorsRead: 3, WordsRead: 6, BoolOps: 8}}},
 	}

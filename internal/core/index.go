@@ -447,27 +447,6 @@ func (ix *Index[V]) Delete(row int) error {
 	return nil
 }
 
-// Update changes the value of an existing row in place by overwriting its
-// code — the per-tuple O(h) maintenance cost of Section 3.1. The new
-// value may expand the domain (both Figure 2 cases apply).
-func (ix *Index[V]) Update(row int, v V) error {
-	if row < 0 || row >= ix.n {
-		return fmt.Errorf("core: row %d out of range [0,%d)", row, ix.n)
-	}
-	code, err := ix.codeFor(v)
-	if err != nil {
-		return err
-	}
-	wasVoid := ix.CodeAt(row) == 0
-	for i, vec := range ix.vectors {
-		vec.SetTo(row, code&(1<<uint(i)) != 0)
-	}
-	if ix.reserveVoid && wasVoid && ix.deleted > 0 {
-		ix.deleted--
-	}
-	return nil
-}
-
 // dontCares returns the codes logical reduction may treat as don't-cares:
 // unassigned codes excluding the void and NULL codes (those can occur in
 // rows, so an expression must stay correct on them).

@@ -240,10 +240,10 @@ func TestSyncedObserverAndPlanReencode(t *testing.T) {
 	}
 	obs := &captureObserver{}
 	s.SetSelectionObserver(obs)
-	_, _ = s.Eq(1) // routes through In under the shared lock
+	_, _ = s.View().Eq(1)
 	got := obs.last(t)
 	if !reflect.DeepEqual(got.values, []int{1}) {
-		t.Fatalf("Synced.Eq observation = %+v", got)
+		t.Fatalf("Eq observation on the live view = %+v", got)
 	}
 	if s.TheoreticalMinVectors(1) != 1 { // 4 values + void in 3 bits: 3 don't-cares
 		t.Fatalf("Synced.TheoreticalMinVectors(1) = %d", s.TheoreticalMinVectors(1))

@@ -84,6 +84,21 @@ func BuildOrdered[V cmp.Ordered](column []V, favored [][]V, searchOpt *encoding.
 	return &OrderedIndex[V]{ix: ix, sorted: domain}, nil
 }
 
+// OrderedFrom wraps an existing index whose mapping is total-order
+// preserving, such as one over a custom mapping with code gaps. It fails
+// when the mapping is not order preserving — the interval-cover range
+// algorithm would silently return wrong rows otherwise.
+func OrderedFrom[V cmp.Ordered](ix *Index[V]) (*OrderedIndex[V], error) {
+	sorted := ix.mapping.Values() // ordered by code
+	for i := 1; i < len(sorted); i++ {
+		if !(sorted[i-1] < sorted[i]) {
+			return nil, fmt.Errorf("core: mapping is not total-order preserving (%v before %v)",
+				sorted[i-1], sorted[i])
+		}
+	}
+	return &OrderedIndex[V]{ix: ix, sorted: sorted}, nil
+}
+
 // Index exposes the underlying encoded bitmap index (for Eq, In,
 // aggregates, group sets).
 func (oi *OrderedIndex[V]) Index() *Index[V] { return oi.ix }
@@ -94,13 +109,15 @@ func (oi *OrderedIndex[V]) Len() int { return oi.ix.Len() }
 // K returns the number of bitmap vectors.
 func (oi *OrderedIndex[V]) K() int { return oi.ix.K() }
 
-// Range returns rows with lo <= value <= hi. The values in range hold one
-// interval of codes [cl, ch]. Range widens it across codes no row can
-// hold — free codes, and the void code 0 while no row is deleted — so the
-// cover's blocks can only grow, splits it around the NULL code when that
-// falls inside, and evaluates the interval's aligned-subcube cover through
-// the index's view like any other selection. It reads the cover's
-// distinct variables: at most k vectors.
+// Range returns rows with lo <= value <= hi. While the domain is the
+// build's, the values in range hold one interval of codes [cl, ch]. Range
+// widens it across codes no row can hold — free codes, and the void code 0
+// while no row is deleted — so the cover's blocks can only grow, splits it
+// around the NULL code when that falls inside, and evaluates the
+// interval's aligned-subcube cover through the index's view like any
+// other selection. It reads the cover's distinct variables: at most k
+// vectors. Once appends have grown the domain, Range selects the mapped
+// values in range as an IN-list instead.
 func (oi *OrderedIndex[V]) Range(lo, hi V) (*bitvec.Vector, iostat.Stats) {
 	return oi.ix.View().eval(oi.rangeProgram(lo, hi), 1, nil)
 }
@@ -111,11 +128,24 @@ func (oi *OrderedIndex[V]) PredictRangeStats(lo, hi V) iostat.Stats {
 	return predictProgram(oi.rangeProgram(lo, hi), oi.ix.Len())
 }
 
-// rangeProgram compiles the interval cover Range evaluates: the constant
-// false when no domain value lies in [lo, hi].
+// rangeProgram returns the program Range evaluates: the interval cover,
+// the constant false when no domain value lies in [lo, hi], or the IN-list
+// selection once the domain has grown.
 func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
 	ix := oi.ix
 	k := ix.K()
+	if ix.mapping.Len() != len(oi.sorted) {
+		// A value appended since the build holds whichever code was free,
+		// so the values in range need not fill one code interval: select
+		// them as an IN-list through the code-set cache.
+		var in []V
+		for _, v := range ix.mapping.Values() {
+			if lo <= v && v <= hi {
+				in = append(in, v)
+			}
+		}
+		return ix.selection(in).prog
+	}
 	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
 	j := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] > hi })
 	if i >= j {
@@ -125,29 +155,24 @@ func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
 	ch, _ := ix.mapping.CodeOf(oi.sorted[j-1])
 	// The codes a row can hold are the domain's value codes, the NULL code
 	// and, once a row is deleted, 0. Widen to just inside the nearest such
-	// codes below cl and above ch; they come from the sorted domain while
-	// it is the whole mapping (a value added since the build may hold any
-	// free code, so then the interval stays as it is).
-	below, above := int64(cl)-1, int64(ch)+1
-	if ix.mapping.Len() == len(oi.sorted) {
-		below, above = -1, int64(1)<<uint(k)
-		if i > 0 {
-			c, _ := ix.mapping.CodeOf(oi.sorted[i-1])
-			below = int64(c)
-		}
-		if j < len(oi.sorted) {
-			c, _ := ix.mapping.CodeOf(oi.sorted[j])
-			above = int64(c)
-		}
-		if ix.deleted > 0 {
-			below = max(below, 0)
-		}
-		if null := int64(ix.nullCode); ix.hasNullCode && null < int64(cl) {
-			below = max(below, null)
-		} else if ix.hasNullCode && null > int64(ch) {
-			above = min(above, null)
-		} // a NULL code inside [cl, ch] is split out below
+	// codes below cl and above ch.
+	below, above := int64(-1), int64(1)<<uint(k)
+	if i > 0 {
+		c, _ := ix.mapping.CodeOf(oi.sorted[i-1])
+		below = int64(c)
 	}
+	if j < len(oi.sorted) {
+		c, _ := ix.mapping.CodeOf(oi.sorted[j])
+		above = int64(c)
+	}
+	if ix.deleted > 0 {
+		below = max(below, 0)
+	}
+	if null := int64(ix.nullCode); ix.hasNullCode && null < int64(cl) {
+		below = max(below, null)
+	} else if ix.hasNullCode && null > int64(ch) {
+		above = min(above, null)
+	} // a NULL code inside [cl, ch] is split out below
 	cl, ch = uint32(below+1), uint32(above-1)
 	null := ix.nullCode
 	if !ix.hasNullCode || null < cl || null > ch {
@@ -164,14 +189,15 @@ func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
 }
 
 // RangeViaReduction answers the same query by rewriting the range into an
-// IN-list and minimizing the retrieval expression — the paper's default
-// path, used by the benchmarks to compare against the interval-cover
-// algorithm.
+// IN-list of the mapped values in [lo, hi] and minimizing the retrieval
+// expression — the paper's default path, which examples/rangescan compares
+// against the interval-cover algorithm.
 func (oi *OrderedIndex[V]) RangeViaReduction(lo, hi V) (*bitvec.Vector, iostat.Stats) {
-	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
-	j := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] > hi })
-	if i >= j {
-		return bitvec.New(oi.ix.Len()), iostat.Stats{}
+	var in []V
+	for _, v := range oi.ix.Values() {
+		if lo <= v && v <= hi {
+			in = append(in, v)
+		}
 	}
-	return oi.ix.In(oi.sorted[i:j])
+	return oi.ix.In(in)
 }

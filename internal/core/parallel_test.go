@@ -120,7 +120,7 @@ func TestSyncedParallelUnderConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < appends/2; i++ {
-				rows, _ := s.InParallel([]int64{2, 3}, 4, nil)
+				rows, _ := s.View().InParallel([]int64{2, 3}, 4, nil)
 				if got := rows.Count(); got != baseCount {
 					fail("reader %d: count %d, want stable %d", g, got, baseCount)
 					return
@@ -137,11 +137,11 @@ func TestSyncedParallelUnderConcurrentAppend(t *testing.T) {
 	if got := s.Len(); got != baseLen+appends {
 		t.Fatalf("final length %d, want %d", got, baseLen+appends)
 	}
-	finalRows, _ := s.InParallel([]int64{2, 3}, 4, nil)
+	finalRows, _ := s.View().InParallel([]int64{2, 3}, 4, nil)
 	if finalRows.Count() != baseCount {
 		t.Fatalf("final {2,3} count %d, want %d", finalRows.Count(), baseCount)
 	}
-	ones, _ := s.InParallel([]int64{1}, 4, nil)
+	ones, _ := s.View().InParallel([]int64{1}, 4, nil)
 	wantOnes := appends
 	for _, v := range col {
 		if v == 1 {

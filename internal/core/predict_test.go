@@ -93,7 +93,7 @@ func TestPredictSelectionStatsSyncedParity(t *testing.T) {
 	sets := [][]string{{"a"}, {"nope"}, {"a", "b", "c"}, {"b", "d", "f", "nope"}}
 	measure := func(vs []string) iostat.Stats {
 		if len(vs) == 1 {
-			_, st := s.Eq(vs[0])
+			_, st := s.View().Eq(vs[0])
 			return st
 		}
 		_, st := s.In(vs)
@@ -125,7 +125,7 @@ func TestPredictSelectionStatsSyncedParity(t *testing.T) {
 		t.Run(stage.name, func(t *testing.T) {
 			stage.prep(t)
 			checkSelectionParity(t, stage.name, measure, s.View().PredictSelectionStats, sets)
-			_, st := s.IsNull()
+			_, st := s.View().IsNull()
 			if got := s.View().PredictIsNullStats(); got != st {
 				t.Errorf("IsNull: predicted %+v, measured %+v", got, st)
 			}

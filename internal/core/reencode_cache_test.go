@@ -62,9 +62,9 @@ func TestIndexEqCacheInvalidatedOnReencode(t *testing.T) {
 }
 
 // TestSyncedEqCacheInvalidatedOnLiveReencode is the same regression
-// through the epoch path: Synced.Eq serves compiled programs from an
-// encoding-generation-keyed cache, and a live Reencode flip must retire
-// the whole generation.
+// through the epoch path: Eq on a Synced index's view serves compiled
+// programs from an encoding-generation-keyed cache, and a live Reencode
+// flip must retire the whole generation.
 func TestSyncedEqCacheInvalidatedOnLiveReencode(t *testing.T) {
 	column := []string{"a", "b", "a", "c", "b", "a"}
 	s, err := BuildSynced(column, nil, nil)
@@ -72,20 +72,20 @@ func TestSyncedEqCacheInvalidatedOnLiveReencode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantA, _ := s.Eq("a")
-	wantB, _ := s.Eq("b")
+	wantA, _ := s.View().Eq("a")
+	wantB, _ := s.View().Eq("b")
 	// Second reads come from the warmed program cache.
-	againA, _ := s.Eq("a")
+	againA, _ := s.View().Eq("a")
 	if !againA.Equal(wantA) {
 		t.Fatal("warm-cache Eq(a) diverged from the first evaluation")
 	}
 
-	if err := s.Reencode(swappedMapping(t, s.Mapping(), "a", "b")); err != nil {
+	if err := s.Reencode(swappedMapping(t, s.View().ix.Mapping(), "a", "b")); err != nil {
 		t.Fatal(err)
 	}
 
-	gotA, _ := s.Eq("a")
-	gotB, _ := s.Eq("b")
+	gotA, _ := s.View().Eq("a")
+	gotB, _ := s.View().Eq("b")
 	if !gotA.Equal(wantA) {
 		t.Fatalf("post-flip Eq(a) selects %d rows, want %d", gotA.Count(), wantA.Count())
 	}
@@ -99,11 +99,7 @@ func TestSyncedEqCacheInvalidatedOnLiveReencode(t *testing.T) {
 
 // setReader is what the code-set cache tests read through: a plain Index
 // or a Synced one.
-type setReader interface {
-	In(values []string) (*bitvec.Vector, iostat.Stats)
-	NotIn(values []string) (*bitvec.Vector, iostat.Stats)
-	Mapping() *encoding.Mapping[string]
-}
+type setReader interface{ View() *View[string] }
 
 // TestCodeSetCacheInvalidated extends the Eq cases above to In and NotIn
 // lists. cacheColumn's default encoding is b=1 c=2 d=3 e=4 a=5 with codes
@@ -127,8 +123,9 @@ func TestCodeSetCacheInvalidated(t *testing.T) {
 	}
 	warm := func(t *testing.T, r setReader) {
 		t.Helper()
-		r.In(in)
-		r.NotIn(notIn)
+		v := r.View()
+		v.In(in)
+		v.NotIn(notIn)
 	}
 	cases := []struct {
 		name string
@@ -163,7 +160,7 @@ func TestCodeSetCacheInvalidated(t *testing.T) {
 		{"Synced.Reencode", func(t *testing.T) (setReader, []string) {
 			s := NewSynced(buildCacheIndex(t))
 			warm(t, s)
-			if err := s.Reencode(movedA(t, s.Mapping())); err != nil {
+			if err := s.Reencode(movedA(t, s.View().ix.Mapping())); err != nil {
 				t.Fatal(err)
 			}
 			return s, cacheColumn()
@@ -172,10 +169,11 @@ func TestCodeSetCacheInvalidated(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r, column := tc.run(t)
-			if _, taken := r.Mapping().ValueOf(6); !taken {
+			v := r.View()
+			if _, taken := v.ix.mapping.ValueOf(6); !taken {
 				t.Fatal("setup: the change left code 6 free")
 			}
-			cold, err := Build(column, nil, &Options[string]{Mapping: r.Mapping()})
+			cold, err := Build(column, nil, &Options[string]{Mapping: v.ix.Mapping()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,8 +182,8 @@ func TestCodeSetCacheInvalidated(t *testing.T) {
 				got, want func([]string) (*bitvec.Vector, iostat.Stats)
 				values    []string
 			}{
-				{"In", r.In, cold.In, in},
-				{"NotIn", r.NotIn, cold.NotIn, notIn},
+				{"In", v.In, cold.In, in},
+				{"NotIn", v.NotIn, cold.NotIn, notIn},
 			} {
 				got, gotSt := sel.got(sel.values)
 				want, wantSt := sel.want(sel.values)

@@ -85,7 +85,7 @@ func FuzzSwapCatchUp(f *testing.F) {
 		// Target mapping: the current value set with codes rotated, the
 		// same k. Code 0 stays free (the builder never assigns it), so
 		// this is always a valid Theorem 2.1 encoding.
-		m := s.Mapping()
+		m := s.View().ix.Mapping()
 		values := m.Values()
 		codes := make([]uint32, len(values))
 		for i, v := range values {
@@ -129,7 +129,7 @@ func FuzzSwapCatchUp(f *testing.F) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Build(col2, null2, &Options[int64]{Mapping: s.Mapping()})
+		fresh, err := Build(col2, null2, &Options[int64]{Mapping: s.View().ix.Mapping()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func FuzzSwapCatchUp(f *testing.F) {
 		// Convergence: every probe must agree bit-for-bit in rows and
 		// exactly in access stats.
 		for _, v := range s.Values() {
-			gotRows, gotSt := s.Eq(v)
+			gotRows, gotSt := s.View().Eq(v)
 			wantRows, wantSt := fresh.Eq(v)
 			if !gotRows.Equal(wantRows) {
 				t.Fatalf("Eq(%d): live %d rows, from-scratch %d", v, gotRows.Count(), wantRows.Count())
@@ -157,7 +157,7 @@ func FuzzSwapCatchUp(f *testing.F) {
 				t.Fatalf("In(%v) stats: live %+v, from-scratch %+v", group, gotSt, wantSt)
 			}
 		}
-		gotNull, gotSt := s.IsNull()
+		gotNull, gotSt := s.View().IsNull()
 		wantNull, wantSt := fresh.IsNull()
 		if !gotNull.Equal(wantNull) {
 			t.Fatalf("IsNull: live %d rows, from-scratch %d", gotNull.Count(), wantNull.Count())
@@ -165,7 +165,7 @@ func FuzzSwapCatchUp(f *testing.F) {
 		if gotSt != wantSt {
 			t.Fatalf("IsNull stats: live %+v, from-scratch %+v", gotSt, wantSt)
 		}
-		gotEx, gotSt := s.Existing()
+		gotEx, gotSt := s.View().Existing()
 		wantEx, wantSt := fresh.Existing()
 		if !gotEx.Equal(wantEx) {
 			t.Fatalf("Existing: live %d rows, from-scratch %d", gotEx.Count(), wantEx.Count())

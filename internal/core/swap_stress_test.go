@@ -95,14 +95,15 @@ func TestSyncedSwapStress(t *testing.T) {
 			for i := 0; i < readerOp; i++ {
 				switch i % 4 {
 				case 0:
-					rows, st := s.Eq(int64(r.Intn(card)))
+					rows, st := s.View().Eq(int64(r.Intn(card)))
 					check("Eq", rows, st.VectorsRead)
 				case 1:
 					rows, st := s.In([]int64{int64(r.Intn(card)), int64(r.Intn(card))})
 					check("In", rows, st.VectorsRead)
 				case 2:
-					dst := bitvec.New(s.Len())
-					st := s.EqInto(int64(r.Intn(card)), dst)
+					v := s.View()
+					dst := bitvec.New(v.Len())
+					st := v.EqInto(int64(r.Intn(card)), dst)
 					check("EqInto", dst, st.VectorsRead)
 				default:
 					rows, st := s.In(fixed)
@@ -198,7 +199,7 @@ func TestSyncedSwapStress(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(col2, nulls, &Options[int64]{Mapping: s.Mapping()})
+	fresh, err := Build(col2, nulls, &Options[int64]{Mapping: s.View().ix.Mapping()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestSyncedSwapStress(t *testing.T) {
 				p, gotRows.Count(), wantRows.Count())
 		}
 	}
-	gotNull, _ := s.IsNull()
+	gotNull, _ := s.View().IsNull()
 	wantNull, _ := fresh.IsNull()
 	if !gotNull.Equal(wantNull) {
 		t.Fatalf("final IsNull: live %d, from-scratch %d", gotNull.Count(), wantNull.Count())

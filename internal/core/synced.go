@@ -100,9 +100,6 @@ func (s *Synced[V]) Cardinality() int { return s.View().ix.Cardinality() }
 // applied re-encoding flip.
 func (s *Synced[V]) Epoch() uint64 { return s.View().epoch }
 
-// Mapping returns a copy of the current mapping table.
-func (s *Synced[V]) Mapping() *encoding.Mapping[V] { return s.View().ix.Mapping() }
-
 // Values returns the domain values ordered by code.
 func (s *Synced[V]) Values() []V { return s.View().Values() }
 

@@ -44,13 +44,13 @@ func TestSyncedConcurrentWithTelemetry(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				switch i % 4 {
 				case 0:
-					rows, _ := s.Eq(vals[i%len(vals)])
+					rows, _ := s.View().Eq(vals[i%len(vals)])
 					_ = rows.Count()
 				case 1:
 					rows, _ := s.In(vals[:2+i%3])
 					_ = rows.Any()
 				case 2:
-					_, _ = s.Existing()
+					_, _ = s.View().Existing()
 				case 3:
 					_ = s.Len()
 				}

@@ -13,7 +13,7 @@ func TestSyncedBasics(t *testing.T) {
 	if s.Len() != 3 || s.Cardinality() != 2 || s.K() == 0 {
 		t.Fatal("accessors wrong")
 	}
-	rows, _ := s.Eq("a")
+	rows, _ := s.View().Eq("a")
 	if rows.String() != "101" {
 		t.Fatalf("Eq = %s", rows.String())
 	}
@@ -30,15 +30,15 @@ func TestSyncedBasics(t *testing.T) {
 	if err := s.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	nulls, _ := s.IsNull()
+	nulls, _ := s.View().IsNull()
 	if nulls.Count() != 1 {
 		t.Fatal("IsNull wrong")
 	}
-	ex, _ := s.Existing()
+	ex, _ := s.View().Existing()
 	if ex.Count() != 3 { // 5 rows - 1 void - 1 null
 		t.Fatalf("Existing = %d", ex.Count())
 	}
-	notIn, _ := s.NotIn([]string{"a"})
+	notIn, _ := s.View().NotIn([]string{"a"})
 	if notIn.Count() != 2 { // b and c
 		t.Fatalf("NotIn = %d", notIn.Count())
 	}
@@ -90,7 +90,7 @@ func TestSyncedConcurrentAccess(t *testing.T) {
 					return
 				}
 				_ = rows.Count()
-				if _, st := s.Eq(5); st.VectorsRead > s.K() {
+				if _, st := s.View().Eq(5); st.VectorsRead > s.K() {
 					t.Error("Eq cost exceeded k")
 					return
 				}

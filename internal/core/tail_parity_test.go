@@ -89,34 +89,35 @@ func TestSyncedTailParity(t *testing.T) {
 			}
 			for _, p := range probes {
 				if len(p) == 1 {
-					gotRows, gotSt := s.Eq(p[0])
+					gotRows, gotSt := s.View().Eq(p[0])
 					wantRows, wantSt := ix.Eq(p[0])
 					check(fmt.Sprintf("Eq(%d)", p[0]), gotRows, gotSt, wantRows, wantSt)
 
-					gotDst, wantDst := bitvec.New(s.Len()), bitvec.New(ix.Len())
+					v := s.View()
+					gotDst, wantDst := bitvec.New(v.Len()), bitvec.New(ix.Len())
 					gotDst.Fill()
 					wantDst.Fill()
-					gotSt, wantSt = s.EqInto(p[0], gotDst), ix.EqInto(p[0], wantDst)
+					gotSt, wantSt = v.EqInto(p[0], gotDst), ix.EqInto(p[0], wantDst)
 					check(fmt.Sprintf("EqInto(%d)", p[0]), gotDst, gotSt, wantDst, wantSt)
 				}
 				gotRows, gotSt := s.In(p)
 				wantRows, wantSt := ix.In(p)
 				check(fmt.Sprintf("In(%v)", p), gotRows, gotSt, wantRows, wantSt)
 
-				gotRows, gotSt = s.InParallel(p, 2, nil)
+				gotRows, gotSt = s.View().InParallel(p, 2, nil)
 				wantRows, wantSt = ix.InParallel(p, 2, nil)
 				check(fmt.Sprintf("InParallel(%v)", p), gotRows, gotSt, wantRows, wantSt)
 
-				gotRows, gotSt = s.NotIn(p)
+				gotRows, gotSt = s.View().NotIn(p)
 				wantRows, wantSt = ix.NotIn(p)
 				check(fmt.Sprintf("NotIn(%v)", p), gotRows, gotSt, wantRows, wantSt)
 
 			}
-			gotRows, gotSt := s.IsNull()
+			gotRows, gotSt := s.View().IsNull()
 			wantRows, wantSt := ix.IsNull()
 			check("IsNull", gotRows, gotSt, wantRows, wantSt)
 
-			gotRows, gotSt = s.Existing()
+			gotRows, gotSt = s.View().Existing()
 			wantRows, wantSt = ix.Existing()
 			check("Existing", gotRows, gotSt, wantRows, wantSt)
 		})

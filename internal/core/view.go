@@ -237,8 +237,8 @@ func (v *View[V]) PredictGen() uint64 {
 	return v.epoch<<40 ^ v.ix.progs.gen<<24 ^ uint64(v.Len())
 }
 
-// The read methods of Index and Synced are the view's, on the index itself
-// or on the Synced index's live snapshot.
+// The read methods of Index are the view's. A Synced index is read through
+// its live snapshot (Synced.View); In is the one read it forwards.
 
 // Eq returns the rows where the attribute equals v (see View.Eq).
 func (ix *Index[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) { return ix.View().Eq(v) }
@@ -270,42 +270,5 @@ func (ix *Index[V]) Existing() (*bitvec.Vector, iostat.Stats) { return ix.View()
 // however appends and re-encodings race it.
 func (s *Synced[V]) View() *View[V] { return s.state.Load() }
 
-// Eq returns rows equal to v on the live snapshot.
-func (s *Synced[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) { return s.View().Eq(v) }
-
-// EqInto is Eq with a caller-provided destination, fully overwritten. A
-// concurrent append can lengthen the index between a caller's Len and
-// this call, so a dst of another length is first resized to the
-// snapshot's; a quiescent index with a warmed program allocates nothing.
-func (s *Synced[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats {
-	return s.View().fit(dst).EqInto(v, dst)
-}
-
-// fit replaces dst with an empty row set of the view's length when its
-// length differs, and returns the view.
-func (v *View[V]) fit(dst *bitvec.Vector) *View[V] {
-	if dst.Len() != v.Len() {
-		*dst = *bitvec.New(v.Len())
-	}
-	return v
-}
-
 // In returns rows matching the value list on the live snapshot.
 func (s *Synced[V]) In(values []V) (*bitvec.Vector, iostat.Stats) { return s.View().In(values) }
-
-// InParallel evaluates a value-list selection with segmented parallelism
-// on the live snapshot: the fork/join runs over the immutable base
-// vectors and the result extends across the snapshot's tail, so
-// concurrent appends or a re-encoding flip never tear it or block it.
-func (s *Synced[V]) InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
-	return s.View().InParallel(values, degree, sp)
-}
-
-// NotIn returns existing rows outside the value list.
-func (s *Synced[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) { return s.View().NotIn(values) }
-
-// IsNull returns NULL rows.
-func (s *Synced[V]) IsNull() (*bitvec.Vector, iostat.Stats) { return s.View().IsNull() }
-
-// Existing returns non-void, non-NULL rows.
-func (s *Synced[V]) Existing() (*bitvec.Vector, iostat.Stats) { return s.View().Existing() }

@@ -124,11 +124,11 @@ func TestRecorderConcurrentQueries(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 3 {
 				case 0:
-					_, _ = s.Eq(i % 16)
+					_, _ = s.View().Eq(i % 16)
 				case 1:
 					_, _ = s.In([]int{i % 16, (i + 1) % 16})
 				default:
-					_, _ = s.NotIn([]int{0, 1, 2, 3})
+					_, _ = s.View().NotIn([]int{0, 1, 2, 3})
 				}
 			}
 		}(g)

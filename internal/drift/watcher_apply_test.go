@@ -20,7 +20,7 @@ func TestWatcherApplyLive(t *testing.T) {
 	})
 	shiftWorkload(s, 10)
 
-	before := s.Mapping()
+	before := liveMapping(s)
 	rep := w.RunOnce()
 	if rep.Plan == nil {
 		t.Fatalf("no plan; report = %+v", rep)
@@ -42,7 +42,7 @@ func TestWatcherApplyLive(t *testing.T) {
 	// The proposed encoding differs from the build-time one (the workload
 	// shifted), and queries under it still select the right rows.
 	changed := false
-	after := s.Mapping()
+	after := liveMapping(s)
 	for _, v := range s.Values() {
 		ca, _ := before.CodeOf(v)
 		cb, _ := after.CodeOf(v)
@@ -66,7 +66,7 @@ func TestWatcherApplyLive(t *testing.T) {
 	}
 
 	for v := 0; v < 16; v++ {
-		rows, _ := s.Eq(v)
+		rows, _ := s.View().Eq(v)
 		if rows.Count() != 16 { // 256 rows, i%16
 			t.Fatalf("post-apply Eq(%d) selects %d rows, want 16", v, rows.Count())
 		}
@@ -82,6 +82,16 @@ func TestWatcherApplyLive(t *testing.T) {
 	if s.Epoch() != 2 {
 		t.Fatalf("epoch moved to %d during cooldown", s.Epoch())
 	}
+}
+
+// liveMapping returns a copy of the live mapping of a Synced index.
+func liveMapping(s *core.Synced[int]) *encoding.Mapping[int] {
+	var m *encoding.Mapping[int]
+	_ = s.WithReadLock(func(ix *core.Index[int]) error {
+		m = ix.Mapping()
+		return nil
+	})
+	return m
 }
 
 // TestWatcherApplyRespectsGainFloor: a capture whose best re-encoding

@@ -42,7 +42,7 @@ func shiftWorkload(s *core.Synced[int], rounds int) {
 	for i := 0; i < rounds; i++ {
 		_, _ = s.In([]int{9, 10, 11, 12})
 		_, _ = s.In([]int{13, 14})
-		_, _ = s.Eq(15)
+		_, _ = s.View().Eq(15)
 	}
 }
 

@@ -64,20 +64,10 @@ func (o SearchOptions) minCode() uint32 {
 //
 // When useDontCares is set, every unassigned code is treated as a
 // don't-care. Callers whose mapping reserves code 0 for void tuples should
-// use CostReservedZero instead so the void code stays in the off-set.
+// use WeightedCost with reserveZero set, so the void code stays in the
+// off-set.
 func Cost[V comparable](m *Mapping[V], predicates [][]V, useDontCares bool) (int, error) {
-	return cost(m, predicates, useDontCares, false)
-}
-
-// CostReservedZero is Cost for mappings that reserve code 0 for void
-// tuples: code 0 is never treated as a don't-care, so reduced expressions
-// stay false on voided rows (Theorem 2.1).
-func CostReservedZero[V comparable](m *Mapping[V], predicates [][]V, useDontCares bool) (int, error) {
-	return cost(m, predicates, useDontCares, true)
-}
-
-func cost[V comparable](m *Mapping[V], predicates [][]V, useDontCares, reserveZero bool) (int, error) {
-	return weightedCost(m, predicates, nil, useDontCares, reserveZero)
+	return weightedCost(m, predicates, nil, useDontCares, false)
 }
 
 // WeightedCost is Cost with per-predicate frequencies: the total is

@@ -16,7 +16,7 @@ type Stats struct {
 	VectorsRead int // bitmap vectors touched (the paper's c_s / c_e)
 	WordsRead   int // 64-bit words scanned
 	BoolOps     int // bulk Boolean vector operations
-	RowsScanned int // rows materialized or scanned (projection/B-tree paths)
+	RowsScanned int // rows materialized or scanned (scan/B-tree/join paths)
 	NodesRead   int // tree nodes visited (B-tree paths)
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -114,13 +113,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	})
 	return out
-}
-
-// Names returns the registered metric names, sorted, for tests and
-// discovery endpoints.
-func (r *Registry) Names() []string {
-	var names []string
-	r.each(func(m metric, _ string) { names = append(names, m.Name()) })
-	sort.Strings(names)
-	return names
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -118,9 +117,6 @@ func NewScraper(cfg TimeSeriesConfig) *Scraper {
 		prevHist:    make(map[string]histScrape),
 	}
 }
-
-// Interval returns the configured scrape period.
-func (s *Scraper) Interval() time.Duration { return s.cfg.Interval }
 
 // OnSample installs a subscriber called after every scrape with the new
 // sample (the flight recorder's trigger hook). Subscribers run outside
@@ -345,21 +341,4 @@ func (s *Scraper) handler() http.HandlerFunc {
 		}
 		writeJSON(w, s.WindowSeries(window, step, r.URL.Query().Get("series")))
 	}
-}
-
-// SeriesNames returns the series present in the most recent sample,
-// sorted — tests and discovery.
-func (s *Scraper) SeriesNames() []string {
-	s.mu.Lock()
-	last := s.ring.Recent(1)
-	s.mu.Unlock()
-	if len(last) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(last[0].Values))
-	for k := range last[0].Values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

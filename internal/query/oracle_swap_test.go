@@ -172,7 +172,12 @@ func TestOracleThroughLiveSwap(t *testing.T) {
 
 	// Phase 3 — quiescent again: identify the surviving encoding and
 	// demand exact compound-tree stats parity with its pure reference.
-	finalCode, ok := live.Mapping().CodeOf(values[0])
+	var finalCode uint32
+	var ok bool
+	_ = live.WithReadLock(func(ix *core.Index[int64]) error {
+		finalCode, ok = ix.Mapping().CodeOf(values[0])
+		return nil
+	})
 	if !ok {
 		t.Fatalf("final mapping lost value %d", values[0])
 	}

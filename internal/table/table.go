@@ -83,9 +83,6 @@ func (c *Column) AppendNull() {
 // IsNull reports whether the row is NULL.
 func (c *Column) IsNull(row int) bool { return c.nulls.Get(row) }
 
-// Nulls returns a copy of the NULL bit vector.
-func (c *Column) Nulls() *bitvec.Vector { return c.nulls.Clone() }
-
 // Int returns the int64 value of a row (0 for NULLs).
 func (c *Column) Int(row int) int64 { return c.ints[row] }
 

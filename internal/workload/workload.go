@@ -65,11 +65,6 @@ type StarConfig struct {
 	MaxQty      int // quantity domain [1, MaxQty]
 }
 
-// DefaultStarConfig matches the shapes used in the benchmark harness.
-func DefaultStarConfig() StarConfig {
-	return StarConfig{Facts: 50000, Products: 1000, SalesPoints: 12, Days: 730, MaxQty: 50}
-}
-
 // Star is the generated warehouse: a SALES fact table with foreign keys
 // into PRODUCT and SALESPOINT dimensions plus degenerate DATE/QTY/DISCOUNT
 // attributes, and the raw columns for index builders.
