@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -21,11 +23,31 @@ func vecFromBytes(data []byte, maxBits int) *bitvec.Vector {
 	return v
 }
 
-// FuzzRoundTrip: compression must be lossless for arbitrary bit patterns.
+// checkOrInto ORs c into a copy of dst and compares the result with the
+// dense OR of dst and want, c's plain form.
+func checkOrInto(t *testing.T, name string, c *Vector, dst, want *bitvec.Vector) {
+	t.Helper()
+	got := dst.Clone()
+	c.OrInto(got)
+	if !got.Equal(bitvec.Or(dst, want)) {
+		t.Fatalf("%s: OrInto mismatch at n=%d", name, dst.Len())
+	}
+}
+
+// FuzzRoundTrip: compression must be lossless for arbitrary bit patterns,
+// and OrInto into a non-empty destination must equal the dense OR, also
+// for a Not'ed vector, whose tail group carries ones past Len.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0xFF, 0xFF})
 	f.Add([]byte{0xAA, 0x55, 0x01})
+	// A one-group one fill that ends at bit 62 of word 0, before a zero.
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x01})
+	// A one fill, a zero fill, then literals at all 64 offsets of a 63-bit
+	// group within a 64-bit word (63·64 bits). Every byte is odd, so each
+	// group that crosses a word boundary has a one just past it.
+	f.Add(slices.Concat(bytes.Repeat([]byte{0xFF}, 40), bytes.Repeat([]byte{0x00}, 40),
+		bytes.Repeat([]byte{0xB7, 0x5D, 0xEF}, 200)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := vecFromBytes(data, 1<<16)
 		c := Compress(v)
@@ -38,6 +60,11 @@ func FuzzRoundTrip(f *testing.F) {
 		if !Not(c).Decompress().Equal(bitvec.Not(v)) {
 			t.Fatal("Not mismatch")
 		}
+		rev := slices.Clone(data)
+		slices.Reverse(rev)
+		dst := vecFromBytes(rev, 1<<16)
+		checkOrInto(t, "c", c, dst, v)
+		checkOrInto(t, "Not(c)", Not(c), dst, bitvec.Not(v))
 	})
 }
 
@@ -47,6 +74,7 @@ func FuzzBinops(f *testing.F) {
 	f.Add([]byte{0xFF}, []byte{0x0F})
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0xAA, 0xAA, 0xAA}, []byte{0x55, 0x55, 0x55})
+	f.Add(bytes.Repeat([]byte{0xB7, 0x5D, 0xEF}, 200), bytes.Repeat([]byte{0x00, 0xFF, 0x81, 0x00}, 150))
 	f.Fuzz(func(t *testing.T, da, db []byte) {
 		// Equal lengths: truncate to the shorter operand.
 		n := len(da)
@@ -68,5 +96,7 @@ func FuzzBinops(f *testing.F) {
 		if !AndNot(ca, cb).Decompress().Equal(bitvec.AndNot(a, b)) {
 			t.Fatal("AndNot mismatch")
 		}
+		checkOrInto(t, "a into b", ca, b, a)
+		checkOrInto(t, "Not(b) into a", Not(cb), a, bitvec.Not(b))
 	})
 }

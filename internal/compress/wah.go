@@ -52,12 +52,14 @@ func (v *Vector) SizeBytes() int { return len(v.words) * 8 }
 // Words returns the number of compressed words.
 func (v *Vector) Words() int { return len(v.words) }
 
-// Compress converts a plain bit vector into WAH form.
+// Compress converts a plain bit vector into WAH form, lifting each 63-bit
+// group from at most two of src's words.
 func Compress(src *bitvec.Vector) *Vector {
 	v := &Vector{n: src.Len()}
+	words := src.BlockWords(0, src.Words())
 	nGroups := (src.Len() + groupBits - 1) / groupBits
 	for g := 0; g < nGroups; g++ {
-		v.appendGroup(extractGroup(src, g))
+		v.appendGroup(groupAt(words, g))
 	}
 	mWahWordsIn.Add(uint64(src.Words()))
 	mWahWordsOut.Add(uint64(len(v.words)))
@@ -93,21 +95,18 @@ func CompressPermuted(src *bitvec.Vector, perm []int) (*Vector, error) {
 	return v, nil
 }
 
-// extractGroup returns the g-th 63-bit group of src, zero-padded at the
-// tail.
-func extractGroup(src *bitvec.Vector, g int) uint64 {
-	var w uint64
-	base := g * groupBits
-	end := base + groupBits
-	if end > src.Len() {
-		end = src.Len()
+// groupAt returns bits [63g, 63g+63) of a dense vector's words. A group
+// starting at bit 0 or 1 of a word lies in that word; any other reaches
+// into the next. A dense vector's bits past its length are zero, so the
+// tail group comes out zero-padded.
+func groupAt(words []uint64, g int) uint64 {
+	bit := g * groupBits
+	wi, off := bit>>6, uint(bit&63)
+	w := words[wi] >> off
+	if off > 1 && wi+1 < len(words) {
+		w |= words[wi+1] << (64 - off)
 	}
-	for i := base; i < end; i++ {
-		if src.Get(i) {
-			w |= 1 << uint(i-base)
-		}
-	}
-	return w
+	return w & literalAllOnes
 }
 
 // appendGroup adds one 63-bit literal group, coalescing runs of all-zero or
@@ -144,26 +143,58 @@ func (v *Vector) appendFill(bit bool, count uint64) {
 // Decompress expands the vector back to a plain bit vector.
 func (v *Vector) Decompress() *bitvec.Vector {
 	out := bitvec.New(v.n)
-	pos := 0
+	v.OrInto(out)
+	return out
+}
+
+// OrInto ORs the vector into dst, a dense vector of the same length. It is
+// the one WAH decode loop: zero fills are skipped, one fills set whole
+// words (clamped to Len), and each literal lands at its 63-bit offset in
+// at most two words, so the work follows the compressed size. It ends with
+// dst.TrimTail, which drops the phantom ones a Not leaves in the tail
+// group.
+func (v *Vector) OrInto(dst *bitvec.Vector) {
+	if dst.Len() != v.n {
+		panic(fmt.Sprintf("compress: length mismatch %d vs %d", v.n, dst.Len()))
+	}
+	out := dst.BlockWords(0, dst.Words())
+	pos := 0 // first bit of the next group
 	for _, w := range v.words {
 		if w&flagFill != 0 {
-			count := int(w & countMask)
+			span := int(w&countMask) * groupBits
 			if w&fillOne != 0 {
-				for i := 0; i < count*groupBits && pos+i < v.n; i++ {
-					out.Set(pos + i)
-				}
+				setBits(out, pos, min(pos+span, v.n))
 			}
-			pos += count * groupBits
+			pos += span
 			continue
 		}
-		for i := 0; i < groupBits && pos+i < v.n; i++ {
-			if w&(1<<uint(i)) != 0 {
-				out.Set(pos + i)
-			}
+		wi, off := pos>>6, uint(pos&63)
+		out[wi] |= w << off
+		if off > 1 && wi+1 < len(out) {
+			out[wi+1] |= w >> (64 - off)
 		}
 		pos += groupBits
 	}
-	return out
+	dst.TrimTail()
+}
+
+// setBits sets bits [lo, hi) of dense words.
+func setBits(out []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	lw, hw := lo>>6, (hi-1)>>6
+	first := ^uint64(0) << uint(lo&63)
+	last := ^uint64(0) >> uint(63-((hi-1)&63))
+	if lw == hw {
+		out[lw] |= first & last
+		return
+	}
+	out[lw] |= first
+	for i := lw + 1; i < hw; i++ {
+		out[i] = ^uint64(0)
+	}
+	out[hw] |= last
 }
 
 // Count returns the number of set bits without decompressing.

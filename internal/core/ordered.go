@@ -20,7 +20,8 @@ import (
 // selection, reading at most k vectors.
 type OrderedIndex[V cmp.Ordered] struct {
 	ix     *Index[V]
-	sorted []V // domain in ascending value order
+	sorted []V                  // domain in ascending value order
+	from   *encoding.Mapping[V] // the mapping sorted was read from
 }
 
 // BuildOrdered constructs an order-preserving encoded bitmap index over
@@ -81,7 +82,7 @@ func BuildOrdered[V cmp.Ordered](column []V, favored [][]V, searchOpt *encoding.
 			return nil, err
 		}
 	}
-	return &OrderedIndex[V]{ix: ix, sorted: domain}, nil
+	return &OrderedIndex[V]{ix: ix, sorted: domain, from: ix.mapping}, nil
 }
 
 // OrderedFrom wraps an existing index whose mapping is total-order
@@ -96,7 +97,7 @@ func OrderedFrom[V cmp.Ordered](ix *Index[V]) (*OrderedIndex[V], error) {
 				sorted[i-1], sorted[i])
 		}
 	}
-	return &OrderedIndex[V]{ix: ix, sorted: sorted}, nil
+	return &OrderedIndex[V]{ix: ix, sorted: sorted, from: ix.mapping}, nil
 }
 
 // Index exposes the underlying encoded bitmap index (for Eq, In,
@@ -116,8 +117,9 @@ func (oi *OrderedIndex[V]) K() int { return oi.ix.K() }
 // around the NULL code when that falls inside, and evaluates the
 // interval's aligned-subcube cover through the index's view like any
 // other selection. It reads the cover's distinct variables: at most k
-// vectors. Once appends have grown the domain, Range selects the mapped
-// values in range as an IN-list instead.
+// vectors. Once appends have grown the domain, or the index holds another
+// mapping (Index.Reencode need not preserve order), Range selects the
+// mapped values in range as an IN-list instead.
 func (oi *OrderedIndex[V]) Range(lo, hi V) (*bitvec.Vector, iostat.Stats) {
 	return oi.ix.View().eval(oi.rangeProgram(lo, hi), 1, nil)
 }
@@ -130,14 +132,15 @@ func (oi *OrderedIndex[V]) PredictRangeStats(lo, hi V) iostat.Stats {
 
 // rangeProgram returns the program Range evaluates: the interval cover,
 // the constant false when no domain value lies in [lo, hi], or the IN-list
-// selection once the domain has grown.
+// selection once the domain has grown or the mapping was replaced.
 func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
 	ix := oi.ix
 	k := ix.K()
-	if ix.mapping.Len() != len(oi.sorted) {
+	if ix.mapping != oi.from || ix.mapping.Len() != len(oi.sorted) {
 		// A value appended since the build holds whichever code was free,
-		// so the values in range need not fill one code interval: select
-		// them as an IN-list through the code-set cache.
+		// and a re-encode may assign codes in any order, so the values in
+		// range need not fill one code interval: select them as an
+		// IN-list through the code-set cache.
 		var in []V
 		for _, v := range ix.mapping.Values() {
 			if lo <= v && v <= hi {

@@ -134,6 +134,52 @@ func TestRangeViaReductionAgrees(t *testing.T) {
 	}
 }
 
+// TestOrderedRangeAfterReencode re-encodes an ordered index's inner index
+// in place. A mapping that reverses the code order leaves the build's
+// interval cover selecting the wrong codes, so Range must fall back to the
+// IN-list; an order-preserving one must keep matching the scan too.
+func TestOrderedRangeAfterReencode(t *testing.T) {
+	col := []int{1, 2, 3, 4, 5, 6, 2, 3, 6, 1}
+	for _, tc := range []struct {
+		name string
+		code func(v int) uint32
+	}{
+		{"reversed", func(v int) uint32 { return uint32(7 - v) }},
+		{"order preserving", func(v int) uint32 { return uint32(v + 1) }},
+	} {
+		oi, err := BuildOrdered(col, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := encoding.NewMapping[int](oi.K())
+		for v := 1; v <= 6; v++ {
+			m.MustAdd(v, tc.code(v))
+		}
+		if err := oi.Index().Reencode(m); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, q := range [][2]int{{2, 3}, {1, 1}, {4, 6}, {0, 9}, {7, 9}} {
+			lo, hi := q[0], q[1]
+			rows, st := oi.Range(lo, hi)
+			want := bitvec.New(len(col))
+			for i, v := range col {
+				if lo <= v && v <= hi {
+					want.Set(i)
+				}
+			}
+			if !rows.Equal(want) {
+				t.Fatalf("%s: Range(%d, %d) = %d rows, scan %d", tc.name, lo, hi, rows.Count(), want.Count())
+			}
+			if st != oi.PredictRangeStats(lo, hi) {
+				t.Fatalf("%s: Range(%d, %d) stats %+v, predicted %+v", tc.name, lo, hi, st, oi.PredictRangeStats(lo, hi))
+			}
+			if viaRed, _ := oi.RangeViaReduction(lo, hi); !rows.Equal(viaRed) {
+				t.Fatalf("%s: Range(%d, %d) differs from RangeViaReduction", tc.name, lo, hi)
+			}
+		}
+	}
+}
+
 // cmpCode is the O'Neil–Quass MSB-first comparison pass Range used before
 // interval covers: the rows whose code is below c and those whose code
 // equals c. It stays here as an oracle independent of boolmin.

@@ -268,9 +268,9 @@ func (a CompressedSimpleInt) Leaf(_ context.Context, p Predicate, _ int) (*bitve
 }
 
 // Describe implements LeafIndex: In and the interval-probing Range OR
-// their operands in one fused pass over compressed word streams; Eq is a
-// single-vector decompress with nothing to fuse. A simple bitmap has no
-// encoding floor.
+// each compressed operand straight into one dense result, with no
+// intermediate vector; Eq is a single-vector decompress with nothing to
+// fuse. A simple bitmap has no encoding floor.
 func (a CompressedSimpleInt) Describe(op Op, _ int) LeafInfo {
 	return LeafInfo{Fused: op != OpEq, MinVectors: -1}
 }

@@ -3,6 +3,7 @@ package reorder
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/bitvec"
@@ -63,13 +64,24 @@ func Inverse(perm []int) []int {
 // MapToOriginal translates a row set over the reordered row space back
 // to original row ids: bit i set in rows becomes bit perm[i] in the
 // result. This is how a query answered by a reordered index is compared
-// against (or returned as) original fact rows.
+// against (or returned as) original fact rows. It scans rows a word at a
+// time and ORs each mapped bit straight into the result's words. perm
+// must be a bijection on [0, rows.Len()), as a Plan's is; MapToOriginal
+// panics when the two lengths differ.
 func MapToOriginal(rows *bitvec.Vector, perm []int) *bitvec.Vector {
+	if rows.Len() != len(perm) {
+		panic("reorder: row set and permutation differ in length")
+	}
 	out := bitvec.New(len(perm))
-	rows.ForEach(func(i int) bool {
-		out.Set(perm[i])
-		return true
-	})
+	dst := out.BlockWords(0, out.Words())
+	for wi, w := range rows.BlockWords(0, rows.Words()) {
+		base := wi * 64
+		for w != 0 {
+			p := perm[base+bits.TrailingZeros64(w)]
+			dst[p>>6] |= 1 << (uint(p) & 63)
+			w &= w - 1
+		}
+	}
 	return out
 }
 

@@ -134,6 +134,12 @@ func TestMapToOriginal(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("mapped rows %v, want %v", got.Indices(), want.Indices())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row set shorter than the permutation was mapped")
+		}
+	}()
+	MapToOriginal(bitvec.New(4), perm)
 }
 
 func TestPermuteHelpers(t *testing.T) {

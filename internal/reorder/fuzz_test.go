@@ -1,21 +1,39 @@
 package reorder
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/table"
 )
+
+// rowsFrom draws a row set over len(data) rows from the fuzz bytes: row i
+// is set when data[i]'s top bit is, and each 64-row word whose first
+// byte has bit 6 set is set whole, so all-ones words occur beside sparse
+// ones, and the last word is partial unless len(data) is a multiple of 64.
+func rowsFrom(data []byte) *bitvec.Vector {
+	rows := bitvec.New(len(data))
+	for i, by := range data {
+		if by&0x80 != 0 || data[i&^63]&0x40 != 0 {
+			rows.Set(i)
+		}
+	}
+	return rows
+}
 
 // FuzzReorderPermutation drives the planner with arbitrary two-column
 // data (values and NULL flags decoded from the fuzz input) under every
 // heuristic and asserts the contractual properties: the permutation is a
-// bijection, its inverse really inverts it, and applying perm then
-// inverse round-trips every row — so a reordered build can always map
-// results back to original row ids.
+// bijection, its inverse really inverts it, applying perm then inverse
+// round-trips every row, and MapToOriginal maps a row set bit for bit as
+// a per-bit reference does and back again through the inverse — so a
+// reordered build can always map results back to original row ids.
 func FuzzReorderPermutation(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x7f, 0x80, 0x01, 0xfe, 0x10})
+	f.Add(bytes.Repeat([]byte{0x41, 0x93, 0x0c, 0xf7, 0x28}, 40))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 4096 {
@@ -56,6 +74,19 @@ func FuzzReorderPermutation(f *testing.F) {
 				if inv[pi] != i {
 					t.Fatalf("%v: inverse broken at %d", spec, i)
 				}
+			}
+			rows := rowsFrom(data)
+			want := bitvec.New(tab.Len())
+			rows.ForEach(func(i int) bool {
+				want.Set(p.Perm[i])
+				return true
+			})
+			mapped := MapToOriginal(rows, p.Perm)
+			if !mapped.Equal(want) {
+				t.Fatalf("%v: MapToOriginal maps %d rows, per-bit reference %d", spec, mapped.Count(), want.Count())
+			}
+			if back := MapToOriginal(mapped, inv); !back.Equal(rows) {
+				t.Fatalf("%v: mapping back through the inverse does not return the rows", spec)
 			}
 			// Note: RunsAfter <= RunsBefore is NOT asserted — on adversarial
 			// data a sorted leading column can break runs in a trailing one

@@ -102,47 +102,22 @@ func (ix *CompressedIndex[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
 	return cv.Decompress(), st
 }
 
-// In ORs the listed values' vectors in a single fused pass over word
-// streams: every operand stays compressed (fill runs skip in bulk) and the
-// δ-way OR lands block-by-block in the dense result, with no compressed
-// intermediates and no per-operand Decompress. The accounting is unchanged
-// from the pairwise compressed OR it replaces: c_s = δ compressed reads,
-// δ-1 Boolean operations.
+// In ORs the listed values' vectors straight into one dense result
+// through compress.Vector.OrInto, which skips zero fills and sets one
+// fills a word at a time, so the work follows the compressed size. It
+// charges c_s = δ compressed reads and δ-1 Boolean operations, as a
+// pairwise compressed OR would.
 func (ix *CompressedIndex[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
-	var st iostat.Stats
-	streams := make([]*compress.WordStream, 0, len(values))
-	for _, v := range values {
-		cv, ok := ix.vectors[v]
-		if !ok {
-			continue
-		}
-		st.VectorsRead++
-		st.WordsRead += cv.Words()
-		if len(streams) > 0 {
-			st.BoolOps++
-		}
-		streams = append(streams, cv.Stream())
-	}
 	out := bitvec.New(ix.n)
-	if len(streams) == 0 {
-		return out, st
-	}
-	const blockWords = 256
-	nw := out.Words()
-	for lo := 0; lo < nw; lo += blockWords {
-		hi := min(lo+blockWords, nw)
-		acc := out.BlockWords(lo, hi)
-		copy(acc, streams[0].BlockWords(lo, hi))
-		for _, s := range streams[1:] {
-			blk := s.BlockWords(lo, hi)
-			blk = blk[:len(acc)]
-			for i := range acc {
-				acc[i] |= blk[i]
-			}
+	read, words := 0, 0
+	for _, v := range values {
+		if cv, ok := ix.vectors[v]; ok {
+			cv.OrInto(out)
+			read++
+			words += cv.Words()
 		}
 	}
-	out.TrimTail()
-	return out, st
+	return out, iostat.Stats{VectorsRead: read, WordsRead: words, BoolOps: max(read-1, 0)}
 }
 
 // IsNull returns the NULL row set.

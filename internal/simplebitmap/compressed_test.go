@@ -76,8 +76,37 @@ func TestCompressedSpaceWin(t *testing.T) {
 	}
 }
 
-// Property: compressed and plain agree on random workloads.
+// Property: compressed and plain agree on random workloads, and on
+// sorted, run-heavy columns whose vectors are mostly fills. In reads the
+// same vectors as the plain index, charges their compressed words, and
+// counts one OR fewer: the plain In ORs its first operand into an empty
+// result, the compressed In counts δ-1 operations.
 func TestPropCompressedEquivalence(t *testing.T) {
+	check := func(r *rand.Rand, col []int, isNull []bool, m int) bool {
+		plain, err := Build(col, isNull)
+		if err != nil {
+			return false
+		}
+		comp, err := BuildCompressed(col, isNull)
+		if err != nil {
+			return false
+		}
+		// m itself is never indexed: In must skip it without charging it.
+		vals := r.Perm(m + 1)[:1+r.Intn(m+1)]
+		pa, pst := plain.In(vals)
+		ca, cst := comp.In(vals)
+		words := 0
+		for _, v := range vals {
+			if cv, ok := comp.vectors[v]; ok {
+				words += cv.Words()
+			}
+		}
+		if cst.VectorsRead != pst.VectorsRead || cst.WordsRead != words || cst.BoolOps != max(pst.BoolOps-1, 0) {
+			t.Logf("n=%d: compressed In stats %+v, plain %+v, compressed words %d", len(col), cst, pst, words)
+			return false
+		}
+		return pa.Equal(ca)
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
@@ -88,20 +117,47 @@ func TestPropCompressedEquivalence(t *testing.T) {
 			col[i] = r.Intn(m)
 			isNull[i] = r.Intn(15) == 0
 		}
-		plain, err := Build(col, isNull)
-		if err != nil {
+		if !check(r, col, isNull, m) {
 			return false
 		}
-		comp, err := BuildCompressed(col, isNull)
-		if err != nil {
-			return false
-		}
-		vals := r.Perm(m)[:1+r.Intn(m)]
-		pa, _ := plain.In(vals)
-		ca, _ := comp.In(vals)
-		return pa.Equal(ca)
+		col, isNull = sortedColumn(r, m)
+		return check(r, col, isNull, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sortedColumn returns a run-heavy column over values [0, m): ascending
+// runs of random lengths, one NULL run, and a few rows set to random
+// values so that literals sit between the fills. Its length is above
+// 256·64 and a multiple of neither 63 nor 64, so both the WAH tail group
+// and the dense tail word are partial.
+func sortedColumn(r *rand.Rand, m int) ([]int, []bool) {
+	n := 256*64 + 1 + r.Intn(20000)
+	for n%63 == 0 || n%64 == 0 {
+		n++
+	}
+	col := make([]int, n)
+	isNull := make([]bool, n)
+	cuts := make([]int, m-1)
+	for i := range cuts {
+		cuts[i] = r.Intn(n)
+	}
+	for i := range col {
+		for _, c := range cuts { // row i holds the number of cuts at or before it
+			if i >= c {
+				col[i]++
+			}
+		}
+		if r.Intn(500) == 0 {
+			col[i] = r.Intn(m)
+		}
+	}
+	lo := r.Intn(n)
+	hi := min(n, lo+1+r.Intn(3000))
+	for i := lo; i < hi; i++ {
+		isNull[i] = true
+	}
+	return col, isNull
 }
