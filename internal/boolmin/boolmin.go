@@ -8,12 +8,16 @@
 // paper) — shrinks the number of *distinct* bitmap vectors the expression
 // references, which is the paper's cost metric for query processing
 // (c_e = number of bitmap vectors accessed after logical reduction).
+// Quine–McCluskey's merge table is kept as word-sparse bitsets over the code
+// space, one per mask of freed variables, so a merge step is a shift and an
+// AND of 64-bit words, and the cover is chosen over per-prime coverage
+// bitsets.
 package boolmin
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -168,10 +172,17 @@ func IntervalCover(k int, lo, hi uint32) Expr {
 // and returns a reduced sum-of-products expression equivalent to the on-set
 // on all points outside dc. Points may not appear in both on and dc.
 //
+// The merge table is kept as bitsets rather than as a list of cubes: for
+// each mask of freed variables, the values whose cube lies inside on ∪ dc
+// form one sparse bitset over the code space, and freeing one more variable
+// is a shift and an AND of 64-bit words (see mergeTable.visit).
+//
 // Cover selection takes all essential prime implicants, then greedily adds
 // prime implicants preferring (1) most uncovered minterms, (2) fewest newly
-// referenced variables, (3) fewest literals — the tie-breaks bias the cover
-// toward the paper's objective of reading few bitmap vectors.
+// referenced variables, (3) fewest literals, the first in (Mask, Value)
+// order winning a tie — the tie-breaks bias the cover toward the paper's
+// objective of reading few bitmap vectors. The cubes come out in (Mask,
+// Value) order.
 func Minimize(k int, on, dc []uint32) Expr {
 	if k < 0 || k > MaxVars {
 		panic(fmt.Sprintf("boolmin: k=%d out of range [0,%d]", k, MaxVars))
@@ -179,143 +190,222 @@ func Minimize(k int, on, dc []uint32) Expr {
 	km := kmask(k)
 	onset := dedup(on, km)
 	dcset := dedup(dc, km)
-	for _, m := range onset {
-		if _, isDC := index(dcset, m); isDC {
-			panic(fmt.Sprintf("boolmin: minterm %d in both on-set and don't-care set", m))
-		}
-	}
 	if len(onset) == 0 {
 		return Expr{K: k}
 	}
 	if len(onset)+len(dcset) == 1<<uint(k) && len(dcset) == 0 {
 		return Expr{K: k, Cubes: []Cube{{Value: 0, Mask: km}}}
 	}
-
-	primes := primeImplicants(k, append(append([]uint32{}, onset...), dcset...))
-	return Expr{K: k, Cubes: selectCover(k, primes, onset)}
+	return Expr{K: k, Cubes: selectCover(k, primeImplicants(k, onset, dcset), onset)}
 }
 
-// primeImplicants computes all prime implicants of the union set via the
-// tabular merging procedure.
-func primeImplicants(k int, terms []uint32) []Cube {
-	type entry struct {
-		cube   Cube
-		merged bool
-	}
-	km := kmask(k)
-	cur := make(map[Cube]*entry, len(terms))
-	for _, t := range terms {
-		c := Cube{Value: t & km, Mask: 0}
-		cur[c] = &entry{cube: c}
-	}
-	var primes []Cube
-	for len(cur) > 0 {
-		// Group by popcount of value for the adjacency scan.
-		groups := make(map[int][]*entry)
-		for _, e := range cur {
-			groups[bits.OnesCount32(e.cube.Value)] = append(groups[bits.OnesCount32(e.cube.Value)], e)
+// lowHalf[i] selects the positions of a 64-bit word whose bit i is clear.
+var lowHalf = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// mergeTable walks the merge table depth first. For a mask of freed
+// variables with at least one implicant, the values v whose cube
+// {Value: v, Mask: mask} lies inside on ∪ dc form a sparse bitset over the
+// code space; set s holds the words s.lo..s.hi-1 of idx and bits: bit b of
+// bits[q] stands for the value 64·idx[q] + b, word indices increase, and no
+// word is zero. The sets of masks still to visit wait in sets, their words
+// at the end of idx and bits.
+type mergeTable struct {
+	k      int
+	sets   []maskSet
+	idx    []uint32
+	bits   []uint64
+	merged []uint64 // per word of the set being visited: values that are not prime
+	primes []Cube
+}
+
+// maskSet is the set of one mask of freed variables in a mergeTable.
+type maskSet struct {
+	mask   uint32
+	lo, hi int
+}
+
+// primeImplicants returns every prime implicant of on ∪ dc in (Mask, Value)
+// order; on and dc are sorted and without repeats.
+func primeImplicants(k int, on, dc []uint32) []Cube {
+	n := len(on) + len(dc) // the words of the empty mask, at most
+	t := mergeTable{k: k, idx: make([]uint32, 0, n), bits: make([]uint64, 0, n)}
+	t.addCodes(on, dc)
+	t.visit(maskSet{0, 0, len(t.idx)})
+	return t.primes
+}
+
+// addCodes fills the words of the empty mask with the sorted codes of on
+// and dc, which must be disjoint.
+func (t *mergeTable) addCodes(on, dc []uint32) {
+	for i, j := 0, 0; i < len(on) || j < len(dc); {
+		var x uint32
+		switch {
+		case j == len(dc) || i < len(on) && on[i] < dc[j]:
+			x, i = on[i], i+1
+		case i == len(on) || dc[j] < on[i]:
+			x, j = dc[j], j+1
+		default:
+			panic(fmt.Sprintf("boolmin: minterm %d in both on-set and don't-care set", on[i]))
 		}
-		next := make(map[Cube]*entry)
-		for pc, g := range groups {
-			hi := groups[pc+1]
-			for _, a := range g {
-				for _, b := range hi {
-					if a.cube.Mask != b.cube.Mask {
-						continue
+		if n := len(t.idx); n > 0 && t.idx[n-1] == x>>6 {
+			t.bits[n-1] |= 1 << (x & 63)
+		} else {
+			t.idx = append(t.idx, x>>6)
+			t.bits = append(t.bits, 1<<(x&63))
+		}
+	}
+}
+
+// visit emits the primes of set s in increasing value order, then visits
+// the masks that free one more variable below s's lowest freed one. That
+// makes each mask with an implicant the child of exactly one mask (the one
+// without its lowest freed variable), and the walk's pre-order is
+// increasing mask order, so the primes come out in (Mask, Value) order.
+//
+// Freeing variable i keeps a value v when v and v + 2^i both stay: on the
+// positions with bit i clear, x & (x >> 2^i) within a word for i < 6, and
+// word j AND word j + 2^(i−6) above that. Expanded back over i, the result
+// holds the values whose cube lies inside one with i freed too, so a value
+// is prime when no freeable variable takes it in.
+func (t *mergeTable) visit(s maskSet) {
+	low := t.k
+	if s.mask != 0 {
+		low = bits.TrailingZeros32(s.mask)
+	}
+	first, end := len(t.sets), len(t.idx)
+	idx, w := t.idx[s.lo:s.hi], t.bits[s.lo:s.hi]
+	merged := append(t.merged[:0], make([]uint64, len(w))...)
+	for i := 0; i < t.k; i++ {
+		if s.mask&(1<<i) != 0 {
+			continue
+		}
+		child := len(t.idx)
+		if i < 6 {
+			sh, half := uint(1)<<i, lowHalf[i]
+			for q, x := range w {
+				if y := x & (x >> sh) & half; y != 0 {
+					merged[q] |= y | y<<sh
+					if i < low {
+						t.idx = append(t.idx, idx[q])
+						t.bits = append(t.bits, y)
 					}
-					diff := a.cube.Value ^ b.cube.Value
-					if bits.OnesCount32(diff) != 1 {
-						continue
-					}
-					a.merged, b.merged = true, true
-					nc := Cube{Value: a.cube.Value &^ diff, Mask: a.cube.Mask | diff}
-					if _, ok := next[nc]; !ok {
-						next[nc] = &entry{cube: nc}
+				}
+			}
+		} else if d := uint32(1) << (i - 6); idx[len(idx)-1]-idx[0] >= d {
+			r := 0
+			for q, j := range idx {
+				if j&d != 0 {
+					continue
+				}
+				for r < len(idx) && idx[r] < j+d {
+					r++
+				}
+				if r == len(idx) {
+					break
+				}
+				if y := w[q] & w[r]; idx[r] == j+d && y != 0 {
+					merged[q] |= y
+					merged[r] |= y
+					if i < low {
+						t.idx = append(t.idx, j)
+						t.bits = append(t.bits, y)
 					}
 				}
 			}
 		}
-		for _, e := range cur {
-			if !e.merged {
-				primes = append(primes, e.cube)
-			}
+		if len(t.idx) > child {
+			t.sets = append(t.sets, maskSet{s.mask | 1<<i, child, len(t.idx)})
 		}
-		cur = next
 	}
-	sort.Slice(primes, func(i, j int) bool {
-		if primes[i].Mask != primes[j].Mask {
-			return primes[i].Mask < primes[j].Mask
+	for q, x := range w {
+		for x &^= merged[q]; x != 0; x &= x - 1 {
+			v := idx[q]<<6 | uint32(bits.TrailingZeros64(x))
+			t.primes = append(t.primes, Cube{Value: v, Mask: s.mask})
 		}
-		return primes[i].Value < primes[j].Value
-	})
-	return primes
+	}
+	t.merged = merged
+	for c, last := first, len(t.sets); c < last; c++ {
+		t.visit(t.sets[c])
+	}
+	t.sets, t.idx, t.bits = t.sets[:first], t.idx[:end], t.bits[:end]
 }
 
 // selectCover picks a subset of prime implicants covering every on-set
-// minterm: essential primes first, then a greedy completion.
+// minterm: essential primes first, then a greedy completion. Each prime
+// gets one coverage bitset over the on-set's indices, so a greedy round
+// counts a prime's newly covered minterms a word at a time; primes that
+// cover no minterm are dropped first (the greedy never picks them, and they
+// are never essential).
 func selectCover(k int, primes []Cube, onset []uint32) []Cube {
-	covered := make([]bool, len(onset))
-	coverers := make([][]int, len(onset)) // minterm -> prime indices
-	for mi, m := range onset {
-		for pi, p := range primes {
-			if p.Covers(m) {
-				coverers[mi] = append(coverers[mi], pi)
+	nw := (len(onset) + 63) / 64
+	rows := make([]uint64, 0, nw*len(onset))
+	kept := primes[:0]
+	for _, p := range primes {
+		start := len(rows)
+		rows = append(rows, make([]uint64, nw)...)
+		row, hit := rows[start:], false
+		top := p.Value | p.Mask
+		for mi, _ := slices.BinarySearch(onset, p.Value); mi < len(onset) && onset[mi] <= top; mi++ {
+			if p.Covers(onset[mi]) {
+				row[mi>>6] |= 1 << (mi & 63)
+				hit = true
 			}
 		}
-	}
-	chosen := make(map[int]bool)
-	// Essential prime implicants.
-	for mi := range onset {
-		if len(coverers[mi]) == 1 {
-			chosen[coverers[mi][0]] = true
+		if !hit {
+			rows = rows[:start]
+			continue
 		}
+		kept = append(kept, p)
 	}
-	markCovered := func() {
-		for mi, m := range onset {
-			if covered[mi] {
-				continue
-			}
-			for pi := range chosen {
-				if primes[pi].Covers(m) {
-					covered[mi] = true
-					break
-				}
-			}
-		}
-	}
-	markCovered()
+	primes = kept
+	rowOf := func(pi int) []uint64 { return rows[pi*nw : (pi+1)*nw] }
 
-	varsOf := func(c Cube) uint32 { return ^c.Mask & kmask(k) }
-	usedVars := uint32(0)
-	for pi := range chosen {
-		usedVars |= varsOf(primes[pi])
+	// A minterm in once but not in twice has exactly one coverer, which is
+	// then essential.
+	once, twice, covered := make([]uint64, nw), make([]uint64, nw), make([]uint64, nw)
+	for pi := range primes {
+		for w, x := range rowOf(pi) {
+			twice[w] |= once[w] & x
+			once[w] |= x
+		}
 	}
-
-	for {
-		remaining := 0
-		for _, c := range covered {
-			if !c {
-				remaining++
+	chosen := make([]bool, len(primes))
+	usedVars, remaining, picked := uint32(0), len(onset), 0
+	choose := func(pi int) {
+		chosen[pi] = true
+		picked++
+		usedVars |= ^primes[pi].Mask & kmask(k)
+		for w, x := range rowOf(pi) {
+			remaining -= bits.OnesCount64(x &^ covered[w])
+			covered[w] |= x
+		}
+	}
+	for pi := range primes {
+		for w, x := range rowOf(pi) {
+			if x&^twice[w] != 0 {
+				choose(pi)
+				break
 			}
 		}
-		if remaining == 0 {
-			break
-		}
+	}
+
+	for remaining > 0 {
 		best, bestCov, bestNewVars, bestLits := -1, -1, 0, 0
 		for pi, p := range primes {
 			if chosen[pi] {
 				continue
 			}
 			cov := 0
-			for mi, m := range onset {
-				if !covered[mi] && p.Covers(m) {
-					cov++
-				}
+			for w, x := range rowOf(pi) {
+				cov += bits.OnesCount64(x &^ covered[w])
 			}
 			if cov == 0 {
 				continue
 			}
-			newVars := bits.OnesCount32(varsOf(p) &^ usedVars)
+			newVars := bits.OnesCount32(^p.Mask & kmask(k) &^ usedVars)
 			lits := p.Literals(k)
 			if best == -1 ||
 				cov > bestCov ||
@@ -327,21 +417,15 @@ func selectCover(k int, primes []Cube, onset []uint32) []Cube {
 		if best == -1 {
 			panic("boolmin: internal error: uncoverable minterm")
 		}
-		chosen[best] = true
-		usedVars |= varsOf(primes[best])
-		markCovered()
+		choose(best)
 	}
 
-	out := make([]Cube, 0, len(chosen))
-	for pi := range chosen {
-		out = append(out, primes[pi])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mask != out[j].Mask {
-			return out[i].Mask < out[j].Mask
+	out := make([]Cube, 0, picked)
+	for pi, c := range chosen {
+		if c {
+			out = append(out, primes[pi])
 		}
-		return out[i].Value < out[j].Value
-	})
+	}
 	return out
 }
 
@@ -430,24 +514,13 @@ func Equivalent(a, b Expr, dc []uint32) bool {
 	return true
 }
 
+// dedup returns xs masked to km, sorted and without repeats, in a new
+// slice.
 func dedup(xs []uint32, km uint32) []uint32 {
-	seen := make(map[uint32]bool, len(xs))
-	out := make([]uint32, 0, len(xs))
-	for _, x := range xs {
-		x &= km
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
+	out := make([]uint32, len(xs))
+	for i, x := range xs {
+		out[i] = x & km
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func index(sorted []uint32, x uint32) (int, bool) {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
-	if i < len(sorted) && sorted[i] == x {
-		return i, true
-	}
-	return i, false
+	slices.Sort(out)
+	return slices.Compact(out)
 }

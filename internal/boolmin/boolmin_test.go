@@ -1,7 +1,9 @@
 package boolmin
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -107,6 +109,10 @@ func TestMinimizeEdgeCases(t *testing.T) {
 	if got := e.String(); got != "B2B1'B0" {
 		t.Fatalf("single minterm: %s", got)
 	}
+	// A repeated code counts once: half the codes twice is not all of them.
+	if e := Minimize(1, []uint32{0, 0}, nil); e.String() != "B0'" {
+		t.Fatalf("repeated minterm: %s", e)
+	}
 }
 
 func TestMinimizeRejectsOverlap(t *testing.T) {
@@ -127,12 +133,18 @@ func TestMinimizeRejectsBadK(t *testing.T) {
 	Minimize(MaxVars+1, []uint32{1}, nil)
 }
 
-// Property: Minimize is semantics-preserving: equals the raw min-term sum
-// on every non-don't-care point, and never increases access cost.
+// Property: Minimize returns exactly the tabular reference's expression,
+// which equals the raw min-term sum on every non-don't-care point, reads at
+// most k vectors and has only prime cubes. Besides random partitions of up
+// to 8-bit codes (from 7 bits on, a merge pairs whole words) it takes
+// EBI-shaped inputs over wide free-code spaces at k=10–14: 8–64 on-codes
+// among values coded 1..d, d = 0.6–0.75·2^k, with every code above d a
+// don't-care. The reference takes seconds per call above k=11, so there
+// only the properties are checked.
 func TestPropMinimizeCorrectAndNoWorse(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(5)
+		k := 1 + r.Intn(8)
 		n := 1 << uint(k)
 		var on, dc []uint32
 		for x := 0; x < n; x++ {
@@ -143,16 +155,71 @@ func TestPropMinimizeCorrectAndNoWorse(t *testing.T) {
 				dc = append(dc, uint32(x))
 			}
 		}
-		raw := FromMinterms(k, on)
 		min := Minimize(k, on, dc)
-		if !Equivalent(raw, min, dc) {
-			return false
-		}
-		return min.AccessCost() <= k
+		return sameExpr(min, refMinimize(k, on, dc)) && checkReduced(k, on, dc, min) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+
+	r := rand.New(rand.NewSource(24))
+	for i := 0; i < 20; i++ {
+		k := 10 + i%5
+		d := uint32(float64(int(1)<<k) * (0.6 + 0.15*r.Float64()))
+		on := drawCodes(r, 8+r.Intn(57), 1, d)
+		dc := codeRange(d+1, 1<<k-1)
+		min := Minimize(k, on, dc)
+		if k <= 11 {
+			if want := refMinimize(k, on, dc); !sameExpr(min, want) {
+				t.Fatalf("k=%d d=%d on=%v: got %v, the reference %v", k, d, on, min.Cubes, want.Cubes)
+			}
+		}
+		if err := checkReduced(k, on, dc, min); err != nil {
+			t.Fatalf("k=%d d=%d on=%v: %v", k, d, on, err)
+		}
+	}
+}
+
+// sameExpr reports whether two expressions have the same K and the same
+// cubes in the same order.
+func sameExpr(a, b Expr) bool {
+	return a.K == b.K && slices.Equal(a.Cubes, b.Cubes)
+}
+
+// checkReduced returns an error unless e equals the min-term sum of on
+// outside dc, reads at most k vectors, and has only prime cubes: freeing
+// any one literal of a cube takes in a code outside on ∪ dc.
+func checkReduced(k int, on, dc []uint32, e Expr) error {
+	if !Equivalent(FromMinterms(k, on), e, dc) {
+		return fmt.Errorf("%s is not equivalent to the min-term sum", e)
+	}
+	if e.AccessCost() > k {
+		return fmt.Errorf("%s reads %d > k vectors", e, e.AccessCost())
+	}
+	inside := make([]bool, 1<<uint(k))
+	for _, x := range append(append([]uint32(nil), on...), dc...) {
+		inside[x] = true
+	}
+	for _, c := range e.Cubes {
+		for lits := ^c.Mask & kmask(k); lits != 0; lits &= lits - 1 {
+			// Freeing literal b adds the cube's mirror image across b.
+			b := lits & -lits
+			mirror, prime := c.Value^b, false
+			for sub := c.Mask; ; sub = (sub - 1) & c.Mask {
+				if !inside[mirror|sub] {
+					prime = true
+					break
+				}
+				if sub == 0 {
+					break
+				}
+			}
+			if !prime {
+				return fmt.Errorf("cube %+v of %s is not prime: literal %b can be freed", c, e, b)
+			}
+		}
+	}
+	return nil
 }
 
 // Property: on subcube on-sets, Minimize reaches the information-theoretic
@@ -212,5 +279,70 @@ func TestMinimalAccessCostKnown(t *testing.T) {
 	}
 	if got := MinimalAccessCost(2, nil, nil); got != 0 {
 		t.Errorf("const-false cost = %d, want 0", got)
+	}
+}
+
+// codeRange returns the codes lo..hi.
+func codeRange(lo, hi uint32) []uint32 {
+	out := make([]uint32, 0, hi-lo+1)
+	for x := lo; x <= hi; x++ {
+		out = append(out, x)
+	}
+	return out
+}
+
+// drawCodes returns n distinct codes drawn from lo..hi.
+func drawCodes(r *rand.Rand, n int, lo, hi uint32) []uint32 {
+	seen := make(map[uint32]bool, n)
+	out := make([]uint32, 0, n)
+	for len(out) < n {
+		x := lo + uint32(r.Intn(int(hi-lo+1)))
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// minimized keeps BenchmarkMinimize's results alive.
+var minimized Expr
+
+// BenchmarkMinimize times Minimize on the shapes an encoded bitmap index
+// gives it. An index over d values maps them to codes 1..d (code 0 is the
+// void code) and passes every code above d as a don't-care: day (k=10, an
+// IN of 8–64 of 730 days), product-in (8–64 of 1,000 products), product-range
+// (a 200-product range rewritten to an IN), k13-wide (8–64 of 5,000 values,
+// 3,191 free codes); k10-range is a 512-code half space with no don't-cares
+// and k20-scattered 64 scattered codes with none. The IN cases cycle through
+// 16 lists drawn from one seed.
+func BenchmarkMinimize(b *testing.B) {
+	r := rand.New(rand.NewSource(24))
+	lists := func(lo, hi uint32) [][]uint32 {
+		out := make([][]uint32, 16)
+		for i := range out {
+			out[i] = drawCodes(r, 8+r.Intn(57), lo, hi)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		k    int
+		on   [][]uint32
+		dc   []uint32
+	}{
+		{"day", 10, lists(1, 730), codeRange(731, 1023)},
+		{"product-in", 10, lists(1, 1000), codeRange(1001, 1023)},
+		{"product-range", 10, [][]uint32{codeRange(301, 500)}, codeRange(1001, 1023)},
+		{"k10-range", 10, [][]uint32{codeRange(0, 511)}, nil},
+		{"k13-wide", 13, lists(1, 5000), codeRange(5001, 8191)},
+		{"k20-scattered", 20, [][]uint32{drawCodes(r, 64, 0, 1<<20-1)}, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				minimized = Minimize(c.k, c.on[i%len(c.on)], c.dc)
+			}
+		})
 	}
 }

@@ -131,17 +131,6 @@ func TestPropVectorsReadMatchesVars(t *testing.T) {
 	}
 }
 
-func BenchmarkMinimizeK10Range(b *testing.B) {
-	on := make([]uint32, 512)
-	for i := range on {
-		on[i] = uint32(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Minimize(10, on, nil)
-	}
-}
-
 func BenchmarkEvalVectorsK10(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	codes := make([]uint32, 1<<18)

@@ -1,21 +1,37 @@
 package boolmin
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/compress"
 )
 
-// FuzzMinimize: for arbitrary on/don't-care partitions, the minimized
-// expression must agree with the raw min-term sum outside the don't-care
-// set and never reference more than k variables.
+// FuzzMinimize: for arbitrary on/don't-care partitions of up to 8-bit
+// codes, Minimize must return exactly the tabular reference's expression,
+// cube for cube and in order, and that expression must agree with the raw
+// min-term sum outside the don't-care set, reference at most k variables
+// and consist of prime cubes only.
 func FuzzMinimize(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 2})
 	f.Add(uint8(5), []byte{0, 0, 1, 2, 2, 1, 0})
 	f.Add(uint8(1), []byte{})
+	// The shape of an EBI with free codes: k=8, values coded 1..180 (code 0
+	// is the void code), an IN-list over every seventh, and the free codes
+	// 181..255 don't-cares.
+	ebi := make([]byte, 256)
+	for x := range ebi {
+		switch {
+		case x > 180:
+			ebi[x] = 2
+		case x%7 == 3:
+			ebi[x] = 1
+		}
+	}
+	f.Add(uint8(7), ebi)
 	f.Fuzz(func(t *testing.T, kRaw uint8, assignment []byte) {
-		k := int(kRaw%6) + 1
+		k := int(kRaw%8) + 1
 		var on, dc []uint32
 		for x := 0; x < 1<<uint(k) && x < len(assignment); x++ {
 			switch assignment[x] % 3 {
@@ -26,12 +42,20 @@ func FuzzMinimize(f *testing.F) {
 			}
 		}
 		min := Minimize(k, on, dc)
-		if min.AccessCost() > k {
-			t.Fatalf("cost %d > k=%d", min.AccessCost(), k)
+		if want := refMinimize(k, on, dc); !sameExpr(min, want) {
+			t.Fatalf("k=%d on=%v dc=%v: got %s %v, the reference %s %v", k, on, dc, min, min.Cubes, want, want.Cubes)
 		}
-		raw := FromMinterms(k, on)
-		if !Equivalent(raw, min, dc) {
-			t.Fatalf("k=%d on=%v dc=%v: %s not equivalent to min-term sum", k, on, dc, min)
+		// Neither the order of the code lists nor repeats in them matter.
+		twice := func(xs []uint32) []uint32 {
+			out := slices.Clone(xs)
+			slices.Reverse(out)
+			return append(out, xs...)
+		}
+		if again := Minimize(k, twice(on), twice(dc)); !sameExpr(again, min) {
+			t.Fatalf("k=%d on=%v dc=%v: reversed and repeated lists give %v, not %v", k, on, dc, again.Cubes, min.Cubes)
+		}
+		if err := checkReduced(k, on, dc, min); err != nil {
+			t.Fatalf("k=%d on=%v dc=%v: %v", k, on, dc, err)
 		}
 	})
 }

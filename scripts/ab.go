@@ -28,12 +28,16 @@
 //	            base run
 //	ok          none of these
 //
-// It ends with one traced run (--trace 1) per side and workload on the first
-// pair's seed, and prints each BENCHMARK.json per-layer metric of the two
-// runs side by side with its relative change: the layer evidence for a
-// claim. A traced run is one sample, so that table has no verdict; its
-// replay stops at the window, so with short windows the two sides may
-// replay different numbers of queries (compare *.calls_per_query).
+// It ends with three traced runs (--trace 1) per side and workload, on the
+// first three pairs' seeds (fewer with fewer pairs) and in those pairs'
+// alternating order, and prints each BENCHMARK.json per-layer metric of the
+// two sides side by side as the median of its runs with their minimum and
+// maximum, and the relative change of the medians: the layer evidence for a
+// claim. One traced run per side cannot tell a layer's change from a run's
+// scatter; three cannot resolve a small one either, so that table has no
+// verdict. A traced replay stops at the window, so with short windows the
+// two sides may replay different numbers of queries (compare
+// *.calls_per_query).
 package main
 
 import (
@@ -45,6 +49,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -123,12 +128,8 @@ func main() {
 		res[w] = map[string][]*result{"base": make([]*result, *pairs), "head": make([]*result, *pairs)}
 	}
 	for i := 0; i < *pairs; i++ {
-		order := []string{"base", "head"}
-		if i%2 == 1 {
-			order = []string{"head", "base"}
-		}
 		for _, w := range names {
-			for _, side := range order {
+			for _, side := range order(i) {
 				out := filepath.Join(runsDir, fmt.Sprintf("%s.%d.%s.txt", w, i, side))
 				res[w][side][i] = runOnce(bins[side], w, *seed+int64(i), *seconds, 0, out)
 			}
@@ -192,38 +193,67 @@ func main() {
 		tw.Flush()
 	}
 
+	nt := min(3, *pairs)
+	traced := map[string]map[string][]*result{} // traced[workload][side][pair]
 	for _, w := range names {
-		traced := map[string]*result{}
-		for _, side := range []string{"base", "head"} {
-			out := filepath.Join(runsDir, fmt.Sprintf("%s.trace.%s.txt", w, side))
-			traced[side] = runOnce(bins[side], w, *seed, *seconds, 1, out)
+		traced[w] = map[string][]*result{"base": make([]*result, nt), "head": make([]*result, nt)}
+	}
+	for i := 0; i < nt; i++ {
+		for _, w := range names {
+			for _, side := range order(i) {
+				out := filepath.Join(runsDir, fmt.Sprintf("%s.trace.%d.%s.txt", w, i, side))
+				traced[w][side][i] = runOnce(bins[side], w, *seed+int64(i), *seconds, 1, out)
+			}
 		}
+	}
+	for _, w := range names {
 		fmt.Println()
-		fmt.Printf("%s traced, seed %d:\n", w, *seed)
+		fmt.Printf("%s traced, seeds %d..%d:\n", w, *seed, *seed+int64(nt)-1)
 		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
-		fmt.Fprintln(tw, "metric\tbase\thead\tchange")
+		fmt.Fprintln(tw, "metric\tbase median [min max]\thead median [min max]\tchange")
 		for _, m := range bm.PerLayer {
-			b, okB := value(traced["base"], m.Name)
-			h, okH := value(traced["head"], m.Name)
+			var b, h []float64
+			for i := 0; i < nt; i++ {
+				if v, ok := value(traced[w]["base"][i], m.Name); ok {
+					b = append(b, v)
+				}
+				if v, ok := value(traced[w]["head"][i], m.Name); ok {
+					h = append(h, v)
+				}
+			}
 			switch {
-			case !okB && !okH:
+			case len(b) == 0 && len(h) == 0:
 				continue
-			case !okB || !okH || b == 0:
-				fmt.Fprintf(tw, "%s\t%s\t%s\t\n", m.Name, show(b, okB), show(h, okH))
+			case len(b) == 0 || len(h) == 0 || median(b) == 0:
+				fmt.Fprintf(tw, "%s\t%s\t%s\t\n", m.Name, spread(b), spread(h))
 			default:
-				fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%+.1f%%\n", m.Name, b, h, 100*(h-b)/b)
+				fmt.Fprintf(tw, "%s\t%s\t%s\t%+.1f%%\n", m.Name, spread(b), spread(h), 100*(median(h)-median(b))/median(b))
 			}
 		}
 		tw.Flush()
 	}
 }
 
-// show formats a traced metric, or "-" for one the run did not report.
-func show(v float64, ok bool) string {
-	if !ok {
+// order returns the order in which pair i runs the two sides: the base
+// first in even pairs, the head first in odd ones.
+func order(i int) []string {
+	if i%2 == 1 {
+		return []string{"head", "base"}
+	}
+	return []string{"base", "head"}
+}
+
+// median returns the median of xs.
+func median(xs []float64) float64 { return quartiles(xs)[1] }
+
+// spread formats traced values as their median with their minimum and
+// maximum, or "-" when no run reported the metric.
+func spread(xs []float64) string {
+	if len(xs) == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.4g", v)
+	lo, hi := slices.Min(xs), slices.Max(xs)
+	return fmt.Sprintf("%.4g [%.4g %.4g]", median(xs), lo, hi)
 }
 
 // runOnce runs one benchmark invocation at the given --trace level, keeps
