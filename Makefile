@@ -1,6 +1,6 @@
 # Convenience targets; the module is stdlib-only, so plain go commands work.
 
-.PHONY: all build vet test race bench bench-json bench-eval bench-obs bench-reorder fnalign ab fuzz experiments examples serve-demo drift-demo flight-demo audit-demo
+.PHONY: all build vet test race bench bench-eval bench-obs bench-reorder fnalign ab fuzz experiments examples serve-demo drift-demo flight-demo audit-demo
 
 all: build vet test race
 
@@ -20,13 +20,6 @@ race:
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# Write a versioned snapshot of the paper-figure experiments (see
-# docs/observability.md, "Bench JSON"). Compare two snapshots with:
-#   go run ./cmd/ebibench compare OLD.json NEW.json
-# A speed claim comes from `make ab` (ebiload, bench/), not from these.
-bench-json:
-	go run ./cmd/ebibench -n 200000 -json BENCH_$$(date +%F).json
 
 # Fused single-pass evaluation vs the multi-pass baseline (see
 # docs/evaluation.md).
@@ -72,9 +65,11 @@ fuzz:
 	go test -fuzz FuzzSwapCatchUp -fuzztime 20s ./internal/core/
 	go test -fuzz FuzzReorderPermutation -fuzztime 15s ./internal/reorder/
 
-# Regenerate every figure/table of the paper.
+# Regenerate every figure/table of the paper into the committed
+# transcript. A speed claim comes from `make ab` (ebiload, bench/), not
+# from these timings.
 experiments:
-	go run ./cmd/ebibench -n 200000 all
+	go run ./cmd/ebibench -n 200000 all > docs/ebibench_all.txt
 
 # Build a small index and serve /metrics, /debug/pprof and /traces for
 # manual inspection (see docs/observability.md).

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/iostat"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/simplebitmap"
@@ -15,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// auditRig is the star-schema query stack the audit experiment and the
-// -json suite's audit section share: an EBI-served planner (the audited
-// engine) plus an independent simple-bitmap executor for shadow checks.
+// auditRig is the audit experiment's star-schema query stack: an
+// EBI-served planner (the audited engine) plus an independent
+// simple-bitmap executor for shadow checks.
 type auditRig struct {
 	ex    *query.Executor
 	pl    *query.Planner
@@ -71,9 +70,9 @@ func buildAuditRig(cfg config) (*auditRig, error) {
 	return &auditRig{ex: ex, pl: pl, refEx: refEx, tab: star.Schema.Fact}, nil
 }
 
-// auditWorkload is the mixed demo query set: point, IN, range, and the
-// suite's AND/OR star query, issued through both the executor and the
-// planner so every audit source and both day paths get exercised.
+// auditWorkload is the mixed demo query set: point, IN, range, and an
+// AND/OR star query, issued through both the executor and the planner so
+// every audit source and both day paths get exercised.
 func (rig *auditRig) auditWorkload(r *rand.Rand, rounds int) error {
 	for i := 0; i < rounds; i++ {
 		qs := []query.Predicate{
@@ -106,7 +105,8 @@ func (rig *auditRig) auditWorkload(r *rand.Rand, rounds int) error {
 // it samples every execution of a mixed star-schema workload, verifies
 // each against the simple-bitmap reference family and the analytic cost
 // model, and fails if anything mismatches — the "the engine audits
-// clean" experiment. With -fault it injects two corruptions (one result
+// clean" experiment, and then times the plane's overhead (see
+// printAuditOverhead). With -fault it injects two corruptions (one result
 // bit, one stats word) and exits NON-ZERO iff the plane caught both, so
 // harnesses assert detection with an expected-failure invocation.
 func runAudit(cfg config) error {
@@ -192,20 +192,17 @@ func runAudit(cfg config) error {
 		return fmt.Errorf("audit: clean workload failed verification: %d mismatches, %d stats divergences", s.Mismatches, s.StatsDivergence)
 	}
 	fmt.Printf("\nall %d sampled executions audit clean (%d conformance checks skipped: unmodeled plans)\n", s.Verified, s.Skipped)
-	return nil
+
+	a.Stop()
+	obs.Disable()
+	return printAuditOverhead(rig)
 }
 
-// benchAuditSection measures what the audit plane costs the serving
-// path: the suite's mixed AND/OR planner query at 0%, 1%, and 10%
-// sampling against the simple-bitmap reference family. The rate entries
-// carry Ratio = rate-median / disabled-median, so `ebibench compare`
-// flags an audit hot-path regression (the 1% ratio creeping past ~1.05)
-// like any other slowdown.
-func benchAuditSection(cfg config, bf *BenchFile) error {
-	rig, err := buildAuditRig(cfg)
-	if err != nil {
-		return err
-	}
+// printAuditOverhead times what the audit plane costs the serving path:
+// the mixed AND/OR planner query at 0%, 1% and 10% sampling against the
+// simple-bitmap reference family. runAudit calls it with telemetry off,
+// so the ratio to the unsampled median is the audit hook's own cost.
+func printAuditOverhead(rig *auditRig) error {
 	mixed := query.And{Preds: []query.Predicate{
 		query.Range{Col: "day", Lo: 90, Hi: 269},
 		query.Or{Preds: []query.Predicate{
@@ -213,59 +210,57 @@ func benchAuditSection(cfg config, bf *BenchFile) error {
 			query.Eq{Col: "product", Val: table.IntCell(11)},
 		}},
 	}}
-	run := func() iostat.Stats {
-		_, st, _, err := rig.pl.Eval(mixed)
-		if err != nil {
-			panic(err)
+	// Warm caches and code paths before any rate is timed, so the
+	// unsampled baseline doesn't absorb one-time costs.
+	for i := 0; i < benchIters; i++ {
+		if _, _, _, err := rig.pl.Eval(mixed); err != nil {
+			return err
 		}
-		return st
 	}
 
-	// Warm caches and code paths before any rate is timed, so the first
-	// (disabled) rate doesn't absorb one-time costs as "baseline".
-	for i := 0; i < benchIters; i++ {
-		run()
-	}
-	iters := 8 * benchIters // enough executions for 1% sampling to sample
-	rates := []struct {
-		name string
-		rate float64
-	}{
-		{"audit/overhead/off", 0},
-		{"audit/overhead/rate1pct", 0.01},
-		{"audit/overhead/rate10pct", 0.10},
-	}
-	var baseMed int64
-	for _, rc := range rates {
-		var a *audit.Auditor
-		if rc.rate > 0 {
-			a = audit.New(audit.Config{
-				Rate:       rc.rate,
+	// The rates take turns in batches of benchIters runs, so a drift in
+	// the host's or the heap's state lands on every rate alike: timed one
+	// rate after another, the unsampled median read up to twice the
+	// sampled ones. Each auditor keeps its sampling counter across its
+	// batches, so 1% sampling samples over the rounds.
+	rates := []float64{0, 0.01, 0.10}
+	auditors := make([]*audit.Auditor, len(rates))
+	for i, rate := range rates {
+		if rate > 0 {
+			auditors[i] = audit.New(audit.Config{
+				Rate:       rate,
 				References: []audit.Reference{audit.IndexReference("simple-family", rig.refEx)},
-				Name:       "bench-" + rc.name,
+				Name:       "ebibench-overhead",
 			})
-			a.Start()
 		}
-		med, p99, st := timeIt(iters, run)
-		if a != nil {
-			a.Flush()
-			a.Stop()
-		}
-		ratio := 0.0
-		if rc.rate == 0 {
-			baseMed = med
-		} else if baseMed > 0 {
-			ratio = float64(med) / float64(baseMed)
-		}
-		bf.Experiments = append(bf.Experiments, BenchExperiment{
-			Name: rc.name, Iters: iters, MedNS: med, P99NS: p99,
-			VectorsRead: st.VectorsRead, WordsRead: st.WordsRead,
-			BoolOps: st.BoolOps, RowsScanned: st.RowsScanned,
-			Ratio: ratio,
-		})
 	}
-	// Let audit worker goroutine teardown settle before the next section
-	// measures anything.
-	time.Sleep(time.Millisecond)
-	return nil
+	const rounds = 8
+	durs := make([][]int64, len(rates))
+	for r := 0; r < rounds; r++ {
+		for i, a := range auditors {
+			if a != nil {
+				a.Start()
+			}
+			for j := 0; j < benchIters; j++ {
+				t0 := time.Now()
+				rig.pl.Eval(mixed) // the warm-up returned no error
+				durs[i] = append(durs[i], time.Since(t0).Nanoseconds())
+			}
+			if a != nil {
+				a.Flush()
+				a.Stop()
+			}
+		}
+	}
+
+	fmt.Printf("\naudit overhead: the mixed AND/OR planner query, %d runs per sampling rate in %d interleaved rounds\n",
+		rounds*benchIters, rounds)
+	w := newTab()
+	fmt.Fprintf(w, "sampling\tmed\tp99\tratio(med)\t\n")
+	baseMed, _ := medP99(durs[0])
+	for i, rate := range rates {
+		med, p99 := medP99(durs[i])
+		fmt.Fprintf(w, "%g%%\t%s\t%s\t%.3f\t\n", rate*100, fmtNS(med), fmtNS(p99), ratioOf(med, baseMed))
+	}
+	return w.Flush()
 }

@@ -23,15 +23,14 @@ import (
 //
 // The -wah variants run both evaluators over WAH-compressed operands: the
 // baseline must decompress every operand first, the fused kernel streams
-// compressed words directly. Stats equality between all routes is checked
-// on every workload; a divergence fails the run.
+// compressed words directly. Every route's rows and stats are checked
+// against the baseline's on every workload; a divergence fails the run.
 
 // evalRow is one measured (workload, mode) cell.
 type evalRow struct {
 	workload string
 	mode     string
 	med, p99 int64
-	st       iostat.Stats
 	ratio    float64 // med / baseline med (same workload); 0 for the baseline itself
 }
 
@@ -59,9 +58,9 @@ func evalWorkloads(ix *core.Index[int64]) []struct {
 }
 
 // evalMeasurements builds the fixture and times every route on every
-// workload, verifying stats parity along the way.
+// workload, verifying row and stats parity along the way.
 func evalMeasurements(cfg config) ([]evalRow, error) {
-	ix, _, rows, err := parallelFixture(cfg)
+	ix, rows, err := parallelFixture(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,16 +84,21 @@ func evalMeasurements(cfg config) ([]evalRow, error) {
 	for _, wl := range evalWorkloads(ix) {
 		e := ix.ExprFor(wl.vals)
 		prog := boolmin.Compile(e)
-		dst := bitvec.New(rows)
+		// Each route writes rows of its own, so a route that leaves words
+		// unwritten cannot pass on another route's result.
+		var want, wahBaseRows *bitvec.Vector
+		fusedDst, parDst, wahDst := bitvec.New(rows), bitvec.New(rows), bitvec.New(rows)
 
 		baseMed, baseP99, baseSt := timeIt(benchIters, func() iostat.Stats {
-			return statsOf(boolmin.EvalVectors(e, vecs))
+			res := boolmin.EvalVectors(e, vecs)
+			want = res.Rows
+			return statsOf(res)
 		})
 		fusedMed, fusedP99, fusedSt := timeIt(benchIters, func() iostat.Stats {
-			return statsOf(prog.EvalInto(dst, srcs))
+			return statsOf(prog.EvalInto(fusedDst, srcs))
 		})
 		parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-			return statsOf(prog.EvalParallelInto(dst, vecs, parallel.Default(), degree, nil))
+			return statsOf(prog.EvalParallelInto(parDst, vecs, parallel.Default(), degree, nil))
 		})
 
 		// WAH routes: the baseline pays Decompress per used operand, the
@@ -110,35 +114,42 @@ func evalMeasurements(cfg config) ([]evalRow, error) {
 					dense[i] = vecs[i] // unused: never read
 				}
 			}
-			return statsOf(boolmin.EvalVectors(e, dense))
+			res := boolmin.EvalVectors(e, dense)
+			wahBaseRows = res.Rows
+			return statsOf(res)
 		})
 		wahFusedMed, wahFusedP99, wahFusedSt := timeIt(benchIters, func() iostat.Stats {
 			streams := make([]bitvec.WordSource, k)
 			for i, cv := range comp {
 				streams[i] = cv.Stream()
 			}
-			return statsOf(prog.EvalInto(dst, streams))
+			return statsOf(prog.EvalInto(wahDst, streams))
 		})
 
-		for _, pair := range []struct {
+		for _, route := range []struct {
 			name string
 			st   iostat.Stats
+			rows *bitvec.Vector
 		}{
-			{"fused", fusedSt}, {"fused-par", parSt},
-			{"wah-baseline", wahBaseSt}, {"wah-fused", wahFusedSt},
+			{"fused", fusedSt, fusedDst}, {"fused-par", parSt, parDst},
+			{"wah-baseline", wahBaseSt, wahBaseRows}, {"wah-fused", wahFusedSt, wahDst},
 		} {
-			if pair.st != baseSt {
+			if route.st != baseSt {
 				return nil, fmt.Errorf("eval/%s: %s stats %+v diverged from baseline %+v",
-					wl.name, pair.name, pair.st, baseSt)
+					wl.name, route.name, route.st, baseSt)
+			}
+			if !route.rows.Equal(want) {
+				return nil, fmt.Errorf("eval/%s: %s rows diverged from baseline (%d vs %d set)",
+					wl.name, route.name, route.rows.Count(), want.Count())
 			}
 		}
 
 		out = append(out,
-			evalRow{wl.name, "baseline", baseMed, baseP99, baseSt, 0},
-			evalRow{wl.name, "fused", fusedMed, fusedP99, fusedSt, ratioOf(fusedMed, baseMed)},
-			evalRow{wl.name, fmt.Sprintf("fused-par d=%d", degree), parMed, parP99, parSt, ratioOf(parMed, baseMed)},
-			evalRow{wl.name + "-wah", "baseline", wahBaseMed, wahBaseP99, wahBaseSt, 0},
-			evalRow{wl.name + "-wah", "fused", wahFusedMed, wahFusedP99, wahFusedSt, ratioOf(wahFusedMed, wahBaseMed)},
+			evalRow{wl.name, "baseline", baseMed, baseP99, 0},
+			evalRow{wl.name, "fused", fusedMed, fusedP99, ratioOf(fusedMed, baseMed)},
+			evalRow{wl.name, fmt.Sprintf("fused-par d=%d", degree), parMed, parP99, ratioOf(parMed, baseMed)},
+			evalRow{wl.name + "-wah", "baseline", wahBaseMed, wahBaseP99, 0},
+			evalRow{wl.name + "-wah", "fused", wahFusedMed, wahFusedP99, ratioOf(wahFusedMed, wahBaseMed)},
 		)
 	}
 	return out, nil
@@ -172,29 +183,4 @@ func runEval(cfg config) error {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t\n", r.workload, r.mode, fmtNS(r.med), fmtNS(r.p99), sp)
 	}
 	return w.Flush()
-}
-
-// benchEvalSection appends the eval experiments to a JSON snapshot. Fused
-// entries carry Ratio = fusedMed/baselineMed, so `ebibench compare` flags
-// a fused-path slowdown relative to the multi-pass baseline (larger ratio
-// = worse) like any other regression.
-func benchEvalSection(cfg config, bf *BenchFile) error {
-	rows, err := evalMeasurements(cfg)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		mode := r.mode
-		if len(mode) > 9 && mode[:9] == "fused-par" {
-			mode = "fused-par"
-		}
-		bf.Experiments = append(bf.Experiments, BenchExperiment{
-			Name: "eval/" + r.workload + "/" + mode, Iters: benchIters,
-			MedNS: r.med, P99NS: r.p99,
-			VectorsRead: r.st.VectorsRead, WordsRead: r.st.WordsRead,
-			BoolOps: r.st.BoolOps, RowsScanned: r.st.RowsScanned,
-			Ratio: r.ratio,
-		})
-	}
-	return nil
 }

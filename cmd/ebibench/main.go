@@ -5,15 +5,9 @@
 // Usage:
 //
 //	ebibench [flags] <experiment>
-//	ebibench [flags] -json OUT.json [experiment]
-//	ebibench [-tolerance F] compare OLD.json NEW.json
 //
-// -json runs a standardized measured suite over the paper-figure
-// experiments and writes a versioned BENCH_*.json snapshot (median/p99
-// latency, vector reads, compression ratios, build metadata); compare
-// diffs two snapshots and exits nonzero on regressions beyond the
-// tolerance. The evidence for a speed claim is the ebiload benchmark in
-// bench/, run as a same-host A/B with `make ab` (see bench/README.md).
+// The evidence for a speed claim is the ebiload benchmark in bench/, run
+// as a same-host A/B with `make ab` (see bench/README.md).
 //
 // Experiments:
 //
@@ -41,8 +35,8 @@
 //	drift        live workload profiling + encoding-drift watcher
 //	reencode-live  zero-downtime adaptive re-encoding through the epoch flip
 //	audit        sampled shadow verification + stats conformance + planner
-//	             calibration (-fault injects corruptions and exits non-zero
-//	             iff the audit plane detects them)
+//	             calibration + sampling overhead (-fault injects corruptions
+//	             and exits non-zero iff the audit plane detects them)
 //	all          everything above
 package main
 
@@ -50,20 +44,52 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"text/tabwriter"
+	"time"
 
+	"repro/internal/iostat"
 	"repro/internal/obs"
 )
 
 type config struct {
-	n       int
-	seed    int64
-	page    int
-	degree  int
-	serve   string
-	jsonOut string
-	tol     float64
-	fault   bool
+	n      int
+	seed   int64
+	page   int
+	degree int
+	serve  string
+	fault  bool
+}
+
+// experiments lists every experiment in the order `all` runs them.
+var experiments = []struct {
+	name string
+	run  func(config) error
+}{
+	{"fig9a", func(c config) error { return runFig9(c, 50) }},
+	{"fig9b", func(c config) error { return runFig9(c, 1000) }},
+	{"fig10", runFig10},
+	{"worstcase", runWorstCase},
+	{"btree-space", runBTreeSpace},
+	{"sparsity", runSparsity},
+	{"mappings", runMappings},
+	{"groupset", runGroupSet},
+	{"measure", runMeasure},
+	{"tpcd", runTPCD},
+	{"maintenance", runMaintenance},
+	{"compression", runCompression},
+	{"reencode", runReencode},
+	{"joins", runJoins},
+	{"pageio", runPageIO},
+	{"planner", runPlanner},
+	{"advise", runAdvise},
+	{"rangebased", runRangeBased},
+	{"parallel", runParallel},
+	{"eval", runEval},
+	{"reorder", runReorder},
+	{"drift", runDrift},
+	{"reencode-live", runReencodeLive},
+	{"audit", runAudit},
 }
 
 func main() {
@@ -73,8 +99,6 @@ func main() {
 	flag.IntVar(&cfg.page, "page", 4096, "page size for the B-tree cost model (paper: 4K)")
 	flag.IntVar(&cfg.degree, "degree", 512, "B-tree degree (paper: 512)")
 	flag.StringVar(&cfg.serve, "serve", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof/* and /traces on this address (e.g. :8080); keeps serving after the experiment finishes")
-	flag.StringVar(&cfg.jsonOut, "json", "", "run the standardized bench suite and write a versioned BENCH_*.json snapshot of the paper-figure experiments to this path (an experiment argument is then optional)")
-	flag.Float64Var(&cfg.tol, "tolerance", 0.25, "regression tolerance for the compare subcommand, as a fraction (0.25 = 25%)")
 	flag.BoolVar(&cfg.fault, "fault", false, "with the audit experiment: inject one result-bit flip and one stats-word corruption; exits NON-ZERO iff the audit plane detects both")
 	flag.Parse()
 
@@ -97,87 +121,58 @@ func main() {
 		}()
 	}
 
-	if flag.NArg() > 0 && flag.Arg(0) == "compare" {
-		if err := runCompare(flag.Args()[1:], cfg.tol); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cfg.jsonOut != "" && flag.NArg() == 0 {
-		if err := writeBenchJSON(cfg, cfg.jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ebibench [flags] <experiment> | ebibench -json OUT.json | ebibench compare OLD.json NEW.json (see -h)")
+		fmt.Fprintln(os.Stderr, "usage: ebibench [flags] <experiment> (see -h)")
 		os.Exit(2)
 	}
-	defer func() {
-		if cfg.jsonOut != "" {
-			if err := writeBenchJSON(cfg, cfg.jsonOut); err != nil {
+	exp := flag.Arg(0)
+	if exp == "all" {
+		for _, e := range experiments {
+			fmt.Printf("\n============ %s ============\n", e.name)
+			if err := e.run(cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+				os.Exit(1)
+			}
+		}
+		return
+	}
+	for _, e := range experiments {
+		if e.name == exp {
+			if err := e.run(cfg); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
+			return
 		}
-	}()
-	exp := flag.Arg(0)
-	runners := map[string]func(config) error{
-		"fig9a":         func(c config) error { return runFig9(c, 50) },
-		"fig9b":         func(c config) error { return runFig9(c, 1000) },
-		"fig10":         runFig10,
-		"worstcase":     runWorstCase,
-		"btree-space":   runBTreeSpace,
-		"sparsity":      runSparsity,
-		"mappings":      runMappings,
-		"groupset":      runGroupSet,
-		"measure":       runMeasure,
-		"tpcd":          runTPCD,
-		"maintenance":   runMaintenance,
-		"compression":   runCompression,
-		"reencode":      runReencode,
-		"joins":         runJoins,
-		"pageio":        runPageIO,
-		"planner":       runPlanner,
-		"advise":        runAdvise,
-		"rangebased":    runRangeBased,
-		"parallel":      runParallel,
-		"eval":          runEval,
-		"reorder":       runReorder,
-		"drift":         runDrift,
-		"reencode-live": runReencodeLive,
-		"audit":         runAudit,
 	}
-	if exp == "all" {
-		order := []string{
-			"fig9a", "fig9b", "fig10", "worstcase", "btree-space", "sparsity",
-			"mappings", "groupset", "measure", "tpcd", "maintenance", "compression",
-			"reencode", "joins", "pageio", "planner", "advise", "rangebased",
-			"parallel", "eval", "reorder", "drift", "reencode-live", "audit",
-		}
-		for _, name := range order {
-			fmt.Printf("\n============ %s ============\n", name)
-			if err := runners[name](cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	run, ok := runners[exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
-		os.Exit(2)
-	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
+	os.Exit(2)
 }
 
 // newTab returns a tab writer for aligned table output.
 func newTab() *tabwriter.Writer {
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+}
+
+// benchIters is the per-measurement repetition count (odd, so the median
+// is a real sample).
+const benchIters = 25
+
+// timeIt runs fn iters times and returns the median and p99 wall times
+// plus the last run's stats.
+func timeIt(iters int, fn func() iostat.Stats) (medNS, p99NS int64, st iostat.Stats) {
+	durs := make([]int64, max(iters, 1))
+	for i := range durs {
+		t0 := time.Now()
+		st = fn()
+		durs[i] = time.Since(t0).Nanoseconds()
+	}
+	medNS, p99NS = medP99(durs)
+	return medNS, p99NS, st
+}
+
+// medP99 sorts wall times and returns their median and p99.
+func medP99(durs []int64) (medNS, p99NS int64) {
+	slices.Sort(durs)
+	return durs[len(durs)/2], durs[(len(durs)*99)/100]
 }

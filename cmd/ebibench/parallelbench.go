@@ -25,15 +25,14 @@ func parallelRows(n int) int {
 
 // parallelFixture builds the seq-vs-par measurement fixture: a Zipf
 // distributed EBI over a multi-segment row space.
-func parallelFixture(cfg config) (*core.Index[int64], []int64, int, error) {
+func parallelFixture(cfg config) (*core.Index[int64], int, error) {
 	rows := parallelRows(cfg.n)
 	r := rand.New(rand.NewSource(cfg.seed))
-	col := workload.Zipf(r, rows, 50, 1.1)
-	ix, err := core.Build(col, nil, nil)
+	ix, err := core.Build(workload.Zipf(r, rows, 50, 1.1), nil, nil)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return ix, col, rows, nil
+	return ix, rows, nil
 }
 
 var parallelInVals = []int64{1, 3, 7, 12, 19, 25, 33, 48}
@@ -44,7 +43,7 @@ var parallelInVals = []int64{1, 3, 7, 12, 19, 25, 33, 48}
 // pool has no helpers and the parallel path measures pure segmentation
 // overhead — expect parity, not speedup.
 func runParallel(cfg config) error {
-	ix, _, rows, err := parallelFixture(cfg)
+	ix, rows, err := parallelFixture(cfg)
 	if err != nil {
 		return err
 	}
@@ -53,19 +52,22 @@ func runParallel(cfg config) error {
 	fmt.Printf("segmented parallel execution: n=%d rows, %d segments of %d bits, GOMAXPROCS=%d, pool degree=%d\n\n",
 		rows, segs, bitvec.SegmentBits, degree, parallel.Default().MaxDegree())
 
-	seqMed, seqP99, seqSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := ix.In(parallelInVals)
+	var rows8, parRows *bitvec.Vector
+	seqMed, seqP99, seqSt := timeIt(benchIters, func() (st iostat.Stats) {
+		rows8, st = ix.In(parallelInVals)
 		return st
 	})
-	parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := ix.InParallel(parallelInVals, degree, nil)
+	parMed, parP99, parSt := timeIt(benchIters, func() (st iostat.Stats) {
+		parRows, st = ix.InParallel(parallelInVals, degree, nil)
 		return st
 	})
 	if seqSt != parSt {
 		return fmt.Errorf("parallel stats %+v diverged from sequential %+v", parSt, seqSt)
 	}
+	if !parRows.Equal(rows8) {
+		return fmt.Errorf("parallel rows diverged from sequential (%d vs %d set)", parRows.Count(), rows8.Count())
+	}
 
-	rows8, _ := ix.In(parallelInVals)
 	popSeqMed, popSeqP99, _ := timeIt(benchIters, func() iostat.Stats {
 		rows8.Count()
 		return iostat.Stats{}
@@ -112,51 +114,4 @@ func fmtNS(ns int64) string {
 		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
 	}
 	return fmt.Sprintf("%dns", ns)
-}
-
-// benchParallelSection appends the seq-vs-par experiments to a JSON
-// snapshot. The par entries carry Ratio = parMed/seqMed, so `ebibench
-// compare` flags a parallel-path slowdown relative to sequential like any
-// other regression (larger ratio = worse).
-func benchParallelSection(cfg config, bf *BenchFile) error {
-	ix, _, _, err := parallelFixture(cfg)
-	if err != nil {
-		return err
-	}
-	degree := runtime.GOMAXPROCS(0)
-	add := func(name string, med, p99 int64, st iostat.Stats, ratio float64) {
-		bf.Experiments = append(bf.Experiments, BenchExperiment{
-			Name: name, Iters: benchIters, MedNS: med, P99NS: p99,
-			VectorsRead: st.VectorsRead, WordsRead: st.WordsRead,
-			BoolOps: st.BoolOps, RowsScanned: st.RowsScanned,
-			Ratio: ratio,
-		})
-	}
-
-	seqMed, seqP99, seqSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := ix.In(parallelInVals)
-		return st
-	})
-	parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := ix.InParallel(parallelInVals, degree, nil)
-		return st
-	})
-	if seqSt != parSt {
-		return fmt.Errorf("parallel stats %+v diverged from sequential %+v", parSt, seqSt)
-	}
-	add("parallel/in8/seq", seqMed, seqP99, seqSt, 0)
-	add("parallel/in8/par", parMed, parP99, parSt, float64(parMed)/float64(seqMed))
-
-	rows8, _ := ix.In(parallelInVals)
-	popSeqMed, popSeqP99, _ := timeIt(benchIters, func() iostat.Stats {
-		rows8.Count()
-		return iostat.Stats{}
-	})
-	popParMed, popParP99, _ := timeIt(benchIters, func() iostat.Stats {
-		parallelPopcount(rows8, degree)
-		return iostat.Stats{}
-	})
-	add("parallel/popcount/seq", popSeqMed, popSeqP99, iostat.Stats{}, 0)
-	add("parallel/popcount/par", popParMed, popParP99, iostat.Stats{}, float64(popParMed)/float64(popSeqMed))
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drift"
-	"repro/internal/iostat"
 	"repro/internal/workload"
 )
 
@@ -23,68 +22,6 @@ func measureSyncedWorkload(s *core.Synced[int64], preds [][]int64, weights []int
 		total += st.VectorsRead * weights[i]
 	}
 	return total
-}
-
-// benchReencodeLiveSection adds the adaptive re-encoding trajectory to
-// the -json suite: hot-group IN latency and vector reads under the
-// build-time encoding, the live flip's wall time, and the same probe
-// after the watcher applied the workload-optimized encoding. The
-// after-entry's Ratio (after/before vector reads) makes a lost gain
-// visible to `ebibench compare`.
-func benchReencodeLiveSection(cfg config, bf *BenchFile) error {
-	r := rand.New(rand.NewSource(cfg.seed))
-	m := 63
-	column := workload.Uniform(r, cfg.n, m)
-	s, err := core.BuildSynced(column, nil, nil)
-	if err != nil {
-		return err
-	}
-	rec := drift.NewRecorder[int64]("bench-reencode-live", 64, 256)
-	s.SetSelectionObserver(rec)
-	w := drift.NewWatcher[int64](s, rec, drift.Config{
-		Apply:          true,
-		ScoreThreshold: 0.1,
-		ApplyCooldown:  time.Millisecond,
-	})
-	perm := r.Perm(m)
-	hot := make([]int64, 8)
-	for i := range hot {
-		hot[i] = int64(perm[i])
-	}
-	for i := 0; i < 300; i++ {
-		_, _ = s.In(hot)
-	}
-	s.SetSelectionObserver(nil)
-
-	add := func(name string, iters int, med, p99 int64, st iostat.Stats, ratio float64) {
-		bf.Experiments = append(bf.Experiments, BenchExperiment{
-			Name: name, Iters: iters, MedNS: med, P99NS: p99,
-			VectorsRead: st.VectorsRead, WordsRead: st.WordsRead,
-			BoolOps: st.BoolOps, RowsScanned: st.RowsScanned,
-			Ratio: ratio,
-		})
-	}
-	befMed, befP99, befSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := s.In(hot)
-		return st
-	})
-	add("reencode-live/in8/before", benchIters, befMed, befP99, befSt, 0)
-
-	t0 := time.Now()
-	rep := w.RunOnce()
-	flipNS := time.Since(t0).Nanoseconds()
-	if rep.Applies != 1 || rep.LastApply == nil || rep.LastApply.Error != "" {
-		return fmt.Errorf("reencode-live bench: apply did not land: %+v", rep.LastApply)
-	}
-	add("reencode-live/flip", 1, flipNS, flipNS, iostat.Stats{}, 0)
-
-	aftMed, aftP99, aftSt := timeIt(benchIters, func() iostat.Stats {
-		_, st := s.In(hot)
-		return st
-	})
-	add("reencode-live/in8/after", benchIters, aftMed, aftP99, aftSt,
-		float64(aftSt.VectorsRead)/float64(befSt.VectorsRead))
-	return nil
 }
 
 // runReencodeLive closes the adaptive loop with zero downtime: the drift

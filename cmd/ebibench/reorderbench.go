@@ -32,8 +32,7 @@ import (
 // Every reordered evaluation is checked against the unsorted result
 // through the permutation; a divergence fails the run.
 
-// benchSpecs are the measured heuristics with bench-name-safe labels
-// (Spec.String contains '/', which is the bench-name separator).
+// benchSpecs are the measured heuristics with their table labels.
 var benchSpecs = []struct {
 	label string
 	spec  reorder.Spec
@@ -54,9 +53,8 @@ type reorderSpecResult struct {
 	encSP    float64 // encoded vectors, SALESPOINT
 	encProd  float64 // encoded vectors, PRODUCT (Zipf-skewed)
 
-	// Streamed fused evaluation over WAH operands, SALESPOINT EBI.
-	evalEqMed, evalEqP99   int64
-	evalIn8Med, evalIn8P99 int64
+	// Streamed fused evaluation medians over WAH operands, SALESPOINT EBI.
+	evalEqMed, evalIn8Med int64
 }
 
 // wahRatioSimple compresses every value vector of a simple bitmap index
@@ -124,17 +122,17 @@ func newReorderEvalFixture(col []int64, perm []int) (*reorderEvalFixture, error)
 // in-list and leaves the last result in fx.dst for parity checking.
 // WordStreams are stateful cursors, so each pass opens fresh ones —
 // exactly what a real query execution does.
-func (fx *reorderEvalFixture) evalStreamed(vals []int64) (med, p99 int64) {
+func (fx *reorderEvalFixture) evalStreamed(vals []int64) int64 {
 	prog := boolmin.Compile(fx.ix.ExprFor(vals))
-	med, p99, _ = timeIt(benchIters, func() iostat.Stats {
+	med, _, _ := timeIt(benchIters, func() iostat.Stats {
 		streams := make([]bitvec.WordSource, len(fx.comp))
 		for i, cv := range fx.comp {
 			streams[i] = cv.Stream()
 		}
-		res := prog.EvalInto(fx.dst, streams)
-		return iostat.Stats{VectorsRead: res.VectorsRead, WordsRead: res.WordsRead, BoolOps: res.Ops}
+		prog.EvalInto(fx.dst, streams)
+		return iostat.Stats{}
 	})
-	return med, p99
+	return med
 }
 
 // reorderMeasurements plans every heuristic over the fact table and
@@ -177,9 +175,9 @@ func reorderMeasurements(cfg config) ([]reorderSpecResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.evalEqMed, res.evalEqP99 = fx.evalStreamed(evalEq)
+		res.evalEqMed = fx.evalStreamed(evalEq)
 		gotEq := fx.dst.Clone()
-		res.evalIn8Med, res.evalIn8P99 = fx.evalStreamed(evalIn8)
+		res.evalIn8Med = fx.evalStreamed(evalIn8)
 		gotIn8 := fx.dst
 		if perm == nil {
 			wantEq, wantIn8 = gotEq, gotIn8.Clone()
@@ -222,56 +220,4 @@ func runReorder(cfg config) error {
 			float64(base.evalIn8Med)/float64(res.evalIn8Med))
 	}
 	return w.Flush()
-}
-
-// benchReorderSection appends the reorder experiments to a JSON
-// snapshot. Ratio carries the WAH compression ratio (or, for eval
-// entries, reorderedMed/unsortedMed), so `ebibench compare` flags a lost
-// compression or streamed-eval win like any other regression.
-func benchReorderSection(cfg config, bf *BenchFile) error {
-	results, err := reorderMeasurements(cfg)
-	if err != nil {
-		return err
-	}
-	base := results[0]
-	for _, res := range results {
-		if res.plan != nil {
-			bf.Experiments = append(bf.Experiments, BenchExperiment{
-				Name: "reorder/plan/" + res.label, Iters: 1,
-				MedNS: res.plan.PlanNS, P99NS: res.plan.PlanNS,
-				Ratio: res.plan.RunRatio(),
-			})
-		}
-		for _, rr := range []struct {
-			name  string
-			ratio float64
-		}{
-			{"reorder/wah-ratio/simple/salespoint/" + res.label, res.simpleSP},
-			{"reorder/wah-ratio/encoded/salespoint/" + res.label, res.encSP},
-			{"reorder/wah-ratio/encoded/product/" + res.label, res.encProd},
-		} {
-			bf.Experiments = append(bf.Experiments, BenchExperiment{
-				Name: rr.name, Iters: 1, Ratio: rr.ratio,
-			})
-		}
-		evalRatio := func(med int64, baseMed int64) float64 {
-			if res.plan == nil {
-				return 0 // the unsorted rows are the baseline
-			}
-			return ratioOf(med, baseMed)
-		}
-		bf.Experiments = append(bf.Experiments,
-			BenchExperiment{
-				Name: "reorder/eval-wah/eq/" + res.label, Iters: benchIters,
-				MedNS: res.evalEqMed, P99NS: res.evalEqP99,
-				Ratio: evalRatio(res.evalEqMed, base.evalEqMed),
-			},
-			BenchExperiment{
-				Name: "reorder/eval-wah/in8/" + res.label, Iters: benchIters,
-				MedNS: res.evalIn8Med, P99NS: res.evalIn8P99,
-				Ratio: evalRatio(res.evalIn8Med, base.evalIn8Med),
-			},
-		)
-	}
-	return nil
 }
