@@ -89,42 +89,40 @@ func evalMeasurements(cfg config) ([]evalRow, error) {
 		var want, wahBaseRows *bitvec.Vector
 		fusedDst, parDst, wahDst := bitvec.New(rows), bitvec.New(rows), bitvec.New(rows)
 
-		baseMed, baseP99, baseSt := timeIt(benchIters, func() iostat.Stats {
-			res := boolmin.EvalVectors(e, vecs)
-			want = res.Rows
-			return statsOf(res)
-		})
-		fusedMed, fusedP99, fusedSt := timeIt(benchIters, func() iostat.Stats {
-			return statsOf(prog.EvalInto(fusedDst, srcs))
-		})
-		parMed, parP99, parSt := timeIt(benchIters, func() iostat.Stats {
-			return statsOf(prog.EvalParallelInto(parDst, vecs, parallel.Default(), degree, nil))
-		})
-
-		// WAH routes: the baseline pays Decompress per used operand, the
-		// fused kernel streams. Decompression is untracked I/O-wise, so the
-		// baseline row reports the dense evaluation's stats.
-		wahBaseMed, wahBaseP99, wahBaseSt := timeIt(benchIters, func() iostat.Stats {
-			dense := make([]*bitvec.Vector, k)
-			used := e.Vars()
-			for i, cv := range comp {
-				if used&(1<<uint(i)) != 0 {
-					dense[i] = cv.Decompress()
-				} else {
-					dense[i] = vecs[i] // unused: never read
+		var baseSt, fusedSt, parSt, wahBaseSt, wahFusedSt iostat.Stats
+		t := timeModes(
+			func() {
+				res := boolmin.EvalVectors(e, vecs)
+				want, baseSt = res.Rows, statsOf(res)
+			},
+			func() { fusedSt = statsOf(prog.EvalInto(fusedDst, srcs)) },
+			func() { parSt = statsOf(prog.EvalParallelInto(parDst, vecs, parallel.Default(), degree, nil)) },
+			// WAH routes: the baseline pays Decompress per used operand,
+			// the fused kernel streams. Decompression is untracked
+			// I/O-wise, so the baseline row reports the dense evaluation's
+			// stats.
+			func() {
+				dense := make([]*bitvec.Vector, k)
+				used := e.Vars()
+				for i, cv := range comp {
+					if used&(1<<uint(i)) != 0 {
+						dense[i] = cv.Decompress()
+					} else {
+						dense[i] = vecs[i] // unused: never read
+					}
 				}
-			}
-			res := boolmin.EvalVectors(e, dense)
-			wahBaseRows = res.Rows
-			return statsOf(res)
-		})
-		wahFusedMed, wahFusedP99, wahFusedSt := timeIt(benchIters, func() iostat.Stats {
-			streams := make([]bitvec.WordSource, k)
-			for i, cv := range comp {
-				streams[i] = cv.Stream()
-			}
-			return statsOf(prog.EvalInto(wahDst, streams))
-		})
+				res := boolmin.EvalVectors(e, dense)
+				wahBaseRows, wahBaseSt = res.Rows, statsOf(res)
+			},
+			func() {
+				streams := make([]bitvec.WordSource, k)
+				for i, cv := range comp {
+					streams[i] = cv.Stream()
+				}
+				wahFusedSt = statsOf(prog.EvalInto(wahDst, streams))
+			},
+		)
+		base, fused, par, wahBase, wahFused := t[0], t[1], t[2], t[3], t[4]
 
 		for _, route := range []struct {
 			name string
@@ -145,11 +143,11 @@ func evalMeasurements(cfg config) ([]evalRow, error) {
 		}
 
 		out = append(out,
-			evalRow{wl.name, "baseline", baseMed, baseP99, 0},
-			evalRow{wl.name, "fused", fusedMed, fusedP99, ratioOf(fusedMed, baseMed)},
-			evalRow{wl.name, fmt.Sprintf("fused-par d=%d", degree), parMed, parP99, ratioOf(parMed, baseMed)},
-			evalRow{wl.name + "-wah", "baseline", wahBaseMed, wahBaseP99, 0},
-			evalRow{wl.name + "-wah", "fused", wahFusedMed, wahFusedP99, ratioOf(wahFusedMed, wahBaseMed)},
+			evalRow{wl.name, "baseline", base.med, base.p99, 0},
+			evalRow{wl.name, "fused", fused.med, fused.p99, ratioOf(fused.med, base.med)},
+			evalRow{wl.name, fmt.Sprintf("fused-par d=%d", degree), par.med, par.p99, ratioOf(par.med, base.med)},
+			evalRow{wl.name + "-wah", "baseline", wahBase.med, wahBase.p99, 0},
+			evalRow{wl.name + "-wah", "fused", wahFused.med, wahFused.p99, ratioOf(wahFused.med, wahBase.med)},
 		)
 	}
 	return out, nil

@@ -48,7 +48,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/iostat"
 	"repro/internal/obs"
 )
 
@@ -158,17 +157,34 @@ func newTab() *tabwriter.Writer {
 // is a real sample).
 const benchIters = 25
 
-// timeIt runs fn iters times and returns the median and p99 wall times
-// plus the last run's stats.
-func timeIt(iters int, fn func() iostat.Stats) (medNS, p99NS int64, st iostat.Stats) {
-	durs := make([]int64, max(iters, 1))
-	for i := range durs {
-		t0 := time.Now()
-		st = fn()
-		durs[i] = time.Since(t0).Nanoseconds()
+// timeRounds is the number of rounds timeModes splits each mode's
+// benchIters runs into; it divides benchIters.
+const timeRounds = 5
+
+// timing is one mode's median and p99 wall time.
+type timing struct{ med, p99 int64 }
+
+// timeModes times the modes of one comparison: benchIters runs each, in
+// timeRounds rounds that each run every mode's batch in turn, so a drift
+// in the host's or the heap's state lands on every mode alike. Timed one
+// mode after another, reorder's lex-asc in8 speedup read 9.01x and 5.18x
+// in two runs of the same code; interleaved, 4.81x and 5.02x.
+func timeModes(modes ...func()) []timing {
+	durs := make([][]int64, len(modes))
+	for r := 0; r < timeRounds; r++ {
+		for i, run := range modes {
+			for j := 0; j < benchIters/timeRounds; j++ {
+				t0 := time.Now()
+				run()
+				durs[i] = append(durs[i], time.Since(t0).Nanoseconds())
+			}
+		}
 	}
-	medNS, p99NS = medP99(durs)
-	return medNS, p99NS, st
+	out := make([]timing, len(modes))
+	for i := range out {
+		out[i].med, out[i].p99 = medP99(durs[i])
+	}
+	return out
 }
 
 // medP99 sorts wall times and returns their median and p99.

@@ -19,3 +19,38 @@ func TestExperiments(t *testing.T) {
 		})
 	}
 }
+
+// TestTimeModesInterleaves pins the timer's schedule: every mode runs
+// benchIters times, in timeRounds rounds that each run one batch of every
+// mode in turn.
+func TestTimeModesInterleaves(t *testing.T) {
+	var order []int
+	modes := make([]func(), 3)
+	for i := range modes {
+		modes[i] = func() { order = append(order, i) }
+	}
+	if got := timeModes(modes...); len(got) != len(modes) {
+		t.Fatalf("%d timings for %d modes", len(got), len(modes))
+	}
+	runs := make([]int, len(modes))
+	var batches []int // the mode of each maximal batch of consecutive runs
+	for n, i := range order {
+		runs[i]++
+		if n == 0 || order[n-1] != i {
+			batches = append(batches, i)
+		}
+	}
+	for i, n := range runs {
+		if n != benchIters {
+			t.Fatalf("mode %d ran %d times, want %d", i, n, benchIters)
+		}
+	}
+	if len(batches) != timeRounds*len(modes) {
+		t.Fatalf("%d batches, want %d rounds of %d modes: %v", len(batches), timeRounds, len(modes), order)
+	}
+	for b, i := range batches {
+		if i != b%len(modes) {
+			t.Fatalf("batch %d ran mode %d, want %d: %v", b, i, b%len(modes), order)
+		}
+	}
+}

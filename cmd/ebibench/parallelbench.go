@@ -53,14 +53,11 @@ func runParallel(cfg config) error {
 		rows, segs, bitvec.SegmentBits, degree, parallel.Default().MaxDegree())
 
 	var rows8, parRows *bitvec.Vector
-	seqMed, seqP99, seqSt := timeIt(benchIters, func() (st iostat.Stats) {
-		rows8, st = ix.In(parallelInVals)
-		return st
-	})
-	parMed, parP99, parSt := timeIt(benchIters, func() (st iostat.Stats) {
-		parRows, st = ix.InParallel(parallelInVals, degree, nil)
-		return st
-	})
+	var seqSt, parSt iostat.Stats
+	in8 := timeModes(
+		func() { rows8, seqSt = ix.In(parallelInVals) },
+		func() { parRows, parSt = ix.InParallel(parallelInVals, degree, nil) },
+	)
 	if seqSt != parSt {
 		return fmt.Errorf("parallel stats %+v diverged from sequential %+v", parSt, seqSt)
 	}
@@ -68,24 +65,20 @@ func runParallel(cfg config) error {
 		return fmt.Errorf("parallel rows diverged from sequential (%d vs %d set)", parRows.Count(), rows8.Count())
 	}
 
-	popSeqMed, popSeqP99, _ := timeIt(benchIters, func() iostat.Stats {
-		rows8.Count()
-		return iostat.Stats{}
-	})
-	popParMed, popParP99, _ := timeIt(benchIters, func() iostat.Stats {
-		parallelPopcount(rows8, degree)
-		return iostat.Stats{}
-	})
+	pop := timeModes(
+		func() { rows8.Count() },
+		func() { parallelPopcount(rows8, degree) },
+	)
 	if got, want := parallelPopcount(rows8, degree), rows8.Count(); got != want {
 		return fmt.Errorf("parallel popcount %d != Count %d", got, want)
 	}
 
 	w := newTab()
 	fmt.Fprintf(w, "workload\tmode\tmed\tp99\tspeedup(med)\t\n")
-	fmt.Fprintf(w, "in8 δ=%d\tseq\t%s\t%s\t1.00x\t\n", len(parallelInVals), fmtNS(seqMed), fmtNS(seqP99))
-	fmt.Fprintf(w, "in8 δ=%d\tpar d=%d\t%s\t%s\t%.2fx\t\n", len(parallelInVals), degree, fmtNS(parMed), fmtNS(parP99), speedup(seqMed, parMed))
-	fmt.Fprintf(w, "popcount\tseq\t%s\t%s\t1.00x\t\n", fmtNS(popSeqMed), fmtNS(popSeqP99))
-	fmt.Fprintf(w, "popcount\tpar d=%d\t%s\t%s\t%.2fx\t\n", degree, fmtNS(popParMed), fmtNS(popParP99), speedup(popSeqMed, popParMed))
+	fmt.Fprintf(w, "in8 δ=%d\tseq\t%s\t%s\t1.00x\t\n", len(parallelInVals), fmtNS(in8[0].med), fmtNS(in8[0].p99))
+	fmt.Fprintf(w, "in8 δ=%d\tpar d=%d\t%s\t%s\t%.2fx\t\n", len(parallelInVals), degree, fmtNS(in8[1].med), fmtNS(in8[1].p99), speedup(in8[0].med, in8[1].med))
+	fmt.Fprintf(w, "popcount\tseq\t%s\t%s\t1.00x\t\n", fmtNS(pop[0].med), fmtNS(pop[0].p99))
+	fmt.Fprintf(w, "popcount\tpar d=%d\t%s\t%s\t%.2fx\t\n", degree, fmtNS(pop[1].med), fmtNS(pop[1].p99), speedup(pop[0].med, pop[1].med))
 	return w.Flush()
 }
 

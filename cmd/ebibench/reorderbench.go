@@ -8,7 +8,6 @@ import (
 	"repro/internal/boolmin"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/iostat"
 	"repro/internal/reorder"
 	"repro/internal/simplebitmap"
 	"repro/internal/workload"
@@ -53,9 +52,16 @@ type reorderSpecResult struct {
 	encSP    float64 // encoded vectors, SALESPOINT
 	encProd  float64 // encoded vectors, PRODUCT (Zipf-skewed)
 
-	// Streamed fused evaluation medians over WAH operands, SALESPOINT EBI.
-	evalEqMed, evalIn8Med int64
+	// Streamed fused evaluation medians over WAH operands, SALESPOINT EBI,
+	// one per reorderSels entry.
+	evalMed [2]int64
 }
+
+// reorderSels are the selections timed on every row order.
+var reorderSels = [2]struct {
+	name string
+	vals []int64
+}{{"eq", []int64{3}}, {"in8", []int64{0, 1, 2, 3, 4, 5, 6, 7}}}
 
 // wahRatioSimple compresses every value vector of a simple bitmap index
 // under the given row order (nil = original) and returns wah/raw bytes.
@@ -118,21 +124,23 @@ func newReorderEvalFixture(col []int64, perm []int) (*reorderEvalFixture, error)
 	return &reorderEvalFixture{ix: ix, comp: comp, dst: bitvec.New(len(col))}, nil
 }
 
-// evalStreamed times the fused kernel over the WAH operands for one
-// in-list and leaves the last result in fx.dst for parity checking.
-// WordStreams are stateful cursors, so each pass opens fresh ones —
-// exactly what a real query execution does.
-func (fx *reorderEvalFixture) evalStreamed(vals []int64) int64 {
-	prog := boolmin.Compile(fx.ix.ExprFor(vals))
-	med, _, _ := timeIt(benchIters, func() iostat.Stats {
-		streams := make([]bitvec.WordSource, len(fx.comp))
-		for i, cv := range fx.comp {
-			streams[i] = cv.Stream()
+// streamed returns one timing mode per fixture: the fused kernel over the
+// fixture's WAH operands for one in-list, into the fixture's dst. Word
+// streams are stateful cursors, so each pass opens fresh ones — exactly
+// what a real query execution does.
+func streamed(fxs []*reorderEvalFixture, vals []int64) []func() {
+	modes := make([]func(), len(fxs))
+	for i, fx := range fxs {
+		prog := boolmin.Compile(fx.ix.ExprFor(vals))
+		modes[i] = func() {
+			streams := make([]bitvec.WordSource, len(fx.comp))
+			for j, cv := range fx.comp {
+				streams[j] = cv.Stream()
+			}
+			prog.EvalInto(fx.dst, streams)
 		}
-		prog.EvalInto(fx.dst, streams)
-		return iostat.Stats{}
-	})
-	return med
+	}
+	return modes
 }
 
 // reorderMeasurements plans every heuristic over the fact table and
@@ -153,9 +161,7 @@ func reorderMeasurements(cfg config) ([]reorderSpecResult, error) {
 		results = append(results, reorderSpecResult{label: bs.label, plan: p})
 	}
 
-	evalEq := []int64{3}
-	evalIn8 := []int64{0, 1, 2, 3, 4, 5, 6, 7}
-	var wantEq, wantIn8 *bitvec.Vector
+	fxs := make([]*reorderEvalFixture, len(results))
 	for i := range results {
 		res := &results[i]
 		var perm []int
@@ -171,25 +177,20 @@ func reorderMeasurements(cfg config) ([]reorderSpecResult, error) {
 		if res.encProd, err = wahRatioEncoded(star.Product, perm); err != nil {
 			return nil, err
 		}
-		fx, err := newReorderEvalFixture(star.SalesPoint, perm)
-		if err != nil {
+		if fxs[i], err = newReorderEvalFixture(star.SalesPoint, perm); err != nil {
 			return nil, err
 		}
-		res.evalEqMed = fx.evalStreamed(evalEq)
-		gotEq := fx.dst.Clone()
-		res.evalIn8Med = fx.evalStreamed(evalIn8)
-		gotIn8 := fx.dst
-		if perm == nil {
-			wantEq, wantIn8 = gotEq, gotIn8.Clone()
-			continue
-		}
-		// Query equivalence modulo the row-id mapping: the reordered
-		// streamed result must map back onto the unsorted one.
-		if !reorder.MapToOriginal(gotEq, perm).Equal(wantEq) {
-			return nil, fmt.Errorf("reorder/%s: streamed eq result diverged from unsorted", res.label)
-		}
-		if !reorder.MapToOriginal(gotIn8, perm).Equal(wantIn8) {
-			return nil, fmt.Errorf("reorder/%s: streamed in8 result diverged from unsorted", res.label)
+	}
+
+	// Every row order of one selection is timed in the same rounds, and
+	// each reordered result must map back onto the unsorted one.
+	for s, sel := range reorderSels {
+		for i, t := range timeModes(streamed(fxs, sel.vals)...) {
+			res := &results[i]
+			res.evalMed[s] = t.med
+			if res.plan != nil && !reorder.MapToOriginal(fxs[i].dst, res.plan.Perm).Equal(fxs[0].dst) {
+				return nil, fmt.Errorf("reorder/%s: streamed %s result diverged from unsorted", res.label, sel.name)
+			}
 		}
 	}
 	return results, nil
@@ -216,8 +217,8 @@ func runReorder(cfg config) error {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.3f\t%.3f\t%.3f\t%s\t%s\t%.2fx\n",
 			res.label, cols, plan, runRatio,
 			res.simpleSP, res.encSP, res.encProd,
-			fmtNS(res.evalEqMed), fmtNS(res.evalIn8Med),
-			float64(base.evalIn8Med)/float64(res.evalIn8Med))
+			fmtNS(res.evalMed[0]), fmtNS(res.evalMed[1]),
+			float64(base.evalMed[1])/float64(res.evalMed[1]))
 	}
 	return w.Flush()
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -26,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ordered index: %d rows, cardinality 1000, %d vectors\n", oi.Len(), oi.K())
+	fmt.Printf("ordered index: %d rows, cardinality 1000, %d vectors\n", oi.Index().Len(), oi.K())
 	for _, q := range [][2]int64{{100, 199}, {0, 499}, {900, 999}} {
 		rows, st := oi.Range(q[0], q[1])
 		fmt.Printf("  amount in [%d,%d]: %d rows, %d vector reads (simple bitmap: %d)\n",
@@ -34,7 +35,8 @@ func main() {
 	}
 
 	// The same range via IN-list rewriting + logical reduction.
-	rows, st := oi.RangeViaReduction(0, 499)
+	in := slices.DeleteFunc(oi.Index().Values(), func(v int64) bool { return v > 499 })
+	rows, st := oi.Index().In(in)
 	fmt.Printf("  [0,499] via reduction: %d rows, %d vector reads\n\n", rows.Count(), st.VectorsRead)
 
 	// --- Figure 6: optimize an order-preserving encoding for a favored

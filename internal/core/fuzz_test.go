@@ -51,8 +51,13 @@ func FuzzLoad(f *testing.F) {
 // FuzzBuildQueryDelete drives the index through arbitrary operation
 // sequences derived from fuzz bytes and checks invariants throughout.
 // After every operation it re-evaluates one fixed IN list, whose
-// reduction the code-set cache serves on every repeat: domain expansion,
-// widening, NULL-code allocation and deletes must never leave it stale.
+// reduction the code-set cache serves on every repeat, and one fixed
+// range through Range: domain expansion, widening, NULL-code allocation
+// and deletes must never leave either stale. The index starts empty, so
+// ascending appends build an ordered code space whose ranges take the
+// interval cover (widened across free and void codes, split around the
+// NULL code) and the first out-of-order new value switches them to the IN
+// list.
 func FuzzBuildQueryDelete(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 4, 5})
 	f.Add([]byte{0, 0, 0, 0})
@@ -65,6 +70,7 @@ func FuzzBuildQueryDelete(f *testing.F) {
 		}
 		mirror := make([]int, 0, len(data)) // -1 = void, -2 = null
 		sel := []int{0, 2, 5}
+		const lo, hi = 3, 20
 		for op, b := range data {
 			switch {
 			case b >= 250: // delete a row
@@ -95,6 +101,16 @@ func FuzzBuildQueryDelete(f *testing.F) {
 			for i, mv := range mirror {
 				if rows.Get(i) != slices.Contains(sel, mv) {
 					t.Fatalf("op %d: In(%v) wrong at row %d (mirror %d)", op, sel, i, mv)
+				}
+			}
+			rows, st = Range(ix.View(), lo, hi, 1, nil)
+			if p := PredictRange(ix.View(), lo, hi); rows.Len() != len(mirror) || st != p {
+				t.Fatalf("op %d: Range(%d, %d) has %d rows (want %d), stats %+v, predicted %+v",
+					op, lo, hi, rows.Len(), len(mirror), st, p)
+			}
+			for i, mv := range mirror {
+				if rows.Get(i) != (mv >= lo && mv <= hi) {
+					t.Fatalf("op %d: Range(%d, %d) wrong at row %d (mirror %d)", op, lo, hi, i, mv)
 				}
 			}
 		}

@@ -74,12 +74,12 @@ type Index[V comparable] struct {
 
 	deleted int // number of voided rows (diagnostics)
 
-	// progs is the program cache of the index's code space, and carries
-	// the code space's generation. Every snapshot of one code space shares
-	// it; any change to the code space or the don't-care set (domain
+	// cs is the index's code space: its generation, program cache, domain
+	// in code order and don't-care list. Every snapshot of one code space
+	// shares it; any change to the code space or the don't-care set (domain
 	// expansion, widening, NULL-code allocation, re-encoding) installs a
 	// fresh one with the next generation (invalidateCache).
-	progs *progCache
+	cs *codeSpace[V]
 
 	// srcs mirrors vectors as fused-kernel operands. It is rebuilt, into a
 	// fresh slice, at every point the vectors slice itself changes
@@ -112,15 +112,42 @@ func (r *reduction) exprCopy() boolmin.Expr {
 	return boolmin.Expr{K: r.expr.K, Cubes: slices.Clone(r.expr.Cubes)}
 }
 
-// progCache memoizes reductions for one code space, keyed by the
-// canonical code set (sorted, deduplicated codes, four little-endian bytes
-// each). A reduction is a pure function of (k, code set, don't-cares), all
-// of which the code space pins, so entries need no further validation.
-// Concurrent readers of a Synced snapshot fill it under mu.
-type progCache struct {
+// codeSpace is one generation of an index's code assignment. It memoizes
+// reductions keyed by the canonical code set (sorted, deduplicated codes,
+// four little-endian bytes each). A reduction is a pure function of (k,
+// code set, don't-cares), all of which the code space pins, so entries
+// need no further validation. Concurrent readers of a Synced snapshot fill
+// the cache under mu, and the domain and don't-care list once (space).
+type codeSpace[V comparable] struct {
 	gen uint64
 	mu  sync.RWMutex
 	m   map[string]*reduction
+
+	once      sync.Once
+	domain    []V      // mapped values in code order
+	codes     []uint32 // domain[i]'s code, ascending
+	dontCares []uint32 // see Index.dontCares
+
+	orderOnce sync.Once
+	ordered   bool // values ascend with their codes (orderedDomain)
+}
+
+// space returns the index's code space with its domain and don't-care
+// list worked out. Every index sharing a code space holds the same
+// mapping, NULL code and options, so whichever reads it first fills it.
+func (ix *Index[V]) space() *codeSpace[V] {
+	cs := ix.cs
+	cs.once.Do(func() {
+		cs.codes = ix.mapping.Codes()
+		cs.domain = make([]V, len(cs.codes))
+		for i, c := range cs.codes {
+			cs.domain[i], _ = ix.mapping.ValueOf(c)
+		}
+		if ix.useDC {
+			cs.dontCares = ix.freeValueCodes()
+		}
+	})
+	return cs
 }
 
 // rebuildSources refreshes the fused-operand view of the vectors slice.
@@ -135,9 +162,9 @@ func (ix *Index[V]) rebuildSources() {
 }
 
 // clone returns a copy of the index that shares its vectors and its code
-// space's program cache but owns its mapping, so expanding the copy's
-// domain (codeFor, enableNull) leaves the receiver — a published Synced
-// snapshot — untouched.
+// space but owns its mapping, so expanding the copy's domain (codeFor,
+// enableNull) leaves the receiver — a published Synced snapshot —
+// untouched.
 func (ix *Index[V]) clone() *Index[V] {
 	c := *ix
 	c.mapping = ix.mapping.Clone()
@@ -220,7 +247,7 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 	ix := &Index[V]{
 		reserveVoid: !o.DisableVoidReserve,
 		useDC:       !o.DisableDontCares,
-		progs:       new(progCache),
+		cs:          new(codeSpace[V]),
 	}
 
 	switch {
@@ -449,29 +476,9 @@ func (ix *Index[V]) Delete(row int) error {
 
 // dontCares returns the codes logical reduction may treat as don't-cares:
 // unassigned codes excluding the void and NULL codes (those can occur in
-// rows, so an expression must stay correct on them).
-func (ix *Index[V]) dontCares() []uint32 {
-	if !ix.useDC {
-		return nil
-	}
-	return ix.freeValueCodes()
-}
-
-// dontCareCount is len(dontCares()) counted without listing the code
-// space: every code the mapping leaves free, less the void and NULL codes.
-func (ix *Index[V]) dontCareCount() int {
-	if !ix.useDC {
-		return 0
-	}
-	free := 1<<uint(ix.K()) - ix.mapping.Len()
-	if _, taken := ix.mapping.ValueOf(0); ix.reserveVoid && !taken {
-		free--
-	}
-	if _, taken := ix.mapping.ValueOf(ix.nullCode); ix.hasNullCode && !taken && !(ix.reserveVoid && ix.nullCode == 0) {
-		free--
-	}
-	return free
-}
+// rows, so an expression must stay correct on them). The list is the code
+// space's, listed once; callers must not modify it.
+func (ix *Index[V]) dontCares() []uint32 { return ix.space().dontCares }
 
 // ExprFor returns the reduced retrieval Boolean expression for the
 // selection "A IN values". Values outside the domain are ignored (they
@@ -533,7 +540,7 @@ func (ix *Index[V]) reduce(codes []uint32) *reduction {
 	for _, c := range codes {
 		key = binary.LittleEndian.AppendUint32(key, c)
 	}
-	pc := ix.progs
+	pc := ix.cs
 	pc.mu.RLock()
 	r, ok := pc.m[string(key)]
 	pc.mu.RUnlock()
@@ -568,7 +575,7 @@ func (ix *Index[V]) reduce(codes []uint32) *reduction {
 // program cache; called when the code space or the don't-care set
 // changes.
 func (ix *Index[V]) invalidateCache() {
-	ix.progs = &progCache{gen: ix.progs.gen + 1}
+	ix.cs = &codeSpace[V]{gen: ix.cs.gen + 1}
 }
 
 // complement lists the mapped values outside the value list, and their
@@ -580,11 +587,11 @@ func (ix *Index[V]) complement(values []V) (codes []uint32, included []V) {
 			excluded[c] = true
 		}
 	}
-	for _, v := range ix.mapping.Values() {
-		c, _ := ix.mapping.CodeOf(v)
+	cs := ix.space()
+	for i, c := range cs.codes {
 		if !excluded[c] {
 			codes = append(codes, c)
-			included = append(included, v)
+			included = append(included, cs.domain[i])
 		}
 	}
 	return codes, included
@@ -621,10 +628,12 @@ func (ix *Index[V]) CodeAt(row int) uint32 {
 }
 
 // Values returns the domain values ordered by code.
-func (ix *Index[V]) Values() []V { return ix.mapping.Values() }
+func (ix *Index[V]) Values() []V { return slices.Clone(ix.space().domain) }
 
 // CheckInvariants validates internal consistency: every row's code is a
-// mapped value code, the NULL code, or 0 (void); vector lengths agree.
+// mapped value code, the NULL code, or 0 (void); vector lengths agree; and
+// the void rows are exactly the deleted ones, since an ordered range's
+// cover selects the void code while no row is deleted.
 func (ix *Index[V]) CheckInvariants() error {
 	for i, vec := range ix.vectors {
 		if vec.Len() != ix.n {
@@ -646,8 +655,8 @@ func (ix *Index[V]) CheckInvariants() error {
 		}
 		return fmt.Errorf("core: row %d carries unmapped code %0*b", row, ix.K(), code)
 	}
-	if voidRows < ix.deleted {
-		return fmt.Errorf("core: %d rows voided but only %d zero codes found", ix.deleted, voidRows)
+	if voidRows != ix.deleted {
+		return fmt.Errorf("core: %d rows voided but %d zero codes found", ix.deleted, voidRows)
 	}
 	return nil
 }

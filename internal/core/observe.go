@@ -47,7 +47,7 @@ func (ix *Index[V]) TheoreticalMinVectors(delta int) int {
 	if delta > space {
 		delta = space
 	}
-	hi := delta + ix.dontCareCount()
+	hi := delta + len(ix.dontCares())
 	if hi > space {
 		hi = space
 	}

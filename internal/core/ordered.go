@@ -11,18 +11,11 @@ import (
 	"repro/internal/iostat"
 )
 
-// OrderedIndex is an encoded bitmap index whose mapping is total-order
-// preserving (Section 2.3), so a range predicate "lo <= A <= hi" selects
-// one code interval. Range covers that interval with aligned subcubes
-// (boolmin.IntervalCover) instead of rewriting it into an IN-list and
-// minimizing: each subcube is a retrieval function reading only its fixed
-// high bits, and the cover runs through the fused kernel like every other
-// selection, reading at most k vectors.
-type OrderedIndex[V cmp.Ordered] struct {
-	ix     *Index[V]
-	sorted []V                  // domain in ascending value order
-	from   *encoding.Mapping[V] // the mapping sorted was read from
-}
+// OrderedIndex is an encoded bitmap index built over a total-order
+// preserving mapping (Section 2.3). It holds nothing but the index: its
+// reads are the index's, and Range is core.Range, which takes the interval
+// cover while the code space stays ordered.
+type OrderedIndex[V cmp.Ordered] struct{ ix *Index[V] }
 
 // BuildOrdered constructs an order-preserving encoded bitmap index over
 // the column. favored, when non-empty, lists IN-subdomains to optimize the
@@ -82,101 +75,100 @@ func BuildOrdered[V cmp.Ordered](column []V, favored [][]V, searchOpt *encoding.
 			return nil, err
 		}
 	}
-	return &OrderedIndex[V]{ix: ix, sorted: domain, from: ix.mapping}, nil
+	return &OrderedIndex[V]{ix: ix}, nil
 }
 
-// OrderedFrom wraps an existing index whose mapping is total-order
-// preserving, such as one over a custom mapping with code gaps. It fails
-// when the mapping is not order preserving — the interval-cover range
-// algorithm would silently return wrong rows otherwise.
-func OrderedFrom[V cmp.Ordered](ix *Index[V]) (*OrderedIndex[V], error) {
-	sorted := ix.mapping.Values() // ordered by code
-	for i := 1; i < len(sorted); i++ {
-		if !(sorted[i-1] < sorted[i]) {
-			return nil, fmt.Errorf("core: mapping is not total-order preserving (%v before %v)",
-				sorted[i-1], sorted[i])
-		}
-	}
-	return &OrderedIndex[V]{ix: ix, sorted: sorted, from: ix.mapping}, nil
-}
-
-// Index exposes the underlying encoded bitmap index (for Eq, In,
-// aggregates, group sets).
+// Index exposes the underlying encoded bitmap index.
 func (oi *OrderedIndex[V]) Index() *Index[V] { return oi.ix }
-
-// Len returns the number of rows.
-func (oi *OrderedIndex[V]) Len() int { return oi.ix.Len() }
 
 // K returns the number of bitmap vectors.
 func (oi *OrderedIndex[V]) K() int { return oi.ix.K() }
 
-// Range returns rows with lo <= value <= hi. While the domain is the
-// build's, the values in range hold one interval of codes [cl, ch]. Range
-// widens it across codes no row can hold — free codes, and the void code 0
-// while no row is deleted — so the cover's blocks can only grow, splits it
-// around the NULL code when that falls inside, and evaluates the
-// interval's aligned-subcube cover through the index's view like any
-// other selection. It reads the cover's distinct variables: at most k
-// vectors. Once appends have grown the domain, or the index holds another
-// mapping (Index.Reencode need not preserve order), Range selects the
-// mapped values in range as an IN-list instead.
+// View returns the index's read view.
+func (oi *OrderedIndex[V]) View() *View[V] { return oi.ix.View() }
+
+// TheoreticalMinVectors returns the index's Theorem 2.2/2.3 floor (see
+// Index).
+func (oi *OrderedIndex[V]) TheoreticalMinVectors(delta int) int {
+	return oi.ix.TheoreticalMinVectors(delta)
+}
+
+// Range returns rows with lo <= value <= hi (see core.Range).
 func (oi *OrderedIndex[V]) Range(lo, hi V) (*bitvec.Vector, iostat.Stats) {
-	return oi.ix.View().eval(oi.rangeProgram(lo, hi), 1, nil)
+	return Range(oi.ix.View(), lo, hi, 1, nil)
 }
 
-// PredictRangeStats returns the exact Stats Range(lo, hi) would report,
-// from the encoding alone.
-func (oi *OrderedIndex[V]) PredictRangeStats(lo, hi V) iostat.Stats {
-	return predictProgram(oi.rangeProgram(lo, hi), oi.ix.Len())
-}
-
-// rangeProgram returns the program Range evaluates: the interval cover,
-// the constant false when no domain value lies in [lo, hi], or the IN-list
-// selection once the domain has grown or the mapping was replaced.
-func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
-	ix := oi.ix
-	k := ix.K()
-	if ix.mapping != oi.from || ix.mapping.Len() != len(oi.sorted) {
-		// A value appended since the build holds whichever code was free,
-		// and a re-encode may assign codes in any order, so the values in
-		// range need not fill one code interval: select them as an
-		// IN-list through the code-set cache.
-		var in []V
-		for _, v := range ix.mapping.Values() {
-			if lo <= v && v <= hi {
-				in = append(in, v)
+// orderedDomain returns the code space's domain in code order and whether
+// its values ascend with their codes: the total-order preserving property
+// of Section 2.3, worked out once per code space. It holds after any
+// build over such a mapping and survives appends of new values that take
+// a free code between their neighbours' (a new maximum above every code,
+// say); any other new value or re-encoding ends it with its code space.
+func orderedDomain[V cmp.Ordered](ix *Index[V]) (cs *codeSpace[V], ordered bool) {
+	cs = ix.space()
+	cs.orderOnce.Do(func() {
+		cs.ordered = true
+		for i := 1; i < len(cs.domain); i++ {
+			if !(cs.domain[i-1] < cs.domain[i]) {
+				cs.ordered = false
+				break
 			}
 		}
-		return ix.selection(in).prog
+	})
+	return cs, cs.ordered
+}
+
+// rangeSelection returns the values in [lo, hi] in code order and the
+// program that selects them. On an ordered code space those values hold
+// one code interval, and the program is its aligned-subcube cover
+// (boolmin.IntervalCover: at most 2(k-1) cubes reading at most k vectors,
+// no minimization). Otherwise it is the IN list's cached reduction, the
+// paper's discrete-domain rewriting.
+func rangeSelection[V cmp.Ordered](ix *Index[V], lo, hi V) ([]V, *boolmin.Program) {
+	cs, ordered := orderedDomain(ix)
+	if !ordered {
+		var in []V
+		var codes []uint32
+		for i, v := range cs.domain {
+			if lo <= v && v <= hi {
+				in = append(in, v)
+				codes = append(codes, cs.codes[i])
+			}
+		}
+		return in, ix.reduce(codes).prog
 	}
-	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
-	j := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] > hi })
+	i := sort.Search(len(cs.domain), func(i int) bool { return cs.domain[i] >= lo })
+	j := sort.Search(len(cs.domain), func(i int) bool { return cs.domain[i] > hi })
 	if i >= j {
-		return boolmin.Compile(boolmin.Expr{K: k})
+		return nil, boolmin.Compile(boolmin.Expr{K: ix.K()})
 	}
-	cl, _ := ix.mapping.CodeOf(oi.sorted[i])
-	ch, _ := ix.mapping.CodeOf(oi.sorted[j-1])
-	// The codes a row can hold are the domain's value codes, the NULL code
-	// and, once a row is deleted, 0. Widen to just inside the nearest such
-	// codes below cl and above ch.
+	return cs.domain[i:j:j], ix.cover(cs.codes, i, j)
+}
+
+// cover returns the program selecting codes[i:j], a run of an ordered code
+// space's value codes. The codes a row can hold are the value codes, the
+// NULL code and, once a row is deleted, 0, so the interval widens to just
+// inside the nearest such codes below codes[i] and above codes[j-1] (the
+// cover's blocks can only grow) and splits around the NULL code when that
+// falls inside.
+func (ix *Index[V]) cover(codes []uint32, i, j int) *boolmin.Program {
+	k := ix.K()
 	below, above := int64(-1), int64(1)<<uint(k)
 	if i > 0 {
-		c, _ := ix.mapping.CodeOf(oi.sorted[i-1])
-		below = int64(c)
+		below = int64(codes[i-1])
 	}
-	if j < len(oi.sorted) {
-		c, _ := ix.mapping.CodeOf(oi.sorted[j])
-		above = int64(c)
+	if j < len(codes) {
+		above = int64(codes[j])
 	}
 	if ix.deleted > 0 {
 		below = max(below, 0)
 	}
-	if null := int64(ix.nullCode); ix.hasNullCode && null < int64(cl) {
+	if null := int64(ix.nullCode); ix.hasNullCode && null < int64(codes[i]) {
 		below = max(below, null)
-	} else if ix.hasNullCode && null > int64(ch) {
+	} else if ix.hasNullCode && null > int64(codes[j-1]) {
 		above = min(above, null)
-	} // a NULL code inside [cl, ch] is split out below
-	cl, ch = uint32(below+1), uint32(above-1)
+	} // a NULL code inside the run is split out below
+	cl, ch := uint32(below+1), uint32(above-1)
 	null := ix.nullCode
 	if !ix.hasNullCode || null < cl || null > ch {
 		return boolmin.Compile(boolmin.IntervalCover(k, cl, ch))
@@ -189,18 +181,4 @@ func (oi *OrderedIndex[V]) rangeProgram(lo, hi V) *boolmin.Program {
 		e.Cubes = append(e.Cubes, boolmin.IntervalCover(k, null+1, ch).Cubes...)
 	}
 	return boolmin.Compile(e)
-}
-
-// RangeViaReduction answers the same query by rewriting the range into an
-// IN-list of the mapped values in [lo, hi] and minimizing the retrieval
-// expression — the paper's default path, which examples/rangescan compares
-// against the interval-cover algorithm.
-func (oi *OrderedIndex[V]) RangeViaReduction(lo, hi V) (*bitvec.Vector, iostat.Stats) {
-	var in []V
-	for _, v := range oi.ix.Values() {
-		if lo <= v && v <= hi {
-			in = append(in, v)
-		}
-	}
-	return oi.ix.In(in)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/encoding"
+	"repro/internal/iostat"
 )
 
 func TestBuildOrderedBasics(t *testing.T) {
@@ -18,8 +19,8 @@ func TestBuildOrderedBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oi.Len() != len(col) {
-		t.Fatalf("Len = %d", oi.Len())
+	if oi.Index().Len() != len(col) {
+		t.Fatalf("Len = %d", oi.Index().Len())
 	}
 	// Order preserving: codes ascend with values.
 	m := oi.Index().Mapping()
@@ -106,38 +107,33 @@ func TestOrderedFavoredSubdomain(t *testing.T) {
 	}
 }
 
-func TestOrderedFromRejectsUnorderedMapping(t *testing.T) {
-	// A non-monotone mapping must be rejected.
+// TestRangeUnorderedMappingTakesInList pins the route on a mapping whose
+// codes do not ascend with its values: Range must select the values in
+// range as an IN list (the interval between their codes would hold other
+// values), with the IN list's rows and Stats.
+func TestRangeUnorderedMappingTakesInList(t *testing.T) {
 	m := encoding.NewMapping[int64](3)
 	m.MustAdd(10, 5)
 	m.MustAdd(20, 2) // larger value, smaller code
-	ix, err := Build([]int64{10, 20}, nil, &Options[int64]{Mapping: m})
+	m.MustAdd(30, 3)
+	ix, err := Build([]int64{10, 20, 30, 20}, nil, &Options[int64]{Mapping: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OrderedFrom(ix); err == nil {
-		t.Fatal("non-order-preserving mapping accepted")
+	if _, ordered := orderedDomain(ix); ordered {
+		t.Fatal("non-order-preserving mapping taken as ordered")
 	}
-}
-
-func TestRangeViaReductionAgrees(t *testing.T) {
-	col := []int{105, 101, 103, 105, 106, 102, 104}
-	oi, _ := BuildOrdered(col, nil, nil)
-	a, _ := oi.Range(102, 105)
-	b, _ := oi.RangeViaReduction(102, 105)
-	if !a.Equal(b) {
-		t.Fatalf("Range %s != RangeViaReduction %s", a.String(), b.String())
-	}
-	empty, _ := oi.RangeViaReduction(300, 400)
-	if empty.Any() {
-		t.Fatal("out-of-domain reduction range should be empty")
+	rows, st := Range(ix.View(), 10, 20, 1, nil)
+	in, inSt := ix.In([]int64{10, 20})
+	if rows.String() != "1101" || !rows.Equal(in) || st != inSt {
+		t.Fatalf("Range(10, 20) = %s %+v, IN list %s %+v", rows, st, in, inSt)
 	}
 }
 
 // TestOrderedRangeAfterReencode re-encodes an ordered index's inner index
 // in place. A mapping that reverses the code order leaves the build's
 // interval cover selecting the wrong codes, so Range must fall back to the
-// IN-list; an order-preserving one must keep matching the scan too.
+// IN list; an order-preserving one must keep matching the scan too.
 func TestOrderedRangeAfterReencode(t *testing.T) {
 	col := []int{1, 2, 3, 4, 5, 6, 2, 3, 6, 1}
 	for _, tc := range []struct {
@@ -170,25 +166,38 @@ func TestOrderedRangeAfterReencode(t *testing.T) {
 			if !rows.Equal(want) {
 				t.Fatalf("%s: Range(%d, %d) = %d rows, scan %d", tc.name, lo, hi, rows.Count(), want.Count())
 			}
-			if st != oi.PredictRangeStats(lo, hi) {
-				t.Fatalf("%s: Range(%d, %d) stats %+v, predicted %+v", tc.name, lo, hi, st, oi.PredictRangeStats(lo, hi))
+			if p := PredictRange(oi.View(), lo, hi); st != p {
+				t.Fatalf("%s: Range(%d, %d) stats %+v, predicted %+v", tc.name, lo, hi, st, p)
 			}
-			if viaRed, _ := oi.RangeViaReduction(lo, hi); !rows.Equal(viaRed) {
-				t.Fatalf("%s: Range(%d, %d) differs from RangeViaReduction", tc.name, lo, hi)
+			if in, _ := inListRange(oi.View(), lo, hi); !rows.Equal(in) {
+				t.Fatalf("%s: Range(%d, %d) differs from the IN list", tc.name, lo, hi)
 			}
 		}
 	}
 }
 
+// inListRange answers a range as the IN list of the view's mapped values
+// in it: the route an unordered code space takes, and the reference the
+// interval cover must agree with on rows.
+func inListRange[V cmp.Ordered](v *View[V], lo, hi V) (*bitvec.Vector, iostat.Stats) {
+	var in []V
+	for _, x := range v.Values() {
+		if lo <= x && x <= hi {
+			in = append(in, x)
+		}
+	}
+	return v.In(in)
+}
+
 // cmpCode is the O'Neil–Quass MSB-first comparison pass Range used before
 // interval covers: the rows whose code is below c and those whose code
 // equals c. It stays here as an oracle independent of boolmin.
-func cmpCode[V cmp.Ordered](oi *OrderedIndex[V], c uint32) (lt, eq *bitvec.Vector) {
-	eq = bitvec.New(oi.Len())
+func cmpCode[V comparable](ix *Index[V], c uint32) (lt, eq *bitvec.Vector) {
+	eq = bitvec.New(ix.Len())
 	eq.Fill()
-	lt = bitvec.New(oi.Len())
-	for i := oi.K() - 1; i >= 0; i-- {
-		vec := oi.ix.vectors[i]
+	lt = bitvec.New(ix.Len())
+	for i := ix.K() - 1; i >= 0; i-- {
+		vec := ix.vectors[i]
 		if c&(1<<uint(i)) != 0 {
 			lt.Or(bitvec.AndNot(eq, vec))
 			eq.And(vec)
@@ -199,22 +208,24 @@ func cmpCode[V cmp.Ordered](oi *OrderedIndex[V], c uint32) (lt, eq *bitvec.Vecto
 	return lt, eq
 }
 
-// rangeByComparison answers Range(lo, hi) with two comparison passes: the
-// rows whose code lies between the codes of the first value >= lo and the
-// last value <= hi, less the NULL rows.
-func rangeByComparison[V cmp.Ordered](oi *OrderedIndex[V], lo, hi V) *bitvec.Vector {
-	i := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] >= lo })
-	j := sort.Search(len(oi.sorted), func(i int) bool { return oi.sorted[i] > hi })
+// rangeByComparison answers Range(lo, hi) on an index whose mapping is
+// order preserving with two comparison passes: the rows whose code lies
+// between the codes of the first value >= lo and the last value <= hi,
+// less the NULL rows.
+func rangeByComparison[V cmp.Ordered](ix *Index[V], lo, hi V) *bitvec.Vector {
+	sorted := ix.Values()
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= lo })
+	j := sort.Search(len(sorted), func(i int) bool { return sorted[i] > hi })
 	if i >= j {
-		return bitvec.New(oi.Len())
+		return bitvec.New(ix.Len())
 	}
-	cl, _ := oi.ix.mapping.CodeOf(oi.sorted[i])
-	ch, _ := oi.ix.mapping.CodeOf(oi.sorted[j-1])
-	ltHi, eqHi := cmpCode(oi, ch)
-	ltLo, _ := cmpCode(oi, cl)
+	cl, _ := ix.mapping.CodeOf(sorted[i])
+	ch, _ := ix.mapping.CodeOf(sorted[j-1])
+	ltHi, eqHi := cmpCode(ix, ch)
+	ltLo, _ := cmpCode(ix, cl)
 	rows := ltHi.Or(eqHi).AndNot(ltLo)
-	if oi.ix.hasNullCode {
-		_, nulls := cmpCode(oi, oi.ix.nullCode)
+	if ix.hasNullCode {
+		_, nulls := cmpCode(ix, ix.nullCode)
 		rows.AndNot(nulls)
 	}
 	return rows
@@ -237,34 +248,62 @@ func TestOrderedRangeNullCodeInside(t *testing.T) {
 	if ix.nullCode != 2 {
 		t.Fatalf("NULL code = %d, want 2", ix.nullCode)
 	}
-	oi, err := OrderedFrom(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range [][2]int{{10, 50}, {15, 35}, {20, 30}, {10, 20}, {30, 50}} {
-		rows, st := oi.Range(r[0], r[1])
-		if want := rangeByComparison(oi, r[0], r[1]); !rows.Equal(want) {
+		rows, st := Range(ix.View(), r[0], r[1], 1, nil)
+		if want := rangeByComparison(ix, r[0], r[1]); !rows.Equal(want) {
 			t.Fatalf("Range(%d, %d) = %s, want %s", r[0], r[1], rows, want)
 		}
-		if st.VectorsRead > oi.K() || st != oi.PredictRangeStats(r[0], r[1]) {
-			t.Fatalf("Range(%d, %d) stats %+v, predicted %+v (k=%d)", r[0], r[1], st, oi.PredictRangeStats(r[0], r[1]), oi.K())
+		if p := PredictRange(ix.View(), r[0], r[1]); st.VectorsRead > ix.K() || st != p {
+			t.Fatalf("Range(%d, %d) stats %+v, predicted %+v (k=%d)", r[0], r[1], st, p, ix.K())
 		}
 	}
 }
 
-// Property: Range matches a scan for arbitrary data and bounds, on the
-// plain ordered encoding, on order-preserving mappings with code gaps (a
-// custom one, or a favored build over a small domain), with values
-// appended after the build (which take whatever code is free), NULL rows
-// (whose code may fall inside the interval) and deleted rows. Rows must
-// equal the scan and the IN-list rewrite, and the comparison-pass oracle
-// while the domain is the build's; Range must read at most k vectors and
-// report exactly PredictRangeStats.
+// rangeTarget is what the range property drives: a plain Index or a
+// Synced one.
+type rangeTarget interface {
+	View() *View[int]
+	Append(v int) error
+	AppendNull() error
+	Delete(row int) error
+	Reencode(m *encoding.Mapping[int]) error
+}
+
+// orderedMapping codes distinct values from code 1 in ascending value
+// order, or in descending order when ascending is false, leaving room for
+// the void and NULL codes.
+func orderedMapping(values []int, ascending bool) *encoding.Mapping[int] {
+	values = slices.Clone(values)
+	slices.Sort(values)
+	if !ascending {
+		slices.Reverse(values)
+	}
+	m := encoding.NewMapping[int](encoding.BitsFor(len(values) + 2))
+	for i, v := range values {
+		m.MustAdd(v, uint32(i+1))
+	}
+	return m
+}
+
+// Property: Range matches a scan for arbitrary data, bounds and histories
+// on every kind of EBI: an ordered build (plain, over a custom mapping
+// with code gaps, or favored), a plain Build whose first-seen maximum
+// reserveZero moves above the rest (ordered too), a Build in first
+// appearance order (rarely ordered), and a Synced over an ordered index
+// with tail appends and folds. Between queries it appends existing
+// values, new maxima (which keep the order where the lowest free code
+// lies above every value code), new minima (which take a code above the
+// rest and break it), NULLs (whose code may fall inside the interval),
+// deletes, and re-encodings to an unordered mapping and back to an
+// ordered one. Every range must match the scan and the IN list's rows and
+// report exactly PredictRange; while the code space is ordered it must
+// also match the comparison-pass oracle and read at most k vectors, and
+// otherwise report the IN list's Stats.
 func TestPropOrderedRangeMatchesScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
-		mode := r.Intn(3) // 0 plain, 1 custom gapped mapping, 2 favored
+		mode := r.Intn(6) // 0 plain, 1 custom gapped mapping, 2 favored, 3 max first, 4 first appearance, 5 Synced
 		maxV := 2 + r.Intn(60)
 		if mode == 2 {
 			maxV = 2 + r.Intn(4) // the favored search enumerates code sets
@@ -275,7 +314,7 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 			col[i] = r.Intn(maxV)
 			null[i] = mode == 1 && r.Intn(8) == 0
 		}
-		var oi *OrderedIndex[int]
+		var ix *Index[int]
 		var err error
 		switch mode {
 		case 1:
@@ -286,10 +325,7 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 			for v, c := range codes {
 				m.MustAdd(v, uint32(c+1)) // codes from 1: 0 stays void
 			}
-			var ix *Index[int]
-			if ix, err = Build(col, null, &Options[int]{Mapping: m}); err == nil {
-				oi, err = OrderedFrom(ix)
-			}
+			ix, err = Build(col, null, &Options[int]{Mapping: m})
 		case 2:
 			var fav []int
 			for v := 0; v < maxV; v++ {
@@ -297,57 +333,112 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 					fav = append(fav, v)
 				}
 			}
-			oi, err = BuildOrdered(col, [][]int{fav}, nil)
+			var oi *OrderedIndex[int]
+			if oi, err = BuildOrdered(col, [][]int{fav}, nil); err == nil {
+				ix = oi.Index()
+			}
+		case 3:
+			// First appearance: the maximum, then the rest ascending.
+			// Build codes them 0, 1, ...; reserveZero rebinds the maximum
+			// to the lowest free code, above the rest.
+			first := []int{maxV}
+			for v := 0; v < maxV; v++ {
+				first = append(first, v)
+			}
+			col, null = append(first, col...), append(make([]bool, len(first)), null...)
+			ix, err = Build(col, null, nil)
+		case 4:
+			ix, err = Build(col, null, nil)
 		default:
-			oi, err = BuildOrdered(col, nil, nil)
+			var oi *OrderedIndex[int]
+			if oi, err = BuildOrdered(col, nil, nil); err == nil {
+				ix = oi.Index()
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode != 1 && r.Intn(2) == 0 {
-			for i := 1 + r.Intn(3); i > 0; i-- {
-				v := r.Intn(maxV+4) - 2
-				if err := oi.Index().Append(v); err != nil {
-					t.Fatal(err)
-				}
-				col, null = append(col, v), append(null, false)
-			}
+		if _, ordered := orderedDomain(ix); !ordered && mode != 4 {
+			t.Fatalf("seed %d mode %d: build is not ordered: %v", seed, mode, ix.Values())
 		}
-		if mode != 1 {
-			for i := r.Intn(4); i > 0; i-- {
-				if err := oi.Index().AppendNull(); err != nil {
-					t.Fatal(err)
-				}
-				col, null = append(col, 0), append(null, true)
-			}
+		var target rangeTarget = ix
+		if mode == 5 {
+			s := NewSynced(ix)
+			s.foldThreshold = 1 + r.Intn(16)
+			target = s
 		}
 		deleted := make([]bool, len(col))
-		for i := r.Intn(4); i > 0; i-- {
-			row := r.Intn(len(col))
-			if err := oi.Index().Delete(row); err != nil {
-				t.Fatal(err)
-			}
-			deleted[row] = true
-		}
-		grown := oi.Index().Cardinality() != len(oi.sorted)
-		for q := 0; q < 8; q++ {
-			lo, hi := r.Intn(maxV+6)-3, r.Intn(maxV+6)-3
-			rows, st := oi.Range(lo, hi)
-			for i, v := range col {
-				if rows.Get(i) != (!null[i] && !deleted[i] && v >= lo && v <= hi) {
-					t.Fatalf("seed %d mode %d: Range(%d, %d) row %d = %v", seed, mode, lo, hi, i, rows.Get(i))
+		loV, hiV := -1, maxV // the values just below and at the top of the domain so far
+		check := func(step string) {
+			view := target.View()
+			_, ordered := orderedDomain(view.ix)
+			for q := 0; q < 6; q++ {
+				lo, hi := loV-3+r.Intn(hiV-loV+6), loV-3+r.Intn(hiV-loV+6)
+				rows, st := Range(view, lo, hi, 1+r.Intn(2), nil)
+				for i, v := range col {
+					if rows.Get(i) != (!null[i] && !deleted[i] && v >= lo && v <= hi) {
+						t.Fatalf("seed %d mode %d %s: Range(%d, %d) row %d = %v", seed, mode, step, lo, hi, i, rows.Get(i))
+					}
+				}
+				in, inSt := inListRange(view, lo, hi)
+				if !rows.Equal(in) {
+					t.Fatalf("seed %d mode %d %s: Range(%d, %d) differs from the IN list", seed, mode, step, lo, hi)
+				}
+				if p := PredictRange(view, lo, hi); st != p {
+					t.Fatalf("seed %d mode %d %s: Range(%d, %d) stats %+v, predicted %+v", seed, mode, step, lo, hi, st, p)
+				}
+				if !ordered {
+					if st != inSt {
+						t.Fatalf("seed %d mode %d %s: unordered Range(%d, %d) stats %+v, IN list %+v", seed, mode, step, lo, hi, st, inSt)
+					}
+					continue
+				}
+				if st.VectorsRead > view.ix.K() {
+					t.Fatalf("seed %d mode %d %s: Range(%d, %d) read %d vectors, k=%d", seed, mode, step, lo, hi, st.VectorsRead, view.ix.K())
+				}
+				if !rows.Equal(rangeByComparison(view.materialize(), lo, hi)) {
+					t.Fatalf("seed %d mode %d %s: Range(%d, %d) differs from the comparison oracle", seed, mode, step, lo, hi)
 				}
 			}
-			if !grown && !rows.Equal(rangeByComparison(oi, lo, hi)) {
-				t.Fatalf("seed %d mode %d: Range(%d, %d) differs from the comparison oracle", seed, mode, lo, hi)
+		}
+		check("build")
+		for op := 0; op < 6; op++ {
+			var step string
+			var err error
+			switch c := r.Intn(10); {
+			case c < 3:
+				v := r.Intn(maxV)
+				step, err = "append", target.Append(v)
+				col, null = append(col, v), append(null, false)
+			case c == 3:
+				hiV++
+				step, err = "new maximum", target.Append(hiV)
+				col, null = append(col, hiV), append(null, false)
+			case c == 4:
+				step, err = "new minimum", target.Append(loV)
+				col, null = append(col, loV), append(null, false)
+				loV--
+			case c == 5:
+				step, err = "NULL", target.AppendNull()
+				col, null = append(col, 0), append(null, true)
+			case c < 8:
+				row := r.Intn(len(col))
+				step, err = "delete", target.Delete(row)
+				deleted = append(deleted, make([]bool, len(col)-len(deleted))...)
+				deleted[row] = true
+			default:
+				values := target.View().Values()
+				step = "re-encode unordered"
+				if err = target.Reencode(orderedMapping(values, false)); err == nil {
+					check(step)
+					step, err = "re-encode ordered", target.Reencode(orderedMapping(values, true))
+				}
 			}
-			if viaRed, _ := oi.RangeViaReduction(lo, hi); !rows.Equal(viaRed) {
-				t.Fatalf("seed %d mode %d: Range(%d, %d) differs from RangeViaReduction", seed, mode, lo, hi)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.VectorsRead > oi.K() || st != oi.PredictRangeStats(lo, hi) {
-				t.Fatalf("seed %d mode %d: Range(%d, %d) stats %+v, predicted %+v (k=%d)",
-					seed, mode, lo, hi, st, oi.PredictRangeStats(lo, hi), oi.K())
-			}
+			deleted = append(deleted, make([]bool, len(col)-len(deleted))...)
+			check(step)
 		}
 		return true
 	}

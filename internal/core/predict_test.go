@@ -154,3 +154,33 @@ func TestPredictGenChangesWithBasis(t *testing.T) {
 		t.Fatal("PredictGen unchanged by re-encoding flip")
 	}
 }
+
+// TestPredictGenMovesOnFirstDelete pins the stamp on a delete: an ordered
+// range's cover widens across the void code only while no row is deleted,
+// so the first Delete moves the range's prediction with no append,
+// re-encoding or new code space, and must move the stamp with it, on a
+// plain Index and on a Synced one.
+func TestPredictGenMovesOnFirstDelete(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		oi, err := BuildOrdered([]int{1, 2, 3, 4, 5, 6, 7}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var target rangeTarget = oi.Index()
+		if live {
+			target = NewSynced(oi.Index())
+		}
+		before := target.View()
+		g0, p0 := before.PredictGen(), PredictRange(before, 1, 3)
+		if err := target.Delete(4); err != nil {
+			t.Fatal(err)
+		}
+		after := target.View()
+		if PredictRange(after, 1, 3) == p0 {
+			t.Fatalf("live=%v: the delete left the range's prediction at %+v", live, p0)
+		}
+		if after.PredictGen() == g0 {
+			t.Fatalf("live=%v: PredictGen unchanged by the first delete", live)
+		}
+	}
+}

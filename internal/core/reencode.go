@@ -165,7 +165,7 @@ func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], e
 		useDC:       ix.useDC,
 		hasNullCode: ix.hasNullCode,
 		deleted:     ix.deleted,
-		progs:       new(progCache),
+		cs:          new(codeSpace[V]),
 	}
 	if ix.hasNullCode {
 		// Re-pick a NULL code among the new mapping's free codes.

@@ -240,7 +240,7 @@ func TestCodeSetCacheCanonicalKey(t *testing.T) {
 	if got := hits.Value() - h0; got != uint64(len(lists)-1) {
 		t.Errorf("cache hits advanced by %d, want %d", got, len(lists)-1)
 	}
-	if n := len(ix.progs.m); n != 2 { // In(c, e), which the setup checks, and In(a, d)
+	if n := len(ix.cs.m); n != 2 { // In(c, e), which the setup checks, and In(a, d)
 		t.Errorf("cache holds %d entries, want 2", n)
 	}
 
@@ -297,7 +297,7 @@ func TestCodeSetCacheBounded(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := len(ix.progs.m); n != progCacheCap {
+	if n := len(ix.cs.m); n != progCacheCap {
 		t.Fatalf("cache holds %d entries after %d distinct code sets, want the bound %d", n, len(sets), progCacheCap)
 	}
 }
@@ -325,7 +325,7 @@ func TestCodeSetCacheConcurrentMiss(t *testing.T) {
 		}
 		return codes
 	}
-	for len(ix.progs.m) < progCacheCap {
+	for len(ix.cs.m) < progCacheCap {
 		ix.reduce(randomSet())
 	}
 
@@ -350,7 +350,7 @@ func TestCodeSetCacheConcurrentMiss(t *testing.T) {
 				t.Fatalf("round %d: reader %d got a different reduction of one code set than reader 0", r, g)
 			}
 		}
-		if n := len(ix.progs.m); n != progCacheCap {
+		if n := len(ix.cs.m); n != progCacheCap {
 			t.Fatalf("round %d: cache holds %d entries, want the bound %d", r, n, progCacheCap)
 		}
 		if ix.reduce(codes) != got[0] {

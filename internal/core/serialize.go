@@ -199,7 +199,7 @@ func Load[V comparable](r io.Reader, codec ValueCodec[V]) (*Index[V], error) {
 		nullCode:    nullCode,
 		deleted:     int(deleted),
 		n:           int(n64),
-		progs:       new(progCache),
+		cs:          new(codeSpace[V]),
 	}
 	count, err := rd.u32()
 	if err != nil {

@@ -169,3 +169,25 @@ func TestPropSaveLoadIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoadRejectsUncountedVoidRows pins that Load rejects a payload whose
+// vectors hold a void row its delete count does not: an ordered code
+// space's range cover selects the void code while no row is deleted, so
+// the loaded index would return the void row from ranges.
+func TestLoadRejectsUncountedVoidRows(t *testing.T) {
+	oi, err := BuildOrdered([]int64{1, 2, 3, 1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := oi.Index()
+	for _, vec := range ix.vectors {
+		vec.Clear(1) // void row 1 without counting the delete
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, ix, Int64Codec{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load[int64](bytes.NewReader(buf.Bytes()), Int64Codec{}); err == nil {
+		t.Fatal("Load accepted a void row the delete count does not hold")
+	}
+}

@@ -261,7 +261,7 @@ func (v *View[V]) materialize() *Index[V] {
 func (ix *Index[V]) catchUp(cur *View[V], done int) {
 	ix.mapping = cur.ix.mapping.Clone()
 	ix.hasNullCode, ix.nullCode = cur.ix.hasNullCode, cur.ix.nullCode
-	ix.progs, ix.observer = cur.ix.progs, cur.ix.observer
+	ix.cs, ix.observer = cur.ix.cs, cur.ix.observer
 	for len(ix.vectors) < cur.ix.K() {
 		ix.vectors = append(ix.vectors, bitvec.New(ix.n))
 	}
@@ -368,7 +368,7 @@ func (s *Synced[V]) Reencode(newMapping *encoding.Mapping[V]) (err error) {
 	}
 	// The new code space takes the generation after the live one, so
 	// every code space the index publishes has its own generation.
-	shadow.progs = cur.ix.progs
+	shadow.cs = cur.ix.cs
 	shadow.invalidateCache()
 	shadow.observer = cur.ix.observer
 	s.tailMaster = nil

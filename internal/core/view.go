@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/bitvec"
@@ -143,6 +144,19 @@ func (v *View[V]) InParallel(values []V, degree int, sp *obs.Span) (*bitvec.Vect
 	return v.sel(values, v.ix.selection(values).prog, degree, sp)
 }
 
+// Range returns the rows where lo <= value <= hi, segmented on up to
+// degree executors when degree > 1 (as InParallel). While the view's code
+// space is ordered (its values ascend with their codes, the paper's
+// total-order preserving encoding of Section 2.3) the values in range hold
+// one code interval, and Range evaluates the interval's aligned-subcube
+// cover: at most k vectors, no minimization. Otherwise it selects the
+// mapped values in range as an IN list through the code-set cache. Either
+// way the observer sees the values in range.
+func Range[V cmp.Ordered](v *View[V], lo, hi V, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats) {
+	values, p := rangeSelection(v.ix, lo, hi)
+	return v.sel(values, p, degree, sp)
+}
+
 // NotIn returns existing, non-NULL rows outside the value list. Because
 // void is 0 and never part of a value code set, the complement must
 // explicitly exclude void and NULL codes. The complement is what the
@@ -220,6 +234,12 @@ func (v *View[V]) PredictSelectionStats(values []V) iostat.Stats {
 	return predictProgram(v.ix.selection(values).prog, v.Len())
 }
 
+// PredictRange returns the exact Stats Range(v, lo, hi, ...) would report.
+func PredictRange[V cmp.Ordered](v *View[V], lo, hi V) iostat.Stats {
+	_, p := rangeSelection(v.ix, lo, hi)
+	return predictProgram(p, v.Len())
+}
+
 // PredictIsNullStats returns the exact Stats IsNull would report: zero
 // when no NULL code was ever allocated, otherwise the compiled NULL-code
 // selection's analytic cost.
@@ -231,10 +251,16 @@ func (v *View[V]) PredictIsNullStats() iostat.Stats {
 }
 
 // PredictGen stamps the basis of the view's predictions: the re-encoding
-// epoch, the code-space generation and the row count all fold in, so any
-// change that could move a prediction changes the stamp.
+// epoch, the code-space generation, the row count and whether any row is
+// deleted (an ordered range's cover widens across the void code only
+// while none is) all fold in, so any change that could move a prediction
+// changes the stamp.
 func (v *View[V]) PredictGen() uint64 {
-	return v.epoch<<40 ^ v.ix.progs.gen<<24 ^ uint64(v.Len())
+	g := v.epoch<<40 ^ v.ix.cs.gen<<24 ^ uint64(v.Len())
+	if v.ix.deleted > 0 {
+		g ^= 1 << 63
+	}
+	return g
 }
 
 // The read methods of Index are the view's. A Synced index is read through

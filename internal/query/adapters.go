@@ -13,11 +13,11 @@ import (
 )
 
 // ebi adapts an encoded bitmap index over int64 or string values: a plain
-// core.Index or a live core.Synced. Each leaf reads one view of Ix and is
-// rewritten (leaf.go), evaluated and predicted on that snapshot, so a
-// Synced index is safe to query while other goroutines append or a live
-// re-encoding flips it. The ColumnIndex methods are Leaf run sequentially;
-// string columns answer no ranges.
+// core.Index, a live core.Synced or a core.OrderedIndex. Each leaf reads
+// one view of Ix and is rewritten (leaf.go), evaluated and predicted on
+// that snapshot, so a Synced index is safe to query while other goroutines
+// append or a live re-encoding flips it. The ColumnIndex methods are Leaf
+// run sequentially; string columns answer no ranges.
 type ebi[V int64 | string, X interface {
 	View() *core.View[V]
 	TheoreticalMinVectors(delta int) int
@@ -35,6 +35,10 @@ type (
 	// strings — the serving shape ebicli's -apply mode uses, where the
 	// drift watcher re-encodes the live index under query traffic.
 	SyncedEBIStr = ebi[string, *core.Synced[string]]
+	// OrderedEBI adapts an order-preserving encoded bitmap index. Its
+	// ranges take core.Range's interval cover like those of any index
+	// whose code space is ordered.
+	OrderedEBI = ebi[int64, *core.OrderedIndex[int64]]
 )
 
 // Eq implements ColumnIndex.
@@ -47,7 +51,7 @@ func (a ebi[V, X]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return a.Leaf(context.Background(), In{Vals: vs}, 1)
 }
 
-// Range implements ColumnIndex as an IN list over the mapped domain.
+// Range implements ColumnIndex through core.Range.
 func (a ebi[V, X]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return a.Leaf(context.Background(), Range{Lo: lo, Hi: hi}, 1)
 }
@@ -66,55 +70,6 @@ func (a ebi[V, X]) Describe(op Op, delta int) LeafInfo {
 // PredictLeaf implements PredictLeafIndex.
 func (a ebi[V, X]) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
 	return kindOf[V]().predict(a.Ix.View(), p)
-}
-
-// OrderedEBI adapts an order-preserving encoded bitmap index, answering a
-// range as the aligned-subcube cover of its code interval.
-type OrderedEBI struct{ Ix *core.OrderedIndex[int64] }
-
-// Eq implements ColumnIndex.
-func (a OrderedEBI) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), Eq{Val: v}, 1)
-}
-
-// In implements ColumnIndex.
-func (a OrderedEBI) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.Leaf(context.Background(), In{Vals: vs}, 1)
-}
-
-// Range implements ColumnIndex.
-func (a OrderedEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.Range(lo, hi)
-	return rows, st, nil
-}
-
-// Leaf implements LeafIndex: Eq and In go through the shared rewrite on
-// the wrapped index's view; a range is the index's interval cover, always
-// sequential.
-func (a OrderedEBI) Leaf(ctx context.Context, p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	if r, ok := p.(Range); ok {
-		return a.Range(r.Lo, r.Hi)
-	}
-	return intKind.leaf(ctx, a.Ix.Index().View(), p, degree)
-}
-
-// Describe implements LeafIndex: every operation runs one fused program;
-// a range's cover is compiled per call and evaluated sequentially, so
-// ranges are not segmented.
-func (a OrderedEBI) Describe(op Op, delta int) LeafInfo {
-	info := ebiInfo(true, a.Ix.Index().TheoreticalMinVectors(delta))
-	info.Parallel = op != OpRange
-	return info
-}
-
-// PredictLeaf implements PredictLeafIndex: a range's Stats are its
-// interval cover's, Eq and In go through the shared rewrite.
-func (a OrderedEBI) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
-	v := a.Ix.Index().View()
-	if r, ok := p.(Range); ok {
-		return a.Ix.PredictRangeStats(r.Lo, r.Hi), v.PredictGen(), true
-	}
-	return intKind.predict(v, p)
 }
 
 // simple adapts a simple bitmap index over int64 or string values; string
@@ -150,7 +105,7 @@ func (a simple[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	if !k.answers(OpRange) {
 		return nil, iostat.Stats{}, ErrUnsupported
 	}
-	rows, st := a.Ix.In(k.inRange(a.Ix.Values(), lo, hi))
+	rows, st := a.Ix.In(inRange(a.Ix.Values(), k.bound(lo), k.bound(hi)))
 	return rows, st, nil
 }
 
@@ -257,7 +212,7 @@ func (a CompressedSimpleInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, 
 // Range ORs one vector per indexed value inside [lo, hi], as the
 // uncompressed form does.
 func (a CompressedSimpleInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.In(intKind.inRange(a.Ix.Values(), lo, hi))
+	rows, st := a.Ix.In(inRange(a.Ix.Values(), lo, hi))
 	return rows, st, nil
 }
 

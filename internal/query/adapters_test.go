@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -251,5 +252,106 @@ func TestCompressedSimpleRangeMatchesScan(t *testing.T) {
 				t.Fatalf("Range[%d, %d] stats %+v, probing the interval %+v", c.lo, c.hi, st, probed)
 			}
 		}
+	}
+}
+
+// TestPropEBIRangeLeafMatchesScan is core's TestPropOrderedRangeMatchesScan
+// at the query level: random range leaves through EBIInt over a plain
+// Build, OrderedEBI, and SyncedEBIInt over an ordered index, run
+// sequentially and segmented, between appends of existing values, new
+// maxima (the order holds) and new minima (it breaks), NULLs and deletes.
+// Every leaf must return the scan's rows and the Stats PredictLeaf states.
+func TestPropEBIRangeLeafMatchesScan(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		maxV := 2 + r.Intn(40)
+		col := make([]int64, 1+r.Intn(200))
+		for i := range col {
+			col[i] = int64(r.Intn(maxV))
+		}
+		null := make([]bool, len(col))
+		plain, err := core.Build(col, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered, err := core.BuildOrdered(col, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveBase, err := core.BuildOrdered(col, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := core.NewSynced(liveBase.Index())
+		type writer interface {
+			Append(v int64) error
+			AppendNull() error
+			Delete(row int) error
+		}
+		writers := []writer{plain, ordered.Index(), live}
+		leaves := []struct {
+			name string
+			ix   interface {
+				LeafIndex
+				PredictLeafIndex
+			}
+		}{{"EBIInt", EBIInt{Ix: plain}}, {"OrderedEBI", OrderedEBI{Ix: ordered}}, {"SyncedEBIInt", SyncedEBIInt{Ix: live}}}
+		deleted := make([]bool, len(col))
+		lo, hi := int64(-1), int64(maxV)
+		for op := 0; op < 8; op++ {
+			for q := 0; q < 4; q++ {
+				p := Range{Col: "v", Lo: lo - 2 + r.Int63n(hi-lo+4), Hi: lo - 2 + r.Int63n(hi-lo+4)}
+				for _, l := range leaves {
+					want, _, _ := l.ix.PredictLeaf(p)
+					rows, st, err := l.ix.Leaf(context.Background(), p, 1+r.Intn(2))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range col {
+						if rows.Get(i) != (!null[i] && !deleted[i] && v >= p.Lo && v <= p.Hi) {
+							t.Fatalf("seed %d op %d %s: [%d, %d] row %d = %v", seed, op, l.name, p.Lo, p.Hi, i, rows.Get(i))
+						}
+					}
+					if st != want {
+						t.Fatalf("seed %d op %d %s: [%d, %d] stats %+v, predicted %+v", seed, op, l.name, p.Lo, p.Hi, st, want)
+					}
+				}
+			}
+			v, isNull := int64(r.Intn(maxV)), false
+			switch r.Intn(5) {
+			case 0:
+				hi++
+				v = hi
+			case 1:
+				v = lo
+				lo--
+			case 2:
+				isNull = true
+			case 3:
+				row := r.Intn(len(col))
+				for _, w := range writers {
+					if err := w.Delete(row); err != nil {
+						t.Fatal(err)
+					}
+				}
+				deleted[row] = true
+				continue
+			}
+			for _, w := range writers {
+				if isNull {
+					err = w.AppendNull()
+				} else {
+					err = w.Append(v)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			col, null, deleted = append(col, v), append(null, isNull), append(deleted, false)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -84,11 +84,12 @@ func columnLeaf(ix ColumnIndex, p Predicate) (*bitvec.Vector, iostat.Stats, erro
 }
 
 // ebiSel is a leaf predicate rewritten for an encoded bitmap index.
-type ebiSel[V comparable] struct {
-	null bool // IS NULL
-	eq   bool // the single value v, through the index's cached program
-	v    V
-	vals []V // the IN list otherwise
+type ebiSel[V int64 | string] struct {
+	null  bool // IS NULL
+	eq    bool // the single value v, through the index's cached program
+	rng   bool // v <= value <= hi, through core.Range
+	v, hi V
+	vals  []V // the IN list otherwise
 }
 
 // list returns the selected values as one IN list.
@@ -104,6 +105,8 @@ func (s ebiSel[V]) run(ctx context.Context, view *core.View[V], degree int) (*bi
 	switch {
 	case s.null:
 		return view.IsNull()
+	case s.rng:
+		return core.Range(view, s.v, s.hi, degree, obs.SpanFromContext(ctx))
 	case degree > 1:
 		return view.InParallel(s.list(), degree, obs.SpanFromContext(ctx))
 	case s.eq:
@@ -114,24 +117,27 @@ func (s ebiSel[V]) run(ctx context.Context, view *core.View[V], degree int) (*bi
 
 // predict returns the Stats run reports, from the encoding alone.
 func (s ebiSel[V]) predict(view *core.View[V]) iostat.Stats {
-	if s.null {
+	switch {
+	case s.null:
 		return view.PredictIsNullStats()
+	case s.rng:
+		return core.PredictRange(view, s.v, s.hi)
 	}
 	return view.PredictSelectionStats(s.list())
 }
 
 // cellKind is how leaf rewrites read one column value type: cell
-// extracts a literal's value, and between tests a value against a range
-// — nil for string columns, which answer no ranges.
-type cellKind[V comparable] struct {
-	cell    func(table.Cell) V
-	between func(v V, lo, hi int64) bool
+// extracts a literal's value, and bound reads a range bound as a column
+// value — nil for string columns, which answer no ranges.
+type cellKind[V int64 | string] struct {
+	cell  func(table.Cell) V
+	bound func(int64) V
 }
 
 var (
 	intKind = &cellKind[int64]{
-		cell:    func(c table.Cell) int64 { return c.I },
-		between: func(v, lo, hi int64) bool { return v >= lo && v <= hi },
+		cell:  func(c table.Cell) int64 { return c.I },
+		bound: func(b int64) int64 { return b },
 	}
 	strKind = &cellKind[string]{cell: func(c table.Cell) string { return c.S }}
 )
@@ -146,7 +152,7 @@ func kindOf[V int64 | string]() *cellKind[V] {
 }
 
 // answers reports whether columns of this kind answer op.
-func (k *cellKind[V]) answers(op Op) bool { return op != OpRange || k.between != nil }
+func (k *cellKind[V]) answers(op Op) bool { return op != OpRange || k.bound != nil }
 
 // values returns an IN list's literals as column values. NULL cells drop
 // out: IS NULL is a separate predicate.
@@ -160,11 +166,11 @@ func (k *cellKind[V]) values(cells []table.Cell) []V {
 	return vals
 }
 
-// inRange returns the domain values inside [lo, hi] (int columns only).
-func (k *cellKind[V]) inRange(domain []V, lo, hi int64) []V {
+// inRange returns the domain values inside [lo, hi].
+func inRange[V int64 | string](domain []V, lo, hi V) []V {
 	var vals []V
 	for _, v := range domain {
-		if k.between(v, lo, hi) {
+		if lo <= v && v <= hi {
 			vals = append(vals, v)
 		}
 	}
@@ -174,9 +180,8 @@ func (k *cellKind[V]) inRange(domain []V, lo, hi int64) []V {
 // rewrite is the one leaf rewrite every encoded-bitmap adapter evaluates
 // and predicts through: Eq against NULL is IS NULL, Eq is the index's
 // cached single-value selection, In drops NULL cells, and an int Range is
-// an IN list over the view's domain — the paper's discrete-domains
-// rewriting.
-func (k *cellKind[V]) rewrite(view *core.View[V], p Predicate) (ebiSel[V], error) {
+// core.Range.
+func (k *cellKind[V]) rewrite(p Predicate) (ebiSel[V], error) {
 	switch p := p.(type) {
 	case Eq:
 		return ebiSel[V]{null: p.Val.Null, eq: true, v: k.cell(p.Val)}, nil
@@ -186,14 +191,14 @@ func (k *cellKind[V]) rewrite(view *core.View[V], p Predicate) (ebiSel[V], error
 		if !k.answers(OpRange) {
 			return ebiSel[V]{}, ErrUnsupported
 		}
-		return ebiSel[V]{vals: k.inRange(view.Values(), p.Lo, p.Hi)}, nil
+		return ebiSel[V]{rng: true, v: k.bound(p.Lo), hi: k.bound(p.Hi)}, nil
 	}
 	return ebiSel[V]{}, fmt.Errorf("query: %T is not a leaf predicate", p)
 }
 
 // leaf answers p on view through the rewrite.
 func (k *cellKind[V]) leaf(ctx context.Context, view *core.View[V], p Predicate, degree int) (*bitvec.Vector, iostat.Stats, error) {
-	s, err := k.rewrite(view, p)
+	s, err := k.rewrite(p)
 	if err != nil {
 		return nil, iostat.Stats{}, err
 	}
@@ -204,7 +209,7 @@ func (k *cellKind[V]) leaf(ctx context.Context, view *core.View[V], p Predicate,
 // predict returns the Stats leaf would report for p on view and the
 // view's basis stamp, or ok=false when the rewrite refuses p.
 func (k *cellKind[V]) predict(view *core.View[V], p Predicate) (iostat.Stats, uint64, bool) {
-	s, err := k.rewrite(view, p)
+	s, err := k.rewrite(p)
 	if err != nil {
 		return iostat.Stats{}, 0, false
 	}

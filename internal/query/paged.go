@@ -60,7 +60,7 @@ func (a pagedEBI[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 // Leaf implements LeafIndex.
 func (a pagedEBI[V]) Leaf(ctx context.Context, p Predicate, _ int) (*bitvec.Vector, iostat.Stats, error) {
 	view := a.Ix.Index().View()
-	s, err := kindOf[V]().rewrite(view, p)
+	s, err := kindOf[V]().rewrite(p)
 	if err != nil {
 		return nil, iostat.Stats{}, err
 	}
@@ -68,7 +68,11 @@ func (a pagedEBI[V]) Leaf(ctx context.Context, p Predicate, _ int) (*bitvec.Vect
 		rows, st := view.IsNull()
 		return rows, st, nil
 	}
-	rows, st, _ := a.Ix.InContext(ctx, s.list())
+	vals := s.list()
+	if s.rng {
+		vals = inRange(view.Values(), s.v, s.hi)
+	}
+	rows, st, _ := a.Ix.InContext(ctx, vals)
 	return rows, st, nil
 }
 

@@ -109,6 +109,17 @@ func TestChoiceStringParallelSuffix(t *testing.T) {
 	}
 }
 
+// seqRangeEBI is an encoded-bitmap path that declines parallel for
+// ranges, as a path whose range has no segmented form does.
+type seqRangeEBI struct{ OrderedEBI }
+
+// Describe implements LeafIndex: ranges are sequential only.
+func (a seqRangeEBI) Describe(op Op, delta int) LeafInfo {
+	info := a.OrderedEBI.Describe(op, delta)
+	info.Parallel = op != OpRange
+	return info
+}
+
 // TestParallelUnsupportedFallsBackSequential pins the sequential fallback:
 // a path that cannot run an operation in parallel runs it sequentially on
 // the same path (not through the executor fallback), and EXPLAIN predicts
@@ -129,15 +140,14 @@ func TestParallelUnsupportedFallsBackSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := NewPlanner(NewExecutor(tab))
-	if err := pl.AddPath("v", AccessPath{Name: "ebi", Index: OrderedEBI{Ix: ordered}, Model: EBIModel(ordered.K())}); err != nil {
+	if err := pl.AddPath("v", AccessPath{Name: "ebi", Index: seqRangeEBI{OrderedEBI{Ix: ordered}}, Model: EBIModel(ordered.K())}); err != nil {
 		t.Fatal(err)
 	}
 	pl.EnableParallel(ParallelPolicy{MinWords: 1, MaxDegree: 4})
 
-	// The ordered index's interval-cover range is not segmented: it must
-	// still route to the ebi path (sequential Range), not the executor
-	// fallback, and plain EXPLAIN must not advertise a degree it will not
-	// run with.
+	// The path's range is not segmented: it must still route to the ebi
+	// path (sequential Range), not the executor fallback, and plain
+	// EXPLAIN must not advertise a degree it will not run with.
 	plan, err := pl.Explain(Range{Col: "v", Lo: 2, Hi: 5})
 	if err != nil {
 		t.Fatal(err)

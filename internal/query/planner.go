@@ -73,7 +73,7 @@ func SimpleBitmapModel() CostModel {
 
 // EBIModel prices an encoded bitmap index with k vectors: every selection
 // reads at most k vectors (Eq reads k; ranges read at most k after
-// reduction, ordered-EBI ranges at most k through their interval cover),
+// reduction, or through their interval cover on an ordered code space),
 // and a range is priced k+1.
 func EBIModel(k int) CostModel {
 	return func(op Op, delta int) float64 {

@@ -25,7 +25,8 @@ import (
 type PredictLeafIndex interface {
 	// PredictLeaf returns the exact Stats the adapter would report for
 	// the leaf and a stamp of the prediction basis (encoding epoch,
-	// code-space generation, logical length), both read from one view of
+	// code-space generation, logical length, whether any row is deleted),
+	// both read from one view of
 	// the index: predictions with equal stamps were computed against the
 	// same basis. ok=false when the operation has no analytic model (e.g.
 	// Range on string attributes, which the adapter refuses).
