@@ -49,28 +49,75 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzBuildQueryDelete drives the index through arbitrary operation
-// sequences derived from fuzz bytes and checks invariants throughout.
-// After every operation it re-evaluates one fixed IN list, whose
-// reduction the code-set cache serves on every repeat, and one fixed
-// range through Range: domain expansion, widening, NULL-code allocation
-// and deletes must never leave either stale. The index starts empty, so
-// ascending appends build an ordered code space whose ranges take the
-// interval cover (widened across free and void codes, split around the
-// NULL code) and the first out-of-order new value switches them to the IN
-// list.
+// sequences derived from fuzz bytes and checks invariants throughout. The
+// first byte sizes a prefix of the rest that Build codes (in value order,
+// a word at a time, NULLs included); the remaining bytes are the
+// operations. After the build and after every operation it re-evaluates
+// one fixed IN list, whose reduction the code-set cache serves on every
+// repeat, and one fixed range through Range: domain expansion, widening,
+// NULL-code allocation and deletes must never leave either stale. The
+// build's code space is ordered, so its ranges take the interval cover
+// (widened across free and void codes, split around the NULL code); a new
+// value above every other keeps the order and any other new value switches
+// them to the IN list.
 func FuzzBuildQueryDelete(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 200, 4, 5})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add([]byte{0, 1, 2, 3, 200, 4, 5})
+	f.Add([]byte{2, 0, 0, 0, 0})
+	f.Add([]byte{0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
+	prefix := []byte{70}
+	for i := 0; i < 70; i++ {
+		prefix = append(prefix, byte(i*37%256))
+	}
+	f.Add(append(prefix, 31, 250, 7, 241, 40, 3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := New[int](nil, nil)
+		var col []int
+		var isNull []bool
+		mirror := make([]int, 0, len(data)) // -1 = void, -2 = null
+		if len(data) > 0 {
+			p := min(int(data[0]), len(data)-1)
+			for _, b := range data[1 : 1+p] {
+				v := int(b) % 32
+				col, isNull = append(col, v), append(isNull, b >= 240)
+				if b >= 240 {
+					v = -2
+				}
+				mirror = append(mirror, v)
+			}
+			data = data[1+p:]
+		}
+		ix, err := Build(col, isNull, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mirror := make([]int, 0, len(data)) // -1 = void, -2 = null
+		if _, ordered := orderedDomain(ix); !ordered {
+			t.Fatalf("Build coded %v out of value order", ix.Values())
+		}
 		sel := []int{0, 2, 5}
 		const lo, hi = 3, 20
+		check := func(op int) {
+			rows, st := ix.In(sel)
+			if rows.Len() != len(mirror) || st.VectorsRead > ix.K() {
+				t.Fatalf("op %d: In(%v) has %d rows (want %d), read %d vectors, k=%d",
+					op, sel, rows.Len(), len(mirror), st.VectorsRead, ix.K())
+			}
+			for i, mv := range mirror {
+				if rows.Get(i) != slices.Contains(sel, mv) {
+					t.Fatalf("op %d: In(%v) wrong at row %d (mirror %d)", op, sel, i, mv)
+				}
+			}
+			rows, st = Range(ix.View(), lo, hi, 1, nil)
+			if p := PredictRange(ix.View(), lo, hi); rows.Len() != len(mirror) || st != p {
+				t.Fatalf("op %d: Range(%d, %d) has %d rows (want %d), stats %+v, predicted %+v",
+					op, lo, hi, rows.Len(), len(mirror), st, p)
+			}
+			for i, mv := range mirror {
+				if rows.Get(i) != (mv >= lo && mv <= hi) {
+					t.Fatalf("op %d: Range(%d, %d) wrong at row %d (mirror %d)", op, lo, hi, i, mv)
+				}
+			}
+		}
+		check(-1)
 		for op, b := range data {
 			switch {
 			case b >= 250: // delete a row
@@ -93,26 +140,7 @@ func FuzzBuildQueryDelete(f *testing.F) {
 				}
 				mirror = append(mirror, v)
 			}
-			rows, st := ix.In(sel)
-			if rows.Len() != len(mirror) || st.VectorsRead > ix.K() {
-				t.Fatalf("op %d: In(%v) has %d rows (want %d), read %d vectors, k=%d",
-					op, sel, rows.Len(), len(mirror), st.VectorsRead, ix.K())
-			}
-			for i, mv := range mirror {
-				if rows.Get(i) != slices.Contains(sel, mv) {
-					t.Fatalf("op %d: In(%v) wrong at row %d (mirror %d)", op, sel, i, mv)
-				}
-			}
-			rows, st = Range(ix.View(), lo, hi, 1, nil)
-			if p := PredictRange(ix.View(), lo, hi); rows.Len() != len(mirror) || st != p {
-				t.Fatalf("op %d: Range(%d, %d) has %d rows (want %d), stats %+v, predicted %+v",
-					op, lo, hi, rows.Len(), len(mirror), st, p)
-			}
-			for i, mv := range mirror {
-				if rows.Get(i) != (mv >= lo && mv <= hi) {
-					t.Fatalf("op %d: Range(%d, %d) wrong at row %d (mirror %d)", op, lo, hi, i, mv)
-				}
-			}
+			check(op)
 		}
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)

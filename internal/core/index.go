@@ -172,8 +172,46 @@ func (ix *Index[V]) clone() *Index[V] {
 }
 
 // Build constructs an index over the column. isNull may be nil; when given
-// it marks NULL rows and implies NullSupport.
+// it marks NULL rows and implies NullSupport. With no Mapping and no
+// Predicates, an int, int64 or string column is coded in value order, so
+// its ranges take the interval cover (Range); any other V is coded in
+// first-appearance order.
 func Build[V comparable](column []V, isNull []bool, opt *Options[V]) (*Index[V], error) {
+	return build(column, isNull, opt, sortValues[V])
+}
+
+// sortValues sorts a domain in value order when V is int, int64 or string
+// (V is only comparable, so this is a type switch on the slice) and leaves
+// any other domain as it is.
+func sortValues[V comparable](domain []V) {
+	switch d := any(domain).(type) {
+	case []int:
+		slices.Sort(d)
+	case []int64:
+		slices.Sort(d)
+	case []string:
+		slices.Sort(d)
+	}
+}
+
+// inValueOrder reports whether a domain listed in code order ascends, for
+// the value types sortValues orders; any other domain reports false.
+func inValueOrder[V comparable](domain []V) bool {
+	switch d := any(domain).(type) {
+	case []int:
+		return slices.IsSorted(d)
+	case []int64:
+		return slices.IsSorted(d)
+	case []string:
+		return slices.IsSorted(d)
+	}
+	return false
+}
+
+// build is Build with the domain order given: sortDomain orders the
+// distinct values before New codes them, unless a Mapping or Predicates
+// decide the codes.
+func build[V comparable](column []V, isNull []bool, opt *Options[V], sortDomain func([]V)) (*Index[V], error) {
 	_, sp := obs.StartSpan(context.Background(), "ebi.core.build")
 	if sp != nil {
 		sp.SetAttr("rows", len(column))
@@ -193,52 +231,59 @@ func Build[V comparable](column []V, isNull []bool, opt *Options[V]) (*Index[V],
 		column = reorder.Permute(column, o.Reorder)
 		isNull = reorder.PermuteBools(isNull, o.Reorder)
 	}
-	needNull := o.NullSupport
-	if isNull != nil {
-		for _, b := range isNull {
-			if b {
-				needNull = true
-				break
-			}
-		}
-	}
 
-	// Distinct domain in first-appearance order.
+	// Distinct domain in first-appearance order; codes[i] holds row i's
+	// index into it until the mapping is known.
 	var domain []V
-	seen := make(map[V]bool)
+	codes := make([]uint32, len(column))
+	pos := make(map[V]uint32)
+	needNull := o.NullSupport
 	for i, v := range column {
 		if isNull != nil && isNull[i] {
+			needNull = true
 			continue
 		}
-		if !seen[v] {
-			seen[v] = true
+		p, ok := pos[v]
+		if !ok {
+			p = uint32(len(domain))
+			pos[v] = p
 			domain = append(domain, v)
 		}
+		codes[i] = p
 	}
 
-	ix, err := New(domain, &o)
+	values := domain
+	if o.Mapping == nil && len(o.Predicates) == 0 {
+		values = slices.Clone(domain)
+		sortDomain(values)
+	}
+	ix, err := New(values, &o)
 	if err != nil {
 		return nil, err
 	}
 	if needNull {
 		ix.enableNull()
 	}
-	for i, v := range column {
+	codeOf := make([]uint32, len(domain))
+	for p, v := range domain {
+		codeOf[p], _ = ix.mapping.CodeOf(v)
+	}
+	for i, p := range codes {
 		if isNull != nil && isNull[i] {
-			if err := ix.AppendNull(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := ix.Append(v); err != nil {
-			return nil, err
+			codes[i] = ix.nullCode
+		} else {
+			codes[i] = codeOf[p]
 		}
 	}
+	ix.fill(codes)
 	return ix, nil
 }
 
 // New constructs an empty index over the given domain. Additional values
-// may still be appended later (domain expansion).
+// may still be appended later (domain expansion). Without a Mapping or
+// Predicates the domain is coded in the order given: codes 1..m, keeping
+// code 0 free for void tuples (Theorem 2.1), or 0..m-1 without the
+// reservation.
 func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 	var o Options[V]
 	if opt != nil {
@@ -258,15 +303,18 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 				return nil, fmt.Errorf("core: custom mapping is missing value %v", v)
 			}
 		}
-	case len(domain) == 0:
-		ix.mapping = encoding.NewMapping[V](0)
-	case len(o.Predicates) > 0:
+		if ix.reserveVoid {
+			if err := ix.reserveZero(); err != nil {
+				return nil, err
+			}
+		}
+	case len(domain) > 0 && len(o.Predicates) > 0:
 		var so encoding.SearchOptions
 		if o.Search != nil {
 			so = *o.Search
 		}
-		// Make the search itself avoid code 0 so Theorem 2.1's void
-		// reservation does not disturb the optimized structure afterwards.
+		// The search itself avoids code 0, so Theorem 2.1's void
+		// reservation needs no rebinding afterwards.
 		so.ReserveZeroCode = ix.reserveVoid
 		m, err := encoding.FindEncoding(domain, o.Predicates, &so)
 		if err != nil {
@@ -274,14 +322,18 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 		}
 		ix.mapping = m
 	default:
-		ix.mapping = encoding.MappingOf(domain)
-	}
-
-	if ix.reserveVoid {
-		if err := ix.reserveZero(); err != nil {
-			return nil, err
+		first := 0
+		if ix.reserveVoid {
+			first = 1
+		}
+		ix.mapping = encoding.NewMapping[V](encoding.BitsFor(len(domain) + first))
+		for i, v := range domain {
+			if err := ix.mapping.Add(v, uint32(first+i)); err != nil {
+				return nil, err
+			}
 		}
 	}
+
 	if o.NullSupport {
 		ix.enableNull()
 	}
@@ -294,9 +346,9 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 	return ix, nil
 }
 
-// reserveZero frees code 0 for void tuples: if a value holds it, the value
-// is rebound to a free code, widening the index by one bit if the code
-// space is full. (Theorem 2.1's precondition.)
+// reserveZero frees code 0 for void tuples in a custom mapping: if a value
+// holds it, the value is rebound to a free code, widening the index by one
+// bit if the code space is full. (Theorem 2.1's precondition.)
 func (ix *Index[V]) reserveZero() error {
 	holder, taken := ix.mapping.ValueOf(0)
 	if !taken {
@@ -337,7 +389,7 @@ func (ix *Index[V]) codeFor(v V) (uint32, error) {
 // freeCode returns the lowest code usable for a new value or the NULL
 // code, widening the index by one bit when the code space is full. New
 // values and NULLs always take the lowest free code, so replaying rows in
-// order reproduces a cold build's code assignment.
+// order into an empty New index reproduces its code assignment.
 func (ix *Index[V]) freeCode() uint32 {
 	free := ix.freeValueCodes()
 	if len(free) == 0 {
@@ -431,6 +483,28 @@ func (ix *Index[V]) appendCode(code uint32) {
 	for i, vec := range ix.vectors {
 		vec.Append(code&(1<<uint(i)) != 0)
 	}
+}
+
+// fill writes every row's code into the index's empty vectors, 64 rows to
+// a word, and counts one append per row as Append would.
+func (ix *Index[V]) fill(codes []uint32) {
+	n := len(codes)
+	for i := range ix.vectors {
+		vec := bitvec.New(n)
+		words := vec.BlockWords(0, vec.Words())
+		for w := range words {
+			var x uint64
+			for j, c := range codes[w*64 : min(w*64+64, n)] {
+				x |= uint64(c>>uint(i)&1) << uint(j)
+			}
+			words[w] = x
+		}
+		vec.TrimTail()
+		ix.vectors[i] = vec
+	}
+	ix.n = n
+	ix.rebuildSources()
+	mAppends.Add(uint64(n))
 }
 
 // Append adds a tuple with the given value, handling both maintenance

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -20,60 +21,38 @@ type OrderedIndex[V cmp.Ordered] struct{ ix *Index[V] }
 // BuildOrdered constructs an order-preserving encoded bitmap index over
 // the column. favored, when non-empty, lists IN-subdomains to optimize the
 // encoding for (the paper's Figure 6 construction); the order-preserving
-// property always holds regardless.
+// property always holds regardless. Without favored subdomains it is
+// Build, coding the domain in value order for every ordered V.
 func BuildOrdered[V cmp.Ordered](column []V, favored [][]V, searchOpt *encoding.SearchOptions) (*OrderedIndex[V], error) {
-	seen := make(map[V]bool)
-	var domain []V
-	for _, v := range column {
-		if !seen[v] {
-			seen[v] = true
-			domain = append(domain, v)
-		}
-	}
-	if len(domain) == 0 {
+	if len(column) == 0 {
 		return nil, fmt.Errorf("core: empty column")
 	}
-	sort.Slice(domain, func(i, j int) bool { return domain[i] < domain[j] })
-
-	// Code 0 stays reserved for void tuples (Theorem 2.1), so the search
-	// runs with ReserveZeroCode and value codes start at 1.
-	k := encoding.BitsFor(len(domain) + 1)
-	var mapping *encoding.Mapping[V]
+	var opt Options[V]
 	if len(favored) > 0 {
-		// One spare bit gives the optimizer don't-care room (footnote 3);
+		domain := slices.Clone(column)
+		slices.Sort(domain)
+		domain = slices.Compact(domain)
+		// Code 0 stays reserved for void tuples (Theorem 2.1), so the
+		// search runs with ReserveZeroCode and value codes start at 1. One
+		// spare bit gives the optimizer don't-care room (footnote 3);
 		// without it, a favored subdomain often cannot reach a subcube
 		// once code 0 is off limits.
-		if k2 := encoding.BitsFor(len(domain)) + 1; k2 > k {
-			k = k2
-		}
+		k := max(encoding.BitsFor(len(domain)+1), encoding.BitsFor(len(domain))+1)
 		var so encoding.SearchOptions
 		if searchOpt != nil {
 			so = *searchOpt
 		}
 		so.ReserveZeroCode = true
-		if !so.UseDontCares {
-			so.UseDontCares = true
-		}
+		so.UseDontCares = true
 		m, err := encoding.OptimizeOrderPreserving(domain, favored, k, &so)
 		if err != nil {
 			return nil, err
 		}
-		mapping = m
-	} else {
-		mapping = encoding.NewMapping[V](k)
-		for i, v := range domain {
-			mapping.MustAdd(v, uint32(i+1))
-		}
+		opt.Mapping = m
 	}
-
-	ix, err := New(domain, &Options[V]{Mapping: mapping})
+	ix, err := build(column, nil, &opt, slices.Sort[[]V])
 	if err != nil {
 		return nil, err
-	}
-	for _, v := range column {
-		if err := ix.Append(v); err != nil {
-			return nil, err
-		}
 	}
 	return &OrderedIndex[V]{ix: ix}, nil
 }

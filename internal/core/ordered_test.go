@@ -269,6 +269,22 @@ type rangeTarget interface {
 	Reencode(m *encoding.Mapping[int]) error
 }
 
+// firstAppearanceMapping codes a column's distinct values from code 1 in
+// the order they first appear, leaving room for the void and NULL codes.
+func firstAppearanceMapping(col []int) *encoding.Mapping[int] {
+	var values []int
+	for _, v := range col {
+		if !slices.Contains(values, v) {
+			values = append(values, v)
+		}
+	}
+	m := encoding.NewMapping[int](encoding.BitsFor(len(values) + 2))
+	for i, v := range values {
+		m.MustAdd(v, uint32(i+1))
+	}
+	return m
+}
+
 // orderedMapping codes distinct values from code 1 in ascending value
 // order, or in descending order when ascending is false, leaving room for
 // the void and NULL codes.
@@ -287,10 +303,11 @@ func orderedMapping(values []int, ascending bool) *encoding.Mapping[int] {
 
 // Property: Range matches a scan for arbitrary data, bounds and histories
 // on every kind of EBI: an ordered build (plain, over a custom mapping
-// with code gaps, or favored), a plain Build whose first-seen maximum
-// reserveZero moves above the rest (ordered too), a Build in first
-// appearance order (rarely ordered), and a Synced over an ordered index
-// with tail appends and folds. Between queries it appends existing
+// with code gaps, or favored), a plain Build of a column whose first value
+// is its maximum and of a random column (both in value order), a Build
+// over an explicit first-appearance mapping (unordered, so its ranges take
+// the IN list), and a Synced over an ordered index with tail appends and
+// folds. Between queries it appends existing
 // values, new maxima (which keep the order where the lowest free code
 // lies above every value code), new minima (which take a code above the
 // rest and break it), NULLs (whose code may fall inside the interval),
@@ -303,7 +320,7 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
-		mode := r.Intn(6) // 0 plain, 1 custom gapped mapping, 2 favored, 3 max first, 4 first appearance, 5 Synced
+		mode := r.Intn(7) // 0 plain, 1 custom gapped mapping, 2 favored, 3 max first, 4 Build, 5 Synced, 6 first appearance
 		maxV := 2 + r.Intn(60)
 		if mode == 2 {
 			maxV = 2 + r.Intn(4) // the favored search enumerates code sets
@@ -312,7 +329,7 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 		null := make([]bool, n)
 		for i := range col {
 			col[i] = r.Intn(maxV)
-			null[i] = mode == 1 && r.Intn(8) == 0
+			null[i] = (mode == 1 || mode == 6) && r.Intn(8) == 0
 		}
 		var ix *Index[int]
 		var err error
@@ -339,8 +356,7 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 			}
 		case 3:
 			// First appearance: the maximum, then the rest ascending.
-			// Build codes them 0, 1, ...; reserveZero rebinds the maximum
-			// to the lowest free code, above the rest.
+			// Build codes them in value order all the same.
 			first := []int{maxV}
 			for v := 0; v < maxV; v++ {
 				first = append(first, v)
@@ -349,6 +365,10 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 			ix, err = Build(col, null, nil)
 		case 4:
 			ix, err = Build(col, null, nil)
+		case 6:
+			// A leading 1, 0 puts the mapping out of value order.
+			col, null = append([]int{1, 0}, col...), append([]bool{false, false}, null...)
+			ix, err = Build(col, null, &Options[int]{Mapping: firstAppearanceMapping(col)})
 		default:
 			var oi *OrderedIndex[int]
 			if oi, err = BuildOrdered(col, nil, nil); err == nil {
@@ -358,8 +378,8 @@ func TestPropOrderedRangeMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ordered := orderedDomain(ix); !ordered && mode != 4 {
-			t.Fatalf("seed %d mode %d: build is not ordered: %v", seed, mode, ix.Values())
+		if _, ordered := orderedDomain(ix); ordered != (mode != 6) {
+			t.Fatalf("seed %d mode %d: build ordered = %v: %v", seed, mode, ordered, ix.Values())
 		}
 		var target rangeTarget = ix
 		if mode == 5 {

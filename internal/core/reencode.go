@@ -54,7 +54,12 @@ func (ix *Index[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *enc
 
 // PlanReencode prices a re-encoding of the view's rows (see
 // Index.PlanReencode); planning reads only the mapping, and the rebuild
-// term covers every row, tail included.
+// term covers every row, tail included. While the code space is in value
+// order (an int, int64 or string domain whose values ascend with their
+// codes), the best order-preserving mapping at the live k
+// (encoding.OptimizeOrderPreserving) is proposed unless the unconstrained
+// search's is strictly cheaper, so ranges keep their interval cover
+// across the flip.
 func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encoding.SearchOptions) (*ReencodePlan[V], error) {
 	ix := v.ix
 	if len(predicates) == 0 {
@@ -73,9 +78,9 @@ func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encod
 	}
 	so.Weights = weights
 
-	// The search optimizes over the full current domain; predicates must
-	// reference mapped values only.
-	domain := ix.mapping.Values()
+	// The search optimizes over the full current domain, in code order;
+	// predicates must reference mapped values only.
+	domain := ix.space().domain
 	proposed, err := encoding.FindEncoding(domain, predicates, &so)
 	if err != nil {
 		return nil, err
@@ -88,6 +93,19 @@ func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encod
 	newCost, err := ix.workloadCost(proposed, predicates, weights)
 	if err != nil {
 		return nil, err
+	}
+	if inValueOrder(domain) {
+		ordered, err := encoding.OptimizeOrderPreserving(domain, predicates, ix.K(), &so)
+		if err != nil {
+			return nil, err
+		}
+		orderedCost, err := ix.workloadCost(ordered, predicates, weights)
+		if err != nil {
+			return nil, err
+		}
+		if orderedCost <= newCost {
+			proposed, newCost = ordered, orderedCost
+		}
 	}
 	return &ReencodePlan[V]{
 		Mapping:        proposed,

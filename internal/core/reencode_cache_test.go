@@ -102,8 +102,8 @@ func TestSyncedEqCacheInvalidatedOnLiveReencode(t *testing.T) {
 type setReader interface{ View() *View[string] }
 
 // TestCodeSetCacheInvalidated extends the Eq cases above to In and NotIn
-// lists. cacheColumn's default encoding is b=1 c=2 d=3 e=4 a=5 with codes
-// 6 and 7 free, so In(c, e) — and NotIn(a, b, d, z), the same code set
+// lists. buildCacheIndex codes cacheColumn as b=1 c=2 d=3 e=4 a=5 with
+// codes 6 and 7 free, so In(c, e) — and NotIn(a, b, d, z), the same code set
 // while z is outside the domain — reduces to B1B0' + B2B0', which covers
 // the don't-care code 6. Each change below gives code 6 to a value
 // without touching the code set {2, 4}, so a reduction cached before the
@@ -200,11 +200,16 @@ func TestCodeSetCacheInvalidated(t *testing.T) {
 // TestCodeSetCacheInvalidated for its encoding.
 func cacheColumn() []string { return []string{"a", "b", "c", "d", "e", "a", "c", "e", "b"} }
 
-// buildCacheIndex builds cacheColumn and checks the encoding the cache
-// tests rely on: In(c, e)'s reduction covers the free code 6.
+// buildCacheIndex builds cacheColumn under the mapping b=1 c=2 d=3 e=4
+// a=5 and checks the encoding the cache tests rely on: In(c, e)'s
+// reduction covers the free code 6.
 func buildCacheIndex(t *testing.T) *Index[string] {
 	t.Helper()
-	ix, err := Build(cacheColumn(), nil, nil)
+	m := encoding.NewMapping[string](3)
+	for code, v := range []string{"b", "c", "d", "e", "a"} {
+		m.MustAdd(v, uint32(code+1))
+	}
+	ix, err := Build(cacheColumn(), nil, &Options[string]{Mapping: m})
 	if err != nil {
 		t.Fatal(err)
 	}

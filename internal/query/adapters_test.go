@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/pagestore"
 	"repro/internal/simplebitmap"
 	"repro/internal/table"
@@ -257,7 +259,9 @@ func TestCompressedSimpleRangeMatchesScan(t *testing.T) {
 
 // TestPropEBIRangeLeafMatchesScan is core's TestPropOrderedRangeMatchesScan
 // at the query level: random range leaves through EBIInt over a plain
-// Build, OrderedEBI, and SyncedEBIInt over an ordered index, run
+// Build (value order) and over a first-appearance mapping (out of value
+// order, so its ranges are IN lists), OrderedEBI, and SyncedEBIInt over an
+// ordered index, run
 // sequentially and segmented, between appends of existing values, new
 // maxima (the order holds) and new minima (it breaks), NULLs and deletes.
 // Every leaf must return the scan's rows and the Stats PredictLeaf states.
@@ -274,6 +278,21 @@ func TestPropEBIRangeLeafMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Codes follow first appearance after a leading 1, 0, so the
+		// mapping is out of value order whatever the column holds.
+		m := encoding.NewMapping[int64](encoding.BitsFor(maxV + 2))
+		for _, v := range append([]int64{1, 0}, col...) {
+			if !m.Contains(v) {
+				m.MustAdd(v, uint32(m.Len()+1))
+			}
+		}
+		unordered, err := core.Build(col, nil, &core.Options[int64]{Mapping: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.IsSorted(unordered.Values()) {
+			t.Fatalf("seed %d: first-appearance codes %v ascend with the values", seed, unordered.Values())
+		}
 		ordered, err := core.BuildOrdered(col, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -288,14 +307,19 @@ func TestPropEBIRangeLeafMatchesScan(t *testing.T) {
 			AppendNull() error
 			Delete(row int) error
 		}
-		writers := []writer{plain, ordered.Index(), live}
+		writers := []writer{plain, unordered, ordered.Index(), live}
 		leaves := []struct {
 			name string
 			ix   interface {
 				LeafIndex
 				PredictLeafIndex
 			}
-		}{{"EBIInt", EBIInt{Ix: plain}}, {"OrderedEBI", OrderedEBI{Ix: ordered}}, {"SyncedEBIInt", SyncedEBIInt{Ix: live}}}
+		}{
+			{"EBIInt", EBIInt{Ix: plain}},
+			{"EBIInt/first-appearance", EBIInt{Ix: unordered}},
+			{"OrderedEBI", OrderedEBI{Ix: ordered}},
+			{"SyncedEBIInt", SyncedEBIInt{Ix: live}},
+		}
 		deleted := make([]bool, len(col))
 		lo, hi := int64(-1), int64(maxV)
 		for op := 0; op < 8; op++ {

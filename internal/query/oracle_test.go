@@ -1,7 +1,9 @@
 package query_test
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/bsi"
 	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/iostat"
 	. "repro/internal/query"
 	"repro/internal/simplebitmap"
@@ -73,9 +76,31 @@ func (a baselineEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return a.evalBaseline(vals)
 }
 
+// firstAppearance returns the mapping that codes a column's distinct
+// values 1..m in the order they first appear, leaving code 0 free for void
+// tuples.
+func firstAppearance(col []int64) *encoding.Mapping[int64] {
+	var domain []int64
+	seen := make(map[int64]bool)
+	for _, v := range col {
+		if !seen[v] {
+			seen[v] = true
+			domain = append(domain, v)
+		}
+	}
+	m := encoding.NewMapping[int64](encoding.BitsFor(len(domain) + 1))
+	for i, v := range domain {
+		m.MustAdd(v, uint32(i+1))
+	}
+	return m
+}
+
 // oraclePlanners builds one planner per index family, each with that
-// family as its only access path, over the given column.
-func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner) {
+// family as its only access path, over the given column. "ebi" and
+// "ebi-baseline" read one index coded in first-appearance order, whose
+// ranges are IN lists for both; "ebi-ordered" is core.Build's value-ordered
+// index, whose ranges take the interval cover, and is returned too.
+func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner, EBIInt) {
 	t.Helper()
 	tab := table.MustNew("t", table.NewColumn("v", table.Int64))
 	u64 := make([]uint64, len(col))
@@ -87,9 +112,19 @@ func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner) 
 	}
 	scan := NewExecutor(tab)
 
-	ebi, err := core.Build(col, nil, nil)
+	ebi, err := core.Build(col, nil, &core.Options[int64]{Mapping: firstAppearance(col)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if slices.IsSorted(ebi.Values()) {
+		t.Fatalf("setup: first-appearance codes %v ascend with the values", ebi.Values())
+	}
+	ordered, err := core.Build(col, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(ordered.Values()) {
+		t.Fatalf("setup: core.Build codes %v out of value order", ordered.Values())
 	}
 	simple, err := simplebitmap.Build(col, nil)
 	if err != nil {
@@ -102,6 +137,7 @@ func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner) 
 	paths := map[string]AccessPath{
 		"ebi":          {Name: "ebi", Index: EBIInt{Ix: ebi}, Model: EBIModel(ebi.K())},
 		"ebi-baseline": {Name: "ebi-baseline", Index: baselineEBI{Ix: ebi}, Model: EBIModel(ebi.K())},
+		"ebi-ordered":  {Name: "ebi-ordered", Index: EBIInt{Ix: ordered}, Model: EBIModel(ordered.K())},
 		"simple":       {Name: "simple", Index: SimpleInt{Ix: simple}, Model: SimpleBitmapModel()},
 		"wah":          {Name: "wah", Index: CompressedSimpleInt{Ix: wah}, Model: SimpleBitmapModel()},
 		"bsi":          {Name: "bsi", Index: BSIAdapter{Ix: bsi.Build(u64)}, Model: BSIModel(8)},
@@ -116,7 +152,30 @@ func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner) 
 		}
 		planners[name] = pl
 	}
-	return scan, planners
+	return scan, planners, EBIInt{Ix: ordered}
+}
+
+// rangeLeaves lists a predicate tree's range leaves.
+func rangeLeaves(p Predicate) []Range {
+	switch p := p.(type) {
+	case Range:
+		return []Range{p}
+	case Not:
+		return rangeLeaves(p.Pred)
+	case And:
+		var out []Range
+		for _, c := range p.Preds {
+			out = append(out, rangeLeaves(c)...)
+		}
+		return out
+	case Or:
+		var out []Range
+		for _, c := range p.Preds {
+			out = append(out, rangeLeaves(c)...)
+		}
+		return out
+	}
+	return nil
 }
 
 // randOraclePred builds a random predicate tree over column v with values
@@ -158,9 +217,11 @@ func randOraclePred(r *rand.Rand, card, depth int) Predicate {
 
 // TestOracleCrossIndexDifferential runs ~200 seeded random workloads —
 // point, IN, range, and AND/OR/NOT trees over Zipf and uniform data at
-// two cardinalities — and asserts that the encoded bitmap, simple bitmap,
-// WAH-compressed simple bitmap, bit-sliced, and B-tree indexes all return
-// exactly the scan's row set.
+// two cardinalities — and asserts that the encoded bitmap (coded in
+// first-appearance and in value order), simple bitmap, WAH-compressed
+// simple bitmap, bit-sliced, and B-tree indexes all return exactly the
+// scan's row set. The value-ordered index's range leaves must also report
+// the Stats PredictLeaf states for their interval cover.
 func TestOracleCrossIndexDifferential(t *testing.T) {
 	const n, predsPerConfig = 2500, 50
 	configs := []struct {
@@ -178,7 +239,7 @@ func TestOracleCrossIndexDifferential(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(100 + ci)))
 			col := cfg.gen(r)
-			scan, planners := oraclePlanners(t, col)
+			scan, planners, ordered := oraclePlanners(t, col)
 			for w := 0; w < predsPerConfig; w++ {
 				pred := randOraclePred(r, cfg.card, 2)
 				want, _, err := scan.Eval(pred)
@@ -202,6 +263,21 @@ func TestOracleCrossIndexDifferential(t *testing.T) {
 				if stats["ebi"] != stats["ebi-baseline"] {
 					t.Fatalf("workload %d (%s): fused stats %+v, baseline %+v",
 						w, pred, stats["ebi"], stats["ebi-baseline"])
+				}
+				for _, leaf := range rangeLeaves(pred) {
+					wantRows, _, err := scan.Eval(leaf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, st, err := ordered.Leaf(context.Background(), leaf, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					predicted, _, ok := ordered.PredictLeaf(leaf)
+					if !ok || !rows.Equal(wantRows) || st != predicted {
+						t.Fatalf("workload %d: ebi-ordered %s: %d rows (scan %d), stats %+v, predicted %+v (ok %v)",
+							w, leaf, rows.Count(), wantRows.Count(), st, predicted, ok)
+					}
 				}
 			}
 		})
