@@ -177,13 +177,13 @@ func (ix *Index[V]) clone() *Index[V] {
 // its ranges take the interval cover (Range); any other V is coded in
 // first-appearance order.
 func Build[V comparable](column []V, isNull []bool, opt *Options[V]) (*Index[V], error) {
-	return build(column, isNull, opt, sortValues[V])
+	return build(column, isNull, opt, func(d []V) { sortValues(d) })
 }
 
 // sortValues sorts a domain in value order when V is int, int64 or string
-// (V is only comparable, so this is a type switch on the slice) and leaves
-// any other domain as it is.
-func sortValues[V comparable](domain []V) {
+// (V is only comparable, so this is a type switch on the slice) and
+// reports whether it did; any other domain is left as it is.
+func sortValues[V comparable](domain []V) bool {
 	switch d := any(domain).(type) {
 	case []int:
 		slices.Sort(d)
@@ -191,21 +191,17 @@ func sortValues[V comparable](domain []V) {
 		slices.Sort(d)
 	case []string:
 		slices.Sort(d)
+	default:
+		return false
 	}
+	return true
 }
 
 // inValueOrder reports whether a domain listed in code order ascends, for
 // the value types sortValues orders; any other domain reports false.
 func inValueOrder[V comparable](domain []V) bool {
-	switch d := any(domain).(type) {
-	case []int:
-		return slices.IsSorted(d)
-	case []int64:
-		return slices.IsSorted(d)
-	case []string:
-		return slices.IsSorted(d)
-	}
-	return false
+	sorted := slices.Clone(domain)
+	return sortValues(sorted) && slices.Equal(sorted, domain)
 }
 
 // build is Build with the domain order given: sortDomain orders the
@@ -266,7 +262,13 @@ func build[V comparable](column []V, isNull []bool, opt *Options[V], sortDomain 
 	}
 	codeOf := make([]uint32, len(domain))
 	for p, v := range domain {
-		codeOf[p], _ = ix.mapping.CodeOf(v)
+		c, ok := ix.mapping.CodeOf(v)
+		if !ok {
+			// A value that never equals itself (a float NaN) is in the
+			// domain but has no code to look up.
+			return nil, fmt.Errorf("core: value %v has no code", v)
+		}
+		codeOf[p] = c
 	}
 	for i, p := range codes {
 		if isNull != nil && isNull[i] {

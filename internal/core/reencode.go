@@ -56,10 +56,8 @@ func (ix *Index[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *enc
 // Index.PlanReencode); planning reads only the mapping, and the rebuild
 // term covers every row, tail included. While the code space is in value
 // order (an int, int64 or string domain whose values ascend with their
-// codes), the best order-preserving mapping at the live k
-// (encoding.OptimizeOrderPreserving) is proposed unless the unconstrained
-// search's is strictly cheaper, so ranges keep their interval cover
-// across the flip.
+// codes), the live mapping is proposed unless FindEncoding's is strictly
+// cheaper, so ranges keep their interval cover across the flip.
 func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encoding.SearchOptions) (*ReencodePlan[V], error) {
 	ix := v.ix
 	if len(predicates) == 0 {
@@ -94,18 +92,8 @@ func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encod
 	if err != nil {
 		return nil, err
 	}
-	if inValueOrder(domain) {
-		ordered, err := encoding.OptimizeOrderPreserving(domain, predicates, ix.K(), &so)
-		if err != nil {
-			return nil, err
-		}
-		orderedCost, err := ix.workloadCost(ordered, predicates, weights)
-		if err != nil {
-			return nil, err
-		}
-		if orderedCost <= newCost {
-			proposed, newCost = ordered, orderedCost
-		}
+	if newCost >= curCost && inValueOrder(domain) {
+		proposed, newCost = ix.mapping.Clone(), curCost
 	}
 	return &ReencodePlan[V]{
 		Mapping:        proposed,

@@ -43,9 +43,8 @@ func IsOrderPreserving[V comparable](m *Mapping[V], sorted []V) (bool, error) {
 // terms if opt.UseDontCares is set.
 //
 // The search enumerates strictly increasing code assignments (combinations
-// of len(sorted) codes out of 2^k) and minimizes every predicate under
-// each. It falls back to the identity encoding when that would take more
-// than a safety cap of 300,000 minimizations.
+// of len(sorted) codes out of 2^k). It falls back to the identity encoding
+// when the combination count exceeds a safety cap.
 func OptimizeOrderPreserving[V comparable](sorted []V, predicates [][]V, k int, opt *SearchOptions) (*Mapping[V], error) {
 	o := opt.withDefaults()
 	n := len(sorted)
@@ -89,7 +88,7 @@ func OptimizeOrderPreserving[V comparable](sorted []V, predicates [][]V, k int, 
 	for i := range identity {
 		identity[i] = uint32(i + min)
 	}
-	if !binomialAtMost(space-min, n, 300000/max(1, len(predicates))) {
+	if !binomialAtMost(space-min, n, 300000) {
 		return build(identity), nil
 	}
 
