@@ -244,65 +244,75 @@ func ingestShapedWorkload(r *rand.Rand, m int) [][]int64 {
 	return preds
 }
 
-// TestPlanReencodeKeepsOrder: on an ordered Synced index, a workload that
-// FindEncoding cannot price strictly below the live value-ordered mapping
-// gets the live mapping as its plan, so the live flip keeps every range on
-// the interval cover: Range's Stats equal PredictRange's and read at most
-// k vectors. A hot-group IN workload that FindEncoding codes strictly
-// cheaper still gets FindEncoding's mapping.
+// TestPlanReencodeKeepsOrder: on an ordered Synced index, an ingest-shaped
+// workload gets the live value-ordered mapping as its plan whether or not
+// FindEncoding prices its own below it (seed 1000: no cheaper; seed 1007:
+// 315 against 317), because the workload holds ranges. So the live flip
+// keeps every range on the interval cover: Range's Stats equal
+// PredictRange's and read at most k vectors. A hot-group IN workload,
+// which holds no range, that FindEncoding codes strictly cheaper still
+// gets FindEncoding's mapping.
 func TestPlanReencodeKeepsOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(1000))
 	const m = 1000
-	col := make([]int64, 4*m)
-	for i := range col {
-		col[i] = int64(i % m)
-	}
-	r.Shuffle(len(col), func(i, j int) { col[i], col[j] = col[j], col[i] })
-	s, err := BuildSynced(col, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := ingestShapedWorkload(r, m)
-	plan, err := s.PlanReencode(preds, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	so := &encoding.SearchOptions{ReserveZeroCode: true, UseDontCares: true}
-	searched, err := encoding.FindEncoding(s.Values(), preds, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searchedCost, err := encoding.WeightedCost(searched, preds, nil, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if searchedCost < plan.CurrentCost {
-		t.Fatalf("the search prices %d below the live mapping's %d; the case no longer shows the live mapping kept", searchedCost, plan.CurrentCost)
-	}
-	if plan.NewCost != plan.CurrentCost || plan.Mapping.String() != s.View().ix.mapping.String() {
-		t.Fatalf("plan cost %d (live %d) and mapping differ from the live mapping", plan.NewCost, plan.CurrentCost)
-	}
-	if err := s.Reencode(plan.Mapping); err != nil {
-		t.Fatal(err)
-	}
-	view := s.View()
-	if _, ordered := orderedDomain(view.ix); !ordered {
-		t.Fatal("the flip left the code space out of value order")
-	}
-	for _, p := range preds {
-		lo, hi := slices.Min(p), slices.Max(p)
-		rows, st := Range(view, lo, hi, 1, nil)
-		if want := PredictRange(view, lo, hi); st != want || st.VectorsRead > view.ix.K() {
-			t.Fatalf("Range(%d, %d) stats %+v, predicted %+v (k=%d)", lo, hi, st, want, view.ix.K())
+	for _, c := range []struct {
+		seed       int64
+		searchWins bool
+	}{{1000, false}, {1007, true}} {
+		r := rand.New(rand.NewSource(c.seed))
+		col := make([]int64, 4*m)
+		for i := range col {
+			col[i] = int64(i % m)
 		}
-		n := 0
-		for _, v := range col {
-			if v >= lo && v <= hi {
-				n++
+		r.Shuffle(len(col), func(i, j int) { col[i], col[j] = col[j], col[i] })
+		s, err := BuildSynced(col, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds := ingestShapedWorkload(r, m)
+		if !holdsRange(s.Values(), preds) {
+			t.Fatalf("seed %d: the ingest-shaped workload holds no range", c.seed)
+		}
+		plan, err := s.PlanReencode(preds, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searched, err := encoding.FindEncoding(s.Values(), preds, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searchedCost, err := encoding.WeightedCost(searched, preds, nil, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wins := searchedCost < plan.CurrentCost; wins != c.searchWins {
+			t.Fatalf("seed %d: the search prices %d against the live mapping's %d; the case no longer shows what it names", c.seed, searchedCost, plan.CurrentCost)
+		}
+		if plan.NewCost != plan.CurrentCost || plan.Mapping.String() != s.View().ix.mapping.String() {
+			t.Fatalf("seed %d: plan cost %d (live %d) and mapping differ from the live mapping", c.seed, plan.NewCost, plan.CurrentCost)
+		}
+		if err := s.Reencode(plan.Mapping); err != nil {
+			t.Fatal(err)
+		}
+		view := s.View()
+		if _, ordered := orderedDomain(view.ix); !ordered {
+			t.Fatalf("seed %d: the flip left the code space out of value order", c.seed)
+		}
+		for _, p := range preds {
+			lo, hi := slices.Min(p), slices.Max(p)
+			rows, st := Range(view, lo, hi, 1, nil)
+			if want := PredictRange(view, lo, hi); st != want || st.VectorsRead > view.ix.K() {
+				t.Fatalf("seed %d: Range(%d, %d) stats %+v, predicted %+v (k=%d)", c.seed, lo, hi, st, want, view.ix.K())
 			}
-		}
-		if rows.Count() != n {
-			t.Fatalf("Range(%d, %d) selects %d rows, want %d", lo, hi, rows.Count(), n)
+			n := 0
+			for _, v := range col {
+				if v >= lo && v <= hi {
+					n++
+				}
+			}
+			if rows.Count() != n {
+				t.Fatalf("seed %d: Range(%d, %d) selects %d rows, want %d", c.seed, lo, hi, rows.Count(), n)
+			}
 		}
 	}
 
@@ -318,11 +328,14 @@ func TestPlanReencodeKeepsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	workload := [][]int64{hot, hot, {1, 4, 7, 10}}
-	plan, err = ix.PlanReencode(workload, nil, nil)
+	if holdsRange(ix.Values(), workload) {
+		t.Fatal("the hot-group workload holds a range")
+	}
+	plan, err := ix.PlanReencode(workload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	searched, err = encoding.FindEncoding(ix.Values(), workload, so)
+	searched, err := encoding.FindEncoding(ix.Values(), workload, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +351,29 @@ func TestPlanReencodeKeepsOrder(t *testing.T) {
 	}
 	if ok, _ := encoding.IsOrderPreserving(plan.Mapping, ix.Values()); ok {
 		t.Fatal("hot-group plan is order preserving; the case no longer shows the search winning")
+	}
+}
+
+// TestHoldsRange: a range is two or more distinct values next to each
+// other in the code-order domain, whatever gap lies between the values
+// themselves and in whatever order the predicate lists them.
+func TestHoldsRange(t *testing.T) {
+	domain := []int{1, 2, 3, 5, 8}
+	for _, c := range []struct {
+		preds [][]int
+		want  bool
+	}{
+		{[][]int{{1, 2}}, true},
+		{[][]int{{8, 5, 3}}, true},
+		{[][]int{{3, 5}}, true},
+		{[][]int{{1, 3}}, false},
+		{[][]int{{2}}, false},
+		{[][]int{{2, 2}}, false},
+		{[][]int{{1, 5}, {2, 8}}, false},
+		{[][]int{{1, 5}, {5, 8}}, true},
+	} {
+		if got := holdsRange(domain, c.preds); got != c.want {
+			t.Errorf("holdsRange(%v, %v) = %v, want %v", domain, c.preds, got, c.want)
+		}
 	}
 }

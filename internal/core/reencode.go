@@ -56,8 +56,17 @@ func (ix *Index[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *enc
 // Index.PlanReencode); planning reads only the mapping, and the rebuild
 // term covers every row, tail included. While the code space is in value
 // order (an int, int64 or string domain whose values ascend with their
-// codes), the live mapping is proposed unless FindEncoding's is strictly
+// codes), the live mapping is proposed at its current cost when the
+// workload holds a range (see holdsRange) or FindEncoding's mapping is no
 // cheaper, so ranges keep their interval cover across the flip.
+//
+// A range keeps the order however few vectors the search saves: its count
+// prices the sampled predicates only, while the order serves every range
+// on the column by its cover, and an unordered mapping makes each one
+// reduce an IN list. On the ingest benchmark's 32-list workload the search
+// priced 2 to 5 vectors below the live mapping's 316 or 317 at 3 of 18
+// seeds; taking it cut the 15-s run's query throughput by a fifth and
+// raised the vectors read per query by 2%.
 func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encoding.SearchOptions) (*ReencodePlan[V], error) {
 	ix := v.ix
 	if len(predicates) == 0 {
@@ -92,7 +101,7 @@ func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encod
 	if err != nil {
 		return nil, err
 	}
-	if newCost >= curCost && inValueOrder(domain) {
+	if inValueOrder(domain) && (newCost >= curCost || holdsRange(domain, predicates)) {
 		proposed, newCost = ix.mapping.Clone(), curCost
 	}
 	return &ReencodePlan[V]{
@@ -101,6 +110,29 @@ func (v *View[V]) PlanReencode(predicates [][]V, weights []int, searchOpt *encod
 		NewCost:        newCost,
 		RebuildVectors: proposed.K() * v.Len(),
 	}, nil
+}
+
+// holdsRange reports whether some predicate is a range of a domain listed
+// in code order: two or more distinct values that sit next to each other
+// there. Every predicate value must be in the domain.
+func holdsRange[V comparable](domain []V, predicates [][]V) bool {
+	pos := make(map[V]int, len(domain))
+	for i, v := range domain {
+		pos[v] = i
+	}
+	for _, p := range predicates {
+		in := make(map[int]bool, len(p))
+		lo, hi := len(domain), -1
+		for _, v := range p {
+			i := pos[v]
+			in[i] = true
+			lo, hi = min(lo, i), max(hi, i)
+		}
+		if len(in) >= 2 && hi-lo+1 == len(in) {
+			return true
+		}
+	}
+	return false
 }
 
 func (ix *Index[V]) workloadCost(m *encoding.Mapping[V], predicates [][]V, weights []int) (int, error) {
